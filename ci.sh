@@ -88,12 +88,19 @@ echo "==> htd scoring-modes smoke (held-out FN rate)"
 "$HTD" report "$HTD_SMOKE_DIR/learned.htd" --csv >"$HTD_SMOKE_DIR/learned.csv"
 diff "$HTD_SMOKE_DIR/learned.csv" tests/fixtures/learned_smoke.csv
 # Reference-free mode: characterize without a golden reference and score
-# through the same offline path the serve tests pin byte-for-byte.
+# it, fault-free and under the committed fault plan. Both reports must
+# reproduce their committed fixtures byte for byte.
 "$HTD" characterize --out "$HTD_SMOKE_DIR/reffree.htd" --mode reference-free \
     --dies 4 --pairs 2 --reps 2 --seed 42 --channels em,delay
 "$HTD" score --golden "$HTD_SMOKE_DIR/reffree.htd" --trojans ht2 \
     --report "$HTD_SMOKE_DIR/reffree-report.htd"
 "$HTD" report "$HTD_SMOKE_DIR/reffree-report.htd" --csv >/dev/null
+"$HTD" diff "$HTD_SMOKE_DIR/reffree-report.htd" tests/fixtures/reffree_report.htd
+"$HTD" score --golden "$HTD_SMOKE_DIR/reffree.htd" --trojans ht2 \
+    --faults tests/fixtures/faultplan.htd --max-retries 2 --allow-degraded \
+    --report "$HTD_SMOKE_DIR/reffree-degraded.htd"
+"$HTD" diff "$HTD_SMOKE_DIR/reffree-degraded.htd" \
+    tests/fixtures/reffree_degraded_report.htd
 
 echo "==> htd serve smoke (BENCH_serve.json)"
 # A real scoring server on an ephemeral port. Two gates: the response

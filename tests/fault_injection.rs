@@ -13,6 +13,7 @@ use htd_core::fusion::{
     characterize_campaign_faulted, characterize_campaign_with, score_campaign_faulted,
     GoldenCharacterization, MultiChannelReport,
 };
+use htd_core::reffree::{characterize_reffree_with, score_reffree_campaign};
 use htd_core::resilience::RetryPolicy;
 use htd_core::{Engine, Error, Lab};
 use htd_faults::{FaultPlan, FaultSite};
@@ -288,4 +289,96 @@ fn an_exhausted_calibration_loses_the_channel_but_not_the_campaign() {
         matches!(err, Error::CalibrationDiverged { .. }),
         "unexpected error: {err}"
     );
+}
+
+/// The reference-free CI smoke campaign: `htd characterize --mode
+/// reference-free --dies 4 --pairs 2 --reps 2 --seed 42 --channels
+/// em,delay`.
+fn reffree_plan() -> CampaignPlan {
+    CampaignPlan::with_random_pairs(4, 2, 2, [0x42; 16], [0x0f; 16], 42)
+}
+
+/// The reference-free smoke flow as a library call: a pristine
+/// reference-free characterization scoring `ht2` under `faults` +
+/// `policy`.
+fn reffree_flow_report(faults: &FaultPlan, policy: &RetryPolicy) -> MultiChannelReport {
+    let engine = Engine::with_workers(2);
+    let lab = Lab::paper();
+    let channels: Vec<Box<dyn Channel>> = specs().iter().map(ChannelSpec::build).collect();
+    let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
+    let charac = characterize_reffree_with(&engine, &lab, &reffree_plan(), &refs)
+        .expect("characterize reference-free");
+    score_reffree_campaign(
+        &engine,
+        &lab,
+        &charac,
+        &[TrojanSpec::ht2()],
+        &refs,
+        faults,
+        policy,
+        None,
+    )
+    .expect("reference-free scoring completes")
+    .report
+}
+
+/// The two pinned reference-free reports: fault-free, and under the
+/// committed fault plan with two retries and degradation allowed.
+fn reffree_fixtures() -> [(&'static str, MultiChannelReport); 2] {
+    [
+        (
+            "reffree_report.htd",
+            reffree_flow_report(&FaultPlan::none(), &RetryPolicy::strict()),
+        ),
+        (
+            "reffree_degraded_report.htd",
+            reffree_flow_report(&faultplan(), &RetryPolicy::degraded(2)),
+        ),
+    ]
+}
+
+#[test]
+fn reference_free_campaigns_match_the_pinned_reports() {
+    for (name, report) in reffree_fixtures() {
+        let path = fixture_dir().join(name);
+        let stored = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing fixture {} ({e}); run the regenerate tests below",
+                path.display()
+            )
+        });
+        assert_eq!(
+            htd_store::to_text(&report),
+            stored,
+            "reference-free report drifted from {}",
+            path.display()
+        );
+    }
+}
+
+/// Rewrites `tests/fixtures/reffree_report.htd` from the current
+/// pipeline. Run only after a deliberate change to the reference-free
+/// scoring semantics:
+///
+/// ```sh
+/// cargo test -p htd-store --test fault_injection -- --ignored regenerate
+/// ```
+#[test]
+#[ignore = "regenerates the checked-in reference-free report fixture"]
+fn regenerate_reffree_report() {
+    let path = fixture_dir().join("reffree_report.htd");
+    let report = reffree_flow_report(&FaultPlan::none(), &RetryPolicy::strict());
+    std::fs::write(&path, htd_store::to_text(&report)).unwrap();
+    println!("wrote {}", path.display());
+}
+
+/// Rewrites `tests/fixtures/reffree_degraded_report.htd` (see
+/// [`regenerate_reffree_report`]).
+#[test]
+#[ignore = "regenerates the checked-in degraded reference-free report fixture"]
+fn regenerate_reffree_degraded_report() {
+    let path = fixture_dir().join("reffree_degraded_report.htd");
+    let report = reffree_flow_report(&faultplan(), &RetryPolicy::degraded(2));
+    std::fs::write(&path, htd_store::to_text(&report)).unwrap();
+    println!("wrote {}", path.display());
 }
