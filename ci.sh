@@ -4,9 +4,10 @@
 #   2. the full test suite,
 #   3. every runnable example,
 #   4. an `htd` CLI smoke run (characterize -> score -> report -> diff),
-#   5. clippy with warnings denied,
-#   6. rustfmt check,
-#   7. rustdoc with warnings denied.
+#   5. the standalone benchmark package's build and tests,
+#   6. clippy with warnings denied,
+#   7. rustfmt check,
+#   8. rustdoc with warnings denied.
 # The build is fully offline: the three external dependencies (rand,
 # proptest, criterion) are vendored API shims under vendor/.
 set -eu
@@ -113,7 +114,9 @@ echo "==> htd serve smoke (BENCH_serve.json)"
     --dies 3 --pairs 2 --reps 2 --seed 42 --channels em,delay
 "$HTD" serve --addr 127.0.0.1:0 >"$HTD_SMOKE_DIR/serve.log" 2>&1 &
 HTD_SERVE_PID=$!
-trap 'kill "$HTD_SERVE_PID" 2>/dev/null; rm -rf "$HTD_SMOKE_DIR"' EXIT
+# `|| true`: on the success path the server has already exited, and a
+# failing kill under `set -e` would turn a green run into exit status 1.
+trap 'kill "$HTD_SERVE_PID" 2>/dev/null || true; rm -rf "$HTD_SMOKE_DIR"' EXIT
 HTD_SERVE_ADDR=
 for _ in $(seq 1 100); do
     HTD_SERVE_ADDR=$(sed -n 's/^serving on //p' "$HTD_SMOKE_DIR/serve.log")
@@ -143,6 +146,12 @@ echo "==> criterion quick benches (BENCH_acquire.json)"
 HTD_BENCH_SAMPLES=3 HTD_BENCH_JSON="$PWD/BENCH_acquire.json" \
     cargo bench -p htd-bench --bench acquire_kernels
 test -s BENCH_acquire.json
+
+echo "==> benchmark package (build + tests)"
+# benchmark/ is a separate package (its own workspace) and the only
+# consumer of htd-core outside this workspace: building and testing it
+# here catches an API break before the next benchmark run does.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy -- -D warnings"
 # The crates this tier touches are linted explicitly first (fast,

@@ -3,11 +3,14 @@
 //! each channel alone, then fused.
 
 use htd_bench::{banner, lab, KEY, PT};
+use htd_core::channel::Channel;
 use htd_core::channel::{DelayChannel, EmChannel, PowerChannel};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{fusion_experiment, multi_channel_experiment};
+use htd_core::fusion::{
+    characterize, fusion_experiment_with, score, Campaign, GoldenCharacterization,
+};
 use htd_core::report::{multi_channel_table, pct, Table};
-use htd_core::CampaignPlan;
+use htd_core::{CampaignPlan, Engine};
 use htd_trojan::TrojanSpec;
 
 fn main() {
@@ -18,7 +21,8 @@ fn main() {
     let lab = lab();
     let n_dies = 48;
     println!("\nmeasuring EM traces and delay matrices over {n_dies} dies...");
-    let report = fusion_experiment(
+    let report = fusion_experiment_with(
+        &Engine::default(),
         &lab,
         &TrojanSpec::size_sweep(),
         n_dies,
@@ -57,17 +61,24 @@ fn main() {
     let n3 = 24;
     println!("adding the power chain: EM + delay + power over {n3} dies...");
     let plan = CampaignPlan::with_random_pairs(n3, 3, 3, PT, KEY, 4242);
-    let report3 = multi_channel_experiment(
+    let (em, power) = (
+        EmChannel::paper(),
+        PowerChannel::new(TraceMetric::SumOfLocalMaxima),
+    );
+    let channels: [&dyn Channel; 3] = [&em, &DelayChannel, &power];
+    let campaign = Campaign::default();
+    let charac: GoldenCharacterization =
+        characterize(&campaign, &lab, &plan, &channels).expect("characterization runs");
+    let report3 = score(
+        &campaign,
         &lab,
-        &plan,
+        &charac,
         &TrojanSpec::size_sweep(),
-        &[
-            &EmChannel::paper(),
-            &DelayChannel,
-            &PowerChannel::new(TraceMetric::SumOfLocalMaxima),
-        ],
+        &channels,
+        None,
     )
-    .expect("three-channel experiment runs");
+    .expect("three-channel experiment runs")
+    .report;
     println!("{}", multi_channel_table(&report3));
 
     println!("finding: both channels sense the same die personality (a fast die");

@@ -14,11 +14,10 @@ use std::process::ExitCode;
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
 use htd_core::fusion::{
-    characterize_campaign_faulted, fuse_scored_channels, masked_feature_rows,
-    score_campaign_faulted, score_campaign_faulted_with_model, GoldenCharacterization,
-    MultiChannelReport, ScoredCampaign, ScoredChannel,
+    self, fuse_scored_channels, masked_feature_rows, Campaign, GoldenCharacterization,
+    MultiChannelReport, Reference, ScoredChannel,
 };
-use htd_core::reffree::{characterize_reffree_faulted, score_reffree_campaign};
+use htd_core::reffree::ReferenceFreeCharacterization;
 use htd_core::report::{health_table, multi_channel_table, pct, Table};
 use htd_core::resilience::{ChannelHealth, RetryPolicy};
 use htd_core::{CampaignPlan, Engine, Error, Lab};
@@ -28,7 +27,8 @@ use htd_serve::{ManifestConfig, ServeConfig};
 use htd_stats::logistic::{train as train_logistic, TrainConfig};
 use htd_stats::Gaussian;
 use htd_store::{
-    sniff_kind, Artifact as _, ChannelFit, ClassifierModel, GoldenArtifact, ReferenceFreeArtifact,
+    sniff_kind, ChannelFit, ClassifierModel, GoldenArtifact, ReferenceFreeArtifact,
+    ScorableArtifact,
 };
 use htd_trojan::{Payload, PlacementStrategy, Trigger, TrojanSpec, ZooConfig, ZooTrigger};
 
@@ -44,12 +44,12 @@ USAGE:
                    [--model FILE] [--metrics FILE] [--trace FILE]
       Measure a golden population and store it as a golden artifact.
       --mode reference-free needs no golden netlist trust anchor: every
-      die is scored against its own symmetric path pairs and its
-      neighbouring dies (leave-one-out), and the artifact stores the
-      self-score baseline instead of a golden reference (kind `reffree`,
-      at least 3 dies). --mode learned writes the usual golden artifact
-      but checks an optional --model classifier against the channel set,
-      for pipelines that score with `htd score --model`.
+      die is scored against its own symmetric path pairs, and the
+      artifact stores the reference lot's self-score baseline instead of
+      a golden reference (kind `reffree`, at least 3 dies). --mode
+      learned writes the usual golden artifact. In every mode, --model
+      FILE checks a classifier against the channel set, for pipelines
+      that score with `htd score --model`.
 
   htd score --golden FILE [--trojans ht1,ht2,...] [--report FILE]
             [--model FILE] [--csv FILE] [--kv FILE] [--scores-dir DIR]
@@ -59,9 +59,9 @@ USAGE:
       Score suspect designs against a stored golden artifact. The
       artifact's kind picks the mode: a `golden` artifact scores against
       the stored reference, a `reffree` artifact scores each suspect die
-      against its neighbours and compares with the stored self-score
-      baseline. --model FILE replaces the analytic fused column with a
-      trained logistic classifier (see `htd train`).
+      against its own symmetric path pairs and compares with the stored
+      self-score baseline. --model FILE replaces the analytic fused
+      column with a trained logistic classifier (see `htd train`).
       Trojans: ht1 ht2 ht3 ht-comb ht-seq stealth sweep (= ht1,ht2,ht3).
       --faults replays a stored fault plan; failed acquisitions retry up
       to --max-retries times with fresh derived seeds. With
@@ -334,14 +334,13 @@ fn trojan_specs(csv: &str) -> Result<Vec<TrojanSpec>, String> {
     Ok(specs)
 }
 
-/// The fault plan and retry policy shared by `characterize` and `score`:
-/// `--faults FILE` replays a stored plan (default: no faults),
-/// `--max-retries N` bounds per-die retries, `--allow-degraded` lets the
-/// campaign drop what stays faulted instead of erroring out.
-fn fault_opts(
-    opts: &Opts,
-    obs: &Obs,
-) -> Result<(FaultPlan, RetryPolicy), Box<dyn std::error::Error>> {
+/// The campaign context shared by `characterize` and `score`: the
+/// `--workers` engine recording into `obs`, `--faults FILE` replaying a
+/// stored plan (default: no faults), `--max-retries N` bounding per-die
+/// retries, and `--allow-degraded` letting the campaign drop what stays
+/// faulted instead of erroring out.
+fn campaign_opts(opts: &Opts, obs: &Obs) -> Result<Campaign, Box<dyn std::error::Error>> {
+    let engine = engine_for(opts)?.with_obs(obs.clone());
     let faults = match opts.get("faults") {
         None => FaultPlan::none(),
         Some(path) => htd_store::load_with(path, obs)?,
@@ -350,7 +349,11 @@ fn fault_opts(
         max_retries: parse_num("max-retries", opts.get("max-retries").unwrap_or("0"))?,
         allow_degraded: opts.has("allow-degraded"),
     };
-    Ok((faults, policy))
+    Ok(Campaign {
+        engine,
+        faults,
+        policy,
+    })
 }
 
 /// A filesystem-safe slug of a channel or trojan label.
@@ -535,147 +538,69 @@ fn characterize(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>>
     let pt = parse_hex16("pt", opts.get("pt").unwrap_or(&"42".repeat(16)))?;
     let key = parse_hex16("key", opts.get("key").unwrap_or(&"0f".repeat(16)))?;
     let (obs, metrics_path, trace_path) = metrics_obs(&opts);
-    let engine = engine_for(&opts)?.with_obs(obs.clone());
-    let (faults, policy) = fault_opts(&opts, &obs)?;
+    let campaign = campaign_opts(&opts, &obs)?;
 
     let lab = Lab::paper();
     let plan = CampaignPlan::with_random_pairs(dies, pairs, reps, pt, key, seed);
     let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
 
-    if matches!(mode, "reference-free" | "reffree") {
-        let charac = characterize_reffree_faulted(&engine, &lab, &plan, &refs, &faults, &policy)?;
-        for lost in &charac.lost {
-            eprintln!(
-                "htd: channel {} lost during characterization ({} calibration attempt(s))",
-                lost.channel, lost.attempted
-            );
-        }
-        let mut next_state = 0;
-        let surviving: Vec<ChannelSpec> = specs
-            .into_iter()
-            .filter(|spec| {
-                let keep = charac
-                    .states
-                    .get(next_state)
-                    .is_some_and(|s| s.channel == spec.name());
-                if keep {
-                    next_state += 1;
-                }
-                keep
-            })
-            .collect();
-        let artifact = ReferenceFreeArtifact::new(surviving, charac)?;
-        if let Some(dir) = opts.get("fits-dir") {
-            std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?;
-            for state in &artifact.characterization().states {
-                let path =
-                    std::path::Path::new(dir).join(format!("{}.fit.htd", slug(&state.channel)));
-                htd_store::save_with(
-                    &path,
-                    &ChannelFit {
-                        channel: state.channel.clone(),
-                        fit: Gaussian::new(state.fit.mean, state.fit.std)?,
-                    },
-                    &obs,
-                )?;
-                println!("wrote {}", path.display());
-            }
-        }
-        htd_store::save_with(&out, &artifact, &obs)?;
-        let names: Vec<&str> = artifact
-            .characterization()
-            .states
-            .iter()
-            .map(|s| s.channel.as_str())
-            .collect();
-        println!(
-            "characterized {dies} dies reference-free over {} channel(s) [{}] → {out}",
-            names.len(),
-            names.join(", "),
-        );
-        if let Some(path) = metrics_path {
-            let charac = artifact.characterization();
-            let health: Vec<ChannelHealth> = charac
-                .states
-                .iter()
-                .map(|s| s.health.clone())
-                .chain(charac.lost.iter().cloned())
-                .collect();
-            write_manifest(&path, "characterize", &engine, &charac.plan, &obs, &health)?;
-        }
-        if let Some(path) = &trace_path {
-            write_trace(path, &obs)?;
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let charac = characterize_campaign_faulted(&engine, &lab, &plan, &refs, &faults, &policy)?;
-    for lost in &charac.lost {
+    // The mode picks the characterization type; everything after this
+    // is the same for every kind.
+    let (artifact, lot) = if matches!(mode, "reference-free" | "reffree") {
+        let charac: ReferenceFreeCharacterization =
+            fusion::characterize(&campaign, &lab, &plan, &refs)?;
+        let specs = surviving_specs(specs, &charac);
+        let artifact = ReferenceFreeArtifact::new(specs, charac)?;
+        (
+            ScorableArtifact::ReferenceFree(artifact),
+            "dies reference-free",
+        )
+    } else {
+        let charac: GoldenCharacterization = fusion::characterize(&campaign, &lab, &plan, &refs)?;
+        let specs = surviving_specs(specs, &charac);
+        let artifact = GoldenArtifact::new(specs, charac)?;
+        (ScorableArtifact::Golden(artifact), "golden dies")
+    };
+    let reference = artifact.reference();
+    for lost in reference.lost() {
         eprintln!(
             "htd: channel {} lost during characterization ({} calibration attempt(s))",
             lost.channel, lost.attempted
         );
     }
-    // Lost channels drop out of `states` but keep their spot in `lost`;
-    // keep the spec list in lockstep with the surviving states.
-    let mut next_state = 0;
-    let surviving: Vec<ChannelSpec> = specs
-        .into_iter()
-        .filter(|spec| {
-            let keep = charac
-                .states
-                .get(next_state)
-                .is_some_and(|s| s.channel == spec.name());
-            if keep {
-                next_state += 1;
-            }
-            keep
-        })
-        .collect();
-    let artifact = GoldenArtifact::new(surviving, charac)?;
+    let stored = reference.channels();
+    let names: Vec<&str> = stored.iter().map(|s| s.name).collect();
 
-    // `--mode learned` ships the same golden artifact; the classifier is
-    // applied at scoring time, so all there is to pin down here is that
-    // a named model actually matches this campaign's channel set.
+    // A classifier is applied at scoring time, so all there is to pin
+    // down here is that a named model actually matches this campaign's
+    // channel set.
     if let Some(path) = opts.get("model") {
         let model: ClassifierModel = htd_store::load_with(path, &obs)?;
-        let names: Vec<&str> = artifact
-            .characterization()
-            .states
-            .iter()
-            .map(|s| s.channel.as_str())
-            .collect();
-        if model
-            .features
-            .iter()
-            .map(String::as_str)
-            .ne(names.iter().copied())
-        {
-            return Err(format!(
+        fusion::check_model_features(&model, names.iter().copied()).map_err(|_| {
+            format!(
                 "--model {path}: classifier features [{}] do not match the channel set [{}]",
                 model.features.join(", "),
                 names.join(", ")
             )
-            .into());
-        }
+        })?;
         println!("model {path} matches channel set [{}]", names.join(", "));
     }
 
     if let Some(dir) = opts.get("fits-dir") {
         std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?;
-        for state in &artifact.characterization().states {
+        for channel in &stored {
             let fit =
-                Gaussian::fit(&state.scores).map_err(|source| Error::DegeneratePopulation {
-                    channel: state.channel.clone(),
-                    samples: state.scores.len(),
+                Gaussian::fit(channel.scores).map_err(|source| Error::DegeneratePopulation {
+                    channel: channel.name.to_string(),
+                    samples: channel.scores.len(),
                     source,
                 })?;
-            let path = std::path::Path::new(dir).join(format!("{}.fit.htd", slug(&state.channel)));
+            let path = std::path::Path::new(dir).join(format!("{}.fit.htd", slug(channel.name)));
             htd_store::save_with(
                 &path,
                 &ChannelFit {
-                    channel: state.channel.clone(),
+                    channel: channel.name.to_string(),
                     fit,
                 },
                 &obs,
@@ -684,32 +609,43 @@ fn characterize(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>>
         }
     }
 
-    htd_store::save_with(&out, &artifact, &obs)?;
-    let names: Vec<&str> = artifact
-        .characterization()
-        .states
-        .iter()
-        .map(|s| s.channel.as_str())
-        .collect();
+    artifact.save_with(&out, &obs)?;
     println!(
-        "characterized {dies} golden dies over {} channel(s) [{}] → {out}",
+        "characterized {dies} {lot} over {} channel(s) [{}] → {out}",
         names.len(),
         names.join(", "),
     );
     if let Some(path) = metrics_path {
-        let charac = artifact.characterization();
-        let health: Vec<ChannelHealth> = charac
-            .states
+        let health: Vec<ChannelHealth> = stored
             .iter()
             .map(|s| s.health.clone())
-            .chain(charac.lost.iter().cloned())
+            .chain(reference.lost().iter().cloned())
             .collect();
-        write_manifest(&path, "characterize", &engine, &charac.plan, &obs, &health)?;
+        write_manifest(
+            &path,
+            "characterize",
+            &campaign.engine,
+            reference.plan(),
+            &obs,
+            &health,
+        )?;
     }
     if let Some(path) = &trace_path {
         write_trace(path, &obs)?;
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The specs of the channels that survived characterization: lost
+/// channels drop out of the stored states but keep their spot in the
+/// lost list, so the spec list is kept in lockstep with the survivors.
+fn surviving_specs(specs: Vec<ChannelSpec>, reference: &dyn Reference) -> Vec<ChannelSpec> {
+    let stored = reference.channels();
+    let mut next = stored.iter().peekable();
+    specs
+        .into_iter()
+        .filter(|spec| next.next_if(|s| s.name == spec.name()).is_some())
+        .collect()
 }
 
 fn score(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
@@ -735,8 +671,7 @@ fn score(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let golden_path = opts.require("golden")?;
     let specs = trojan_specs(opts.get("trojans").unwrap_or("ht1,ht2,ht3"))?;
     let (obs, metrics_path, trace_path) = metrics_obs(&opts);
-    let engine = engine_for(&opts)?.with_obs(obs.clone());
-    let (faults, policy) = fault_opts(&opts, &obs)?;
+    let campaign = campaign_opts(&opts, &obs)?;
     let max_drop_rate: f64 = parse_num("max-drop-rate", opts.get("max-drop-rate").unwrap_or("1"))?;
 
     let model: Option<ClassifierModel> = match opts.get("model") {
@@ -745,79 +680,33 @@ fn score(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     };
     let lab = Lab::paper();
 
-    // The artifact's kind picks the scoring mode. The sniff uses a plain
-    // (uncounted) read so the golden-path store.read counters stay
-    // byte-identical with earlier releases; the counted load below is
-    // the authoritative parse.
-    let sniffed = std::fs::read_to_string(golden_path).map_err(|e| Error::io(golden_path, e))?;
-    let (campaign, plan): (ScoredCampaign, CampaignPlan) =
-        if sniff_kind(&sniffed) == Some(ReferenceFreeArtifact::KIND) {
-            let artifact: ReferenceFreeArtifact = if policy.allow_degraded {
-                let salvaged =
-                    htd_store::load_salvage_with::<ReferenceFreeArtifact>(golden_path, &obs)?;
-                if salvaged.recovered {
-                    eprintln!(
-                        "htd: salvaged {golden_path} ({} damaged line(s) dropped)",
-                        salvaged.dropped_lines
-                    );
-                }
-                salvaged.artifact
-            } else {
-                htd_store::load_with(golden_path, &obs)?
-            };
-            let channels = artifact.build_channels();
-            let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-            let charac = artifact.characterization();
-            let plan = charac.plan.clone();
-            let campaign = score_reffree_campaign(
-                &engine,
-                &lab,
-                charac,
-                &specs,
-                &refs,
-                &faults,
-                &policy,
-                model.as_ref(),
-            )?;
-            (campaign, plan)
-        } else {
-            // Under --allow-degraded a damaged golden artifact is
-            // salvaged: the surviving channel blocks are kept and the
-            // read is flagged, instead of the whole file being rejected
-            // for one bad line.
-            let artifact: GoldenArtifact = if policy.allow_degraded {
-                let salvaged = htd_store::load_salvage_with::<GoldenArtifact>(golden_path, &obs)?;
-                if salvaged.recovered {
-                    eprintln!(
-                        "htd: salvaged {golden_path} ({} damaged line(s) dropped)",
-                        salvaged.dropped_lines
-                    );
-                }
-                salvaged.artifact
-            } else {
-                htd_store::load_with(golden_path, &obs)?
-            };
-            let channels = artifact.build_channels();
-            let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-            let charac = artifact.characterization();
-            let plan = charac.plan.clone();
-            let campaign = score_campaign_faulted_with_model(
-                &engine,
-                &lab,
-                charac,
-                &specs,
-                &refs,
-                &faults,
-                &policy,
-                model.as_ref(),
-            )?;
-            (campaign, plan)
-        };
-    let report = &campaign.report;
+    // The artifact's kind picks the scoring mode. Under --allow-degraded
+    // a damaged artifact is salvaged: the surviving channel blocks are
+    // kept and the read is flagged, instead of the whole file being
+    // rejected for one bad line.
+    let loaded = ScorableArtifact::load_with(golden_path, &obs, campaign.policy.allow_degraded)?;
+    if loaded.recovered {
+        eprintln!(
+            "htd: salvaged {golden_path} ({} damaged line(s) dropped)",
+            loaded.dropped_lines
+        );
+    }
+    let artifact = loaded.artifact;
+    let channels = artifact.build_channels();
+    let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
+    let scored = fusion::score(
+        &campaign,
+        &lab,
+        artifact.reference(),
+        &specs,
+        &refs,
+        model.as_ref(),
+    )?;
+    let report = &scored.report;
 
     if let Some(dir) = opts.get("scores-dir") {
         std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?;
-        for design in &campaign.designs {
+        for design in &scored.designs {
             for set in &design.scored {
                 let path = std::path::Path::new(dir).join(format!(
                     "{}.{}.scores.htd",
@@ -849,7 +738,14 @@ fn score(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         println!("wrote {path}");
     }
     if let Some(path) = &metrics_path {
-        write_manifest(path, "score", &engine, &plan, &obs, &report.health)?;
+        write_manifest(
+            path,
+            "score",
+            &campaign.engine,
+            artifact.plan(),
+            &obs,
+            &report.health,
+        )?;
     }
     if let Some(path) = &trace_path {
         write_trace(path, &obs)?;
@@ -908,53 +804,13 @@ fn train(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
 
     let (obs, metrics_path, _) = metrics_obs(&opts);
-    let engine = engine_for(&opts)?.with_obs(obs.clone());
-    let lab = Lab::paper();
     // Training campaigns run fault-free and strict: every die survives,
     // so golden and infected feature rows line up one-to-one with dies.
-    let faults = FaultPlan::none();
-    let policy = RetryPolicy {
-        max_retries: 0,
-        allow_degraded: false,
-    };
-
-    // Golden side: a stored artifact, or a fresh in-process campaign
-    // (same defaults as `htd zoo`).
-    let stored: Option<GoldenArtifact> = match opts.get("golden") {
-        Some(path) => Some(htd_store::load_with(path, &obs)?),
-        None => None,
-    };
-    let (channels, fresh): (Vec<Box<dyn Channel>>, Option<GoldenCharacterization>) = match &stored {
-        Some(artifact) => (artifact.build_channels(), None),
-        None => {
-            let dies: usize = parse_num("dies", opts.get("dies").unwrap_or("6"))?;
-            let pairs: usize = parse_num("pairs", opts.get("pairs").unwrap_or("2"))?;
-            let reps: usize = parse_num("reps", opts.get("reps").unwrap_or("2"))?;
-            let seed: u64 = parse_num("seed", opts.get("seed").unwrap_or("24301"))?;
-            let metric = opts.get("metric").unwrap_or("solm");
-            let metric = TraceMetric::from_token(metric).ok_or_else(|| {
-                format!("--metric: unknown metric `{metric}` (solm, max, sum, l2)")
-            })?;
-            let specs_ch = channel_specs(opts.get("channels").unwrap_or("em,delay"), metric)?;
-            let channels: Vec<Box<dyn Channel>> = specs_ch.iter().map(ChannelSpec::build).collect();
-            let pt = parse_hex16("pt", &"42".repeat(16))?;
-            let key = parse_hex16("key", &"0f".repeat(16))?;
-            let plan = CampaignPlan::with_random_pairs(dies, pairs, reps, pt, key, seed);
-            let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-            let charac =
-                characterize_campaign_faulted(&engine, &lab, &plan, &refs, &faults, &policy)?;
-            (channels, Some(charac))
-        }
-    };
-    let charac: &GoldenCharacterization = stored
-        .as_ref()
-        .map(GoldenArtifact::characterization)
-        .or(fresh.as_ref())
-        .expect("either a stored or a fresh characterization exists");
-
+    let campaign = Campaign::with_engine(engine_for(&opts)?.with_obs(obs.clone()));
+    let lab = Lab::paper();
+    let (channels, charac) = golden_side(&opts, &campaign, &lab, &obs)?;
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let campaign =
-        score_campaign_faulted(&engine, &lab, charac, &train_specs, &refs, &faults, &policy)?;
+    let scored = fusion::score(&campaign, &lab, &charac, &train_specs, &refs, None)?;
 
     // Labelled samples: one feature row per die — golden dies label 0,
     // every die of every training trojan label 1. The trainer itself
@@ -970,7 +826,7 @@ fn train(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     for row in masked_feature_rows(&golden_masked, n_dies) {
         samples.push((row, false));
     }
-    for design in &campaign.designs {
+    for design in &scored.designs {
         let kept: Vec<Vec<usize>> = design
             .scored
             .iter()
@@ -1002,7 +858,7 @@ fn train(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     };
     // Recorded once on the main thread, so worker-invariant by
     // construction.
-    obs.add("train.designs", campaign.designs.len() as u64);
+    obs.add("train.designs", scored.designs.len() as u64);
     obs.add("train.samples", samples.len() as u64);
     obs.add("train.iterations", config.iterations as u64);
 
@@ -1011,7 +867,7 @@ fn train(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     println!(
         "trained classifier on {} sample(s) over {} design(s), {} feature(s) [{}] → {out}",
         samples.len(),
-        campaign.designs.len(),
+        scored.designs.len(),
         features.len(),
         features.join(", "),
     );
@@ -1023,13 +879,47 @@ fn train(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         write_manifest(
             path,
             "train",
-            &engine,
+            &campaign.engine,
             &charac.plan,
             &obs,
-            &campaign.report.health,
+            &scored.report.health,
         )?;
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Live channels next to the golden characterization they score against.
+type GoldenSide = (Vec<Box<dyn Channel>>, GoldenCharacterization);
+
+/// The golden side of `htd train` and `htd zoo`: the stored artifact
+/// named by `--golden`, or a fresh in-process characterization of the
+/// `--dies`/`--pairs`/`--reps`/`--seed`/`--channels`/`--metric` campaign
+/// under `campaign`.
+fn golden_side(
+    opts: &Opts,
+    campaign: &Campaign,
+    lab: &Lab,
+    obs: &Obs,
+) -> Result<GoldenSide, Box<dyn std::error::Error>> {
+    if let Some(path) = opts.get("golden") {
+        let artifact: GoldenArtifact = htd_store::load_with(path, obs)?;
+        return Ok((artifact.build_channels(), artifact.into_characterization()));
+    }
+    let dies: usize = parse_num("dies", opts.get("dies").unwrap_or("6"))?;
+    let pairs: usize = parse_num("pairs", opts.get("pairs").unwrap_or("2"))?;
+    let reps: usize = parse_num("reps", opts.get("reps").unwrap_or("2"))?;
+    let seed: u64 = parse_num("seed", opts.get("seed").unwrap_or("24301"))?;
+    let metric = opts.get("metric").unwrap_or("solm");
+    let metric = TraceMetric::from_token(metric)
+        .ok_or_else(|| format!("--metric: unknown metric `{metric}` (solm, max, sum, l2)"))?;
+    let specs = channel_specs(opts.get("channels").unwrap_or("em,delay"), metric)?;
+    let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
+    let pt = parse_hex16("pt", &"42".repeat(16))?;
+    let key = parse_hex16("key", &"0f".repeat(16))?;
+    let plan = CampaignPlan::with_random_pairs(dies, pairs, reps, pt, key, seed);
+    let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
+    let charac = fusion::characterize(campaign, lab, &plan, &refs)?;
+    Ok((channels, charac))
 }
 
 /// Trigger size of a zoo spec for the heat map's `size` column: tap
@@ -1107,46 +997,9 @@ fn zoo(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let specs = cfg.generate()?;
 
     let (obs, metrics_path, _) = metrics_obs(&opts);
-    let engine = engine_for(&opts)?.with_obs(obs.clone());
+    let campaign = Campaign::with_engine(engine_for(&opts)?.with_obs(obs.clone()));
     let lab = Lab::paper();
-    let faults = FaultPlan::none();
-    let policy = RetryPolicy {
-        max_retries: 0,
-        allow_degraded: false,
-    };
-
-    // Golden side: a stored artifact, or a fresh in-process campaign.
-    let stored: Option<GoldenArtifact> = match opts.get("golden") {
-        Some(path) => Some(htd_store::load_with(path, &obs)?),
-        None => None,
-    };
-    let (channels, fresh): (Vec<Box<dyn Channel>>, Option<GoldenCharacterization>) = match &stored {
-        Some(artifact) => (artifact.build_channels(), None),
-        None => {
-            let dies: usize = parse_num("dies", opts.get("dies").unwrap_or("6"))?;
-            let pairs: usize = parse_num("pairs", opts.get("pairs").unwrap_or("2"))?;
-            let reps: usize = parse_num("reps", opts.get("reps").unwrap_or("2"))?;
-            let seed: u64 = parse_num("seed", opts.get("seed").unwrap_or("24301"))?;
-            let metric = opts.get("metric").unwrap_or("solm");
-            let metric = TraceMetric::from_token(metric).ok_or_else(|| {
-                format!("--metric: unknown metric `{metric}` (solm, max, sum, l2)")
-            })?;
-            let specs_ch = channel_specs(opts.get("channels").unwrap_or("em,delay"), metric)?;
-            let channels: Vec<Box<dyn Channel>> = specs_ch.iter().map(ChannelSpec::build).collect();
-            let pt = parse_hex16("pt", &"42".repeat(16))?;
-            let key = parse_hex16("key", &"0f".repeat(16))?;
-            let plan = CampaignPlan::with_random_pairs(dies, pairs, reps, pt, key, seed);
-            let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-            let charac =
-                characterize_campaign_faulted(&engine, &lab, &plan, &refs, &faults, &policy)?;
-            (channels, Some(charac))
-        }
-    };
-    let charac: &GoldenCharacterization = stored
-        .as_ref()
-        .map(GoldenArtifact::characterization)
-        .or(fresh.as_ref())
-        .expect("either a stored or a fresh characterization exists");
+    let (channels, charac) = golden_side(&opts, &campaign, &lab, &obs)?;
 
     // Per-zoo-point counters, recorded once on the main thread so they
     // are worker-invariant by construction.
@@ -1156,8 +1009,8 @@ fn zoo(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
 
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let campaign = score_campaign_faulted(&engine, &lab, charac, &specs, &refs, &faults, &policy)?;
-    let report = &campaign.report;
+    let scored = fusion::score(&campaign, &lab, &charac, &specs, &refs, None)?;
+    let report = &scored.report;
 
     // Heat map: one row per zoo point, one detection-rate column per
     // channel (plus the fused column when several channels ran).
@@ -1194,7 +1047,14 @@ fn zoo(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         println!("wrote {path}");
     }
     if let Some(path) = &metrics_path {
-        write_manifest(path, "zoo", &engine, &charac.plan, &obs, &report.health)?;
+        write_manifest(
+            path,
+            "zoo",
+            &campaign.engine,
+            &charac.plan,
+            &obs,
+            &report.health,
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1217,7 +1077,7 @@ fn serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         &["allow-degraded"],
     )?;
     let (obs, metrics_path, trace_path) = metrics_obs(&opts);
-    let (faults, policy) = fault_opts(&opts, &obs)?;
+    let Campaign { faults, policy, .. } = campaign_opts(&opts, &obs)?;
     let defaults = ServeConfig::default();
     let config = ServeConfig {
         addr: opts.get("addr").unwrap_or("127.0.0.1:0").to_string(),

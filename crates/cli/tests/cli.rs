@@ -9,7 +9,7 @@ use std::process::{Command, Output};
 
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{multi_channel_experiment_with, MultiChannelReport};
+use htd_core::fusion::{characterize, score, Campaign, GoldenCharacterization, MultiChannelReport};
 use htd_core::{CampaignPlan, Engine, Lab};
 use htd_trojan::TrojanSpec;
 
@@ -105,8 +105,11 @@ fn pipeline_roundtrips_and_matches_the_in_memory_experiment() {
     let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
     let trojans = [TrojanSpec::ht2(), TrojanSpec::ht_seq()];
-    let in_memory =
-        multi_channel_experiment_with(&Engine::serial(), &lab, &plan, &trojans, &refs).unwrap();
+    let campaign = Campaign::with_engine(Engine::serial());
+    let charac: GoldenCharacterization = characterize(&campaign, &lab, &plan, &refs).unwrap();
+    let in_memory = score(&campaign, &lab, &charac, &trojans, &refs, None)
+        .unwrap()
+        .report;
     assert_eq!(report1, htd_store::to_text(&in_memory));
 
     // Fusing the stored per-channel scores reproduces the fused row.
@@ -324,4 +327,48 @@ fn bad_invocations_fail_with_usage_errors() {
     let out = htd(&dir, &["help"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("characterize"));
+}
+
+#[test]
+fn characterize_checks_the_model_against_the_channels_in_every_mode() {
+    let dir = labdir("model-check");
+    std::fs::copy(fixture("classifier.htd"), dir.join("model.htd")).unwrap();
+    let characterize = |mode: &str, channels: &str| {
+        htd(
+            &dir,
+            &[
+                "characterize",
+                "--out",
+                "artifact.htd",
+                "--mode",
+                mode,
+                "--dies",
+                "3",
+                "--pairs",
+                "1",
+                "--reps",
+                "1",
+                "--seed",
+                "42",
+                "--channels",
+                channels,
+                "--model",
+                "model.htd",
+            ],
+        )
+    };
+    // The fixture classifier's features are [EM, delay]: an EM-only
+    // campaign cannot use it, whatever the mode.
+    for mode in ["golden", "reference-free"] {
+        let out = characterize(mode, "em");
+        assert_eq!(out.status.code(), Some(2), "--mode {mode}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("do not match the channel set"), "{stderr}");
+    }
+    let stdout = expect_success(&characterize("reference-free", "em,delay"));
+    assert!(
+        stdout.contains("model model.htd matches channel set [EM, delay]"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,13 +14,12 @@
 //! 4. **score** — reduce one acquisition against the reference to a
 //!    scalar decision metric.
 //!
-//! [`fusion::multi_channel_experiment`](crate::fusion::multi_channel_experiment)
-//! drives any `&[&dyn Channel]` through these stages with one shared
-//! loop: per-channel seeding comes from the
-//! [`CampaignPlan`] seed tree (indices, never
-//! scheduling), so every campaign is bit-identical at every worker
-//! count; the fused decision is the channel-ordered sum of
-//! golden-normalised z-scores.
+//! [`fusion::characterize`](crate::fusion::characterize) and
+//! [`fusion::score`](crate::fusion::score) drive any `&[&dyn Channel]`
+//! through these stages with one shared loop: per-channel seeding comes
+//! from the [`CampaignPlan`] seed tree (indices, never scheduling), so
+//! every campaign is bit-identical at every worker count; the fused
+//! decision is the channel-ordered sum of baseline-normalised z-scores.
 //!
 //! Three channels ship today: [`EmChannel`] (Section V),
 //! [`DelayChannel`] (the inter-die generalisation of Section III) and

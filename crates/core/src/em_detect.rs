@@ -18,9 +18,9 @@ use htd_stats::Gaussian;
 use htd_trojan::TrojanSpec;
 
 use crate::campaign::CampaignPlan;
-use crate::channel::{trace_channel, Calibration, GoldenReference};
+use crate::channel::{trace_channel, Calibration, Channel, GoldenReference};
 use crate::error::Error;
-use crate::fusion::multi_channel_experiment_with;
+use crate::fusion::{characterize, score, Campaign, GoldenCharacterization};
 use crate::{Design, Engine, Lab, ProgrammedDevice};
 
 /// Which measurement chain an experiment uses.
@@ -171,7 +171,7 @@ pub fn characterize_em_golden(
 }
 
 /// [`characterize_em_golden`] with an explicit [`TraceMetric`] and
-/// [`Engine`]. Runs the [`Channel`](crate::channel::Channel) stages of
+/// [`Engine`]. Runs the [`Channel`] stages of
 /// the chain's trace channel: acquisitions fan across the engine's
 /// workers with index-derived seeds, so the model is bit-identical for
 /// every worker count.
@@ -383,7 +383,10 @@ pub fn fn_rate_experiment_with_metric(
 ) -> Result<FnRateReport, Error> {
     let plan = CampaignPlan::traces(n_dies, *pt, *key, seed);
     let channel = trace_channel(chain, metric);
-    let report = multi_channel_experiment_with(engine, lab, &plan, specs, &[&*channel])?;
+    let channels: [&dyn Channel; 1] = [&*channel];
+    let campaign = Campaign::with_engine(engine.clone());
+    let charac: GoldenCharacterization = characterize(&campaign, lab, &plan, &channels)?;
+    let report = score(&campaign, lab, &charac, specs, &channels, None)?.report;
     let mut rows = Vec::with_capacity(report.rows.len());
     for row in report.rows {
         let result = row

@@ -8,16 +8,21 @@
 //! over many scoring runs (the `htd-store` crate persists it between
 //! processes):
 //!
-//! * [`characterize_campaign`] — run the golden population through every
-//!   channel's calibrate → acquire → characterize_golden → score stages
-//!   and fold the results into a durable [`GoldenCharacterization`].
-//! * [`score_campaign`] — score any set of suspect designs against a
-//!   (possibly reloaded) characterization, producing the same
-//!   [`MultiChannelReport`] as the one-shot experiment.
+//! * [`characterize`] — calibrate every channel on a reference lot,
+//!   acquire it, and fold the per-channel results into a durable
+//!   [`Reference`]: a [`GoldenCharacterization`] (golden reference plus
+//!   golden scores) or a
+//!   [`ReferenceFreeCharacterization`](crate::reffree::ReferenceFreeCharacterization)
+//!   (within-die self-score baseline).
+//! * [`score`] — score any set of suspect designs against a (possibly
+//!   reloaded) reference through one [`ScoringSession`], producing a
+//!   [`MultiChannelReport`].
 //!
-//! [`multi_channel_experiment`] composes the two; both halves derive every
-//! seed from the [`CampaignPlan`] seed tree, so reports are bit-identical
-//! for every worker count *and* across the save/load boundary.
+//! Both halves run under a [`Campaign`] (engine, fault plan, retry
+//! policy) and derive every seed from the [`CampaignPlan`] seed tree, so
+//! reports are bit-identical for every worker count *and* across the
+//! save/load boundary. Only what differs between scoring modes lives in
+//! the [`Reference`] implementations.
 //!
 //! Channels:
 //!
@@ -28,11 +33,14 @@
 //!   (in ps) over all pairs and bits.
 //! * **Power channel** — the paper's A4 global-supply baseline, run
 //!   through the identical pipeline for a like-for-like comparison.
-//! * **Fused channel** — the sum of the channels' golden-normalised
+//! * **Fused channel** — the sum of the channels' baseline-normalised
 //!   z-scores; independent evidence adds, so the fused separation µ/σ is
 //!   at best the quadrature sum of the channels'.
 
+use std::borrow::Cow;
+
 use htd_faults::{retry_seed, FaultPlan, FaultSite};
+use htd_obs::Obs;
 use htd_stats::detection::{empirical_rates, equal_error_rate};
 use htd_stats::logistic::LogisticModel;
 use htd_stats::Gaussian;
@@ -46,9 +54,9 @@ use crate::resilience::{ChannelHealth, RetryPolicy};
 use crate::{Design, Engine, Lab, ProgrammedDevice};
 use htd_fabric::DieVariation;
 
-/// Population tag of the golden characterization in fault-decision
-/// contexts; suspect design `s` uses `s + 1`.
-pub(crate) const POP_GOLDEN: u64 = 0;
+/// Population tag of the reference lot in fault-decision contexts;
+/// suspect design `s` uses `s + 1`.
+const POP_REFERENCE: u64 = 0;
 
 /// Per-channel population statistics for one trojan.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,17 +89,19 @@ impl ChannelResult {
         golden: &[f64],
         infected: &[f64],
     ) -> Result<Self, Error> {
-        let channel = channel.into();
-        let degenerate = |channel: &str, samples: usize| {
-            let channel = channel.to_string();
-            move |source| Error::DegeneratePopulation {
-                channel,
-                samples,
-                source,
-            }
-        };
-        let g = Gaussian::fit(golden).map_err(degenerate(&channel, golden.len()))?;
-        let t = Gaussian::fit(infected).map_err(degenerate(&channel, infected.len()))?;
+        Self::fit_at(channel.into(), golden, infected, None)
+    }
+
+    /// [`ChannelResult::fit`] with the empirical rates taken at
+    /// `threshold` instead of the two-Gaussian midpoint when one is given.
+    fn fit_at(
+        channel: String,
+        golden: &[f64],
+        infected: &[f64],
+        threshold: Option<f64>,
+    ) -> Result<Self, Error> {
+        let g = fit_population(&channel, golden)?;
+        let t = fit_population(&channel, infected)?;
         let mu = t.mean() - g.mean();
         let sigma = ((g.std() * g.std() + t.std() * t.std()) / 2.0).sqrt();
         let analytic = if mu > 0.0 {
@@ -99,8 +109,8 @@ impl ChannelResult {
         } else {
             0.5
         };
-        let midpoint = g.mean() + mu / 2.0;
-        let (fp, fnr) = empirical_rates(golden, infected, midpoint);
+        let threshold = threshold.unwrap_or(g.mean() + mu / 2.0);
+        let (fp, fnr) = empirical_rates(golden, infected, threshold);
         Ok(ChannelResult {
             channel,
             mu,
@@ -110,6 +120,20 @@ impl ChannelResult {
             empirical_fp_rate: fp,
         })
     }
+}
+
+/// Fits the Gaussian of one channel's metric population.
+///
+/// # Errors
+///
+/// [`Error::DegeneratePopulation`] when the population has no spread or
+/// fewer than two samples.
+pub(crate) fn fit_population(channel: &str, samples: &[f64]) -> Result<Gaussian, Error> {
+    Gaussian::fit(samples).map_err(|source| Error::DegeneratePopulation {
+        channel: channel.to_string(),
+        samples: samples.len(),
+        source,
+    })
 }
 
 /// One trojan's results across every channel of a multi-channel campaign.
@@ -126,7 +150,7 @@ pub struct MultiChannelRow {
     pub fused: Option<ChannelResult>,
 }
 
-/// The result of a [`multi_channel_experiment`] campaign.
+/// The result of a multi-channel scoring campaign ([`score`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiChannelReport {
     /// One row per trojan, in the order supplied.
@@ -167,7 +191,7 @@ pub struct FusionReport {
 
 /// One channel's durable golden-population state: everything scoring
 /// needs once the golden devices have left the bench. Produced by
-/// [`characterize_campaign`]; persisted by `htd-store`.
+/// [`characterize`]; persisted by `htd-store`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelState {
     /// The channel's label ([`Channel::name`]).
@@ -212,7 +236,7 @@ impl ChannelState {
 /// was measured under plus every channel's [`ChannelState`]. This is the
 /// paper's "golden model", in amortisable form — characterize once with
 /// [`characterize_campaign`], then score any number of suspect
-/// populations with [`score_campaign`].
+/// populations with [`score`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenCharacterization {
     /// The campaign the golden population was measured under. Scoring
@@ -228,21 +252,21 @@ pub struct GoldenCharacterization {
 }
 
 /// One channel's scored populations for a single suspect design: the
-/// golden per-die scores (from the characterization) next to the
+/// baseline per-die scores (from the characterization) next to the
 /// suspect's. This is the unit `htd fuse` consumes from disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoredChannel {
     /// The channel's label.
     pub channel: String,
-    /// Per-die golden scores.
+    /// Per-die baseline scores.
     pub golden: Vec<f64>,
     /// Per-die suspect scores.
     pub infected: Vec<f64>,
 }
 
 /// One suspect design's scored channel populations, as produced inside
-/// [`score_campaign_faulted`] (the per-design artifacts `htd score
-/// --scores-dir` persists).
+/// [`score`] (the per-design artifacts `htd score --scores-dir`
+/// persists).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoredDesign {
     /// The design's name.
@@ -253,8 +277,8 @@ pub struct ScoredDesign {
     pub scored: Vec<ScoredChannel>,
 }
 
-/// The full outcome of a fault-aware scoring campaign: the rendered
-/// report plus the per-design scored populations it was reduced from.
+/// The full outcome of a scoring campaign: the rendered report plus the
+/// per-design scored populations it was reduced from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoredCampaign {
     /// The multi-channel report, including its health section.
@@ -263,86 +287,232 @@ pub struct ScoredCampaign {
     pub designs: Vec<ScoredDesign>,
 }
 
-/// Acquires and scores one design population for one channel. The fan is
-/// per die on `engine`; the per-die acquisition runs on
-/// [`Engine::serial`] so pools never nest (the values are bit-identical
-/// either way), and every seed comes from the plan's seed tree.
-fn score_population(
-    engine: &Engine,
+/// What a campaign runs under besides its plan: the measurement
+/// [`Engine`], the [`FaultPlan`] it replays and the [`RetryPolicy`] it
+/// answers faults with. The default — auto-sized engine, no faults,
+/// strict policy — is the historical fault-oblivious pipeline, bit for
+/// bit.
+#[derive(Debug, Clone)]
+pub struct Campaign {
+    /// The worker pool (and observability handle) every fan runs on.
+    pub engine: Engine,
+    /// Faults injected into calibration and acquisition.
+    pub faults: FaultPlan,
+    /// Retry budget and whether the campaign may degrade.
+    pub policy: RetryPolicy,
+}
+
+impl Campaign {
+    /// A fault-free, strict campaign on `engine`.
+    pub fn with_engine(engine: Engine) -> Self {
+        Campaign {
+            engine,
+            faults: FaultPlan::none(),
+            policy: RetryPolicy::strict(),
+        }
+    }
+}
+
+impl Default for Campaign {
+    fn default() -> Self {
+        Campaign::with_engine(Engine::default())
+    }
+}
+
+/// One surviving channel of a stored characterization, as every scoring
+/// mode sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct StoredChannel<'a> {
+    /// The channel's label ([`Channel::name`]).
+    pub name: &'a str,
+    /// Measurement parameters established on the reference lot.
+    pub calibration: &'a Calibration,
+    /// The reference lot's own per-die scores (golden scores, or
+    /// within-die self-scores), in kept-die order.
+    pub scores: &'a [f64],
+    /// Die indices the scores cover, ascending.
+    pub kept: &'a [usize],
+    /// Acquisition health of the characterization run.
+    pub health: &'a ChannelHealth,
+}
+
+/// A stored characterization that suspects are scored against — one
+/// implementation per scoring mode. The trait carries only what differs
+/// between modes; the characterize loop ([`characterize`]), the
+/// [`ScoringSession`] and the report assembly are shared.
+pub trait Reference {
+    /// Fewest dies a channel population may keep, at characterization
+    /// and at scoring time.
+    fn min_dies(&self) -> usize;
+
+    /// The campaign the reference lot was measured under.
+    fn plan(&self) -> &CampaignPlan;
+
+    /// The surviving channels, in execution order.
+    fn channels(&self) -> Vec<StoredChannel<'_>>;
+
+    /// Channels lost entirely during characterization.
+    fn lost(&self) -> &[ChannelHealth];
+
+    /// The per-die population channel `c`'s suspect scores are compared
+    /// against, in kept-die order.
+    fn baseline(&self, c: usize) -> Cow<'_, [f64]>;
+
+    /// Turns channel `c`'s suspect acquisitions into scores comparable
+    /// with [`Reference::baseline`].
+    ///
+    /// # Errors
+    ///
+    /// Channel scoring failures (shape mismatches).
+    fn score(
+        &self,
+        obs: &Obs,
+        c: usize,
+        channel: &dyn Channel,
+        acquisitions: &[Acquisition],
+    ) -> Result<Vec<f64>, Error>;
+
+    /// Records the mode's own counters for one scored design.
+    fn count_design(&self, _obs: &Obs) {}
+
+    /// An empty characterization of `plan`, filled by [`characterize`].
+    fn empty(plan: CampaignPlan) -> Self
+    where
+        Self: Sized;
+
+    /// Builds one channel's state from its calibrated reference-lot
+    /// population and appends it.
+    ///
+    /// # Errors
+    ///
+    /// Channel characterization and scoring failures.
+    fn push_channel(
+        &mut self,
+        obs: &Obs,
+        channel: &dyn Channel,
+        calibration: Calibration,
+        population: PopulationAcquisition,
+    ) -> Result<(), Error>
+    where
+        Self: Sized;
+
+    /// Records a channel lost during characterization.
+    fn push_lost(&mut self, health: ChannelHealth)
+    where
+        Self: Sized;
+}
+
+/// Scores acquisitions against a golden reference.
+fn score_against(
     channel: &dyn Channel,
-    devs: &[ProgrammedDevice<'_>],
-    plan: &CampaignPlan,
-    calibration: &Calibration,
+    acquisitions: &[Acquisition],
     reference: &GoldenReference,
-    seed_of: impl Fn(usize) -> u64 + Sync,
+    calibration: &Calibration,
 ) -> Result<Vec<f64>, Error> {
-    let _span = engine.obs().span(&format!("acquire.{}", channel.name()));
-    let acquisitions = engine
-        .map(devs, |j, dev| {
-            channel.acquire(&engine.serial_like(), dev, plan, calibration, seed_of(j))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
     acquisitions
         .iter()
         .map(|a| channel.score(a, reference, calibration))
         .collect()
 }
 
-/// The fused statistic: per die, the sum over channels of the
-/// golden-normalised z-score. Channel order fixes the summation order.
-fn fuse(golden_fits: &[Gaussian], per_channel_scores: &[Vec<f64>], n_dies: usize) -> Vec<f64> {
-    (0..n_dies)
-        .map(|j| {
-            golden_fits
-                .iter()
-                .zip(per_channel_scores)
-                .map(|(g, scores)| (scores[j] - g.mean()) / g.std())
-                .sum()
-        })
-        .collect()
+/// Golden-reference mode: each die is scored against the golden
+/// population's reference, and suspects are compared with the golden
+/// scores.
+impl Reference for GoldenCharacterization {
+    fn min_dies(&self) -> usize {
+        2
+    }
+
+    fn plan(&self) -> &CampaignPlan {
+        &self.plan
+    }
+
+    fn channels(&self) -> Vec<StoredChannel<'_>> {
+        self.states
+            .iter()
+            .map(|s| StoredChannel {
+                name: &s.channel,
+                calibration: &s.calibration,
+                scores: &s.scores,
+                kept: &s.kept,
+                health: &s.health,
+            })
+            .collect()
+    }
+
+    fn lost(&self) -> &[ChannelHealth] {
+        &self.lost
+    }
+
+    fn baseline(&self, c: usize) -> Cow<'_, [f64]> {
+        Cow::Borrowed(&self.states[c].scores)
+    }
+
+    fn score(
+        &self,
+        _obs: &Obs,
+        c: usize,
+        channel: &dyn Channel,
+        acquisitions: &[Acquisition],
+    ) -> Result<Vec<f64>, Error> {
+        let state = &self.states[c];
+        score_against(channel, acquisitions, &state.reference, &state.calibration)
+    }
+
+    fn empty(plan: CampaignPlan) -> Self {
+        GoldenCharacterization {
+            plan,
+            states: Vec::new(),
+            lost: Vec::new(),
+        }
+    }
+
+    fn push_channel(
+        &mut self,
+        _obs: &Obs,
+        channel: &dyn Channel,
+        calibration: Calibration,
+        population: PopulationAcquisition,
+    ) -> Result<(), Error> {
+        let reference = channel.characterize_golden(&population.acquisitions, &calibration)?;
+        let scores = score_against(channel, &population.acquisitions, &reference, &calibration)?;
+        self.states.push(ChannelState {
+            channel: channel.name().to_string(),
+            calibration,
+            reference,
+            scores,
+            kept: population.kept,
+            health: population.health,
+        });
+        Ok(())
+    }
+
+    fn push_lost(&mut self, health: ChannelHealth) {
+        self.lost.push(health);
+    }
 }
 
-/// [`fuse`] over partially-kept populations: each channel supplies
-/// `(kept die indices, scores)`, and a die contributes a fused value
-/// only when **every** channel kept it (a z-score sum with a missing
-/// addend would not be comparable). With identity masks this performs
-/// exactly the floating-point operations of [`fuse`], in the same
-/// order.
-pub(crate) fn fuse_masked(
-    golden_fits: &[Gaussian],
-    per_channel: &[(&[usize], &[f64])],
-    n_dies: usize,
-) -> Vec<f64> {
-    let dense: Vec<Vec<Option<f64>>> = per_channel
+/// The fused statistic over partially-kept populations: each channel
+/// supplies `(kept die indices, scores)`, and a die contributes the sum
+/// over channels of its baseline-normalised z-score only when **every**
+/// channel kept it (a z-score sum with a missing addend would not be
+/// comparable). Channel order fixes the summation order.
+fn fuse_masked(fits: &[Gaussian], per_channel: &[(&[usize], &[f64])], n_dies: usize) -> Vec<f64> {
+    masked_feature_rows(per_channel, n_dies)
         .iter()
-        .map(|(kept, scores)| {
-            let mut d = vec![None; n_dies];
-            for (k, &die) in kept.iter().enumerate() {
-                d[die] = Some(scores[k]);
-            }
-            d
-        })
-        .collect();
-    (0..n_dies)
-        .filter_map(|j| {
-            let mut sum = 0.0f64;
-            for (g, d) in golden_fits.iter().zip(&dense) {
-                match d[j] {
-                    Some(x) => sum += (x - g.mean()) / g.std(),
-                    None => return None,
-                }
-            }
-            Some(sum)
+        .map(|row| {
+            fits.iter()
+                .zip(row)
+                .fold(0.0f64, |sum, (g, x)| sum + (x - g.mean()) / g.std())
         })
         .collect()
 }
 
 /// Gathers the per-die feature rows of a population over partially-kept
 /// channels: row `x` holds one value per channel, and a die contributes
-/// a row only when **every** channel kept it (the learned classifier's
-/// analogue of `fuse_masked`'s masking rule). Rows come out in die
-/// order, so downstream reductions are presentation-order stable.
+/// a row only when **every** channel kept it (the masking rule of the
+/// fused channel, shared by the learned classifier). Rows come out in
+/// die order, so downstream reductions are presentation-order stable.
 pub fn masked_feature_rows(per_channel: &[(&[usize], &[f64])], n_dies: usize) -> Vec<Vec<f64>> {
     let dense: Vec<Vec<Option<f64>>> = per_channel
         .iter()
@@ -359,9 +529,13 @@ pub fn masked_feature_rows(per_channel: &[(&[usize], &[f64])], n_dies: usize) ->
         .collect()
 }
 
-/// Checks a classifier's feature labels against the campaign's channel
+/// Checks a classifier's feature labels against a campaign's channel
 /// names (count, names, order).
-pub(crate) fn check_model_features<'n>(
+///
+/// # Errors
+///
+/// [`Error::ChannelShapeMismatch`] on any difference.
+pub fn check_model_features<'n>(
     model: &LogisticModel,
     names: impl ExactSizeIterator<Item = &'n str>,
 ) -> Result<(), Error> {
@@ -386,9 +560,9 @@ pub(crate) fn check_model_features<'n>(
 /// classifier's trained 0.5-probability boundary — instead of the
 /// two-Gaussian midpoint, which is precisely how the learned mode
 /// replaces the erf threshold.
-pub(crate) fn learned_result(
+fn learned_result(
     model: &LogisticModel,
-    golden: &[(&[usize], &[f64])],
+    baseline: &[(&[usize], &[f64])],
     suspect: &[(&[usize], &[f64])],
     n_dies: usize,
 ) -> Result<ChannelResult, Error> {
@@ -398,97 +572,162 @@ pub(crate) fn learned_result(
             .map(|row| model.logit(row).map_err(Error::from))
             .collect()
     };
-    let golden_logits = logits(golden)?;
-    let suspect_logits = logits(suspect)?;
-    let degenerate = |samples: usize| {
-        move |source| Error::DegeneratePopulation {
-            channel: "learned".to_string(),
-            samples,
-            source,
-        }
-    };
-    let g = Gaussian::fit(&golden_logits).map_err(degenerate(golden_logits.len()))?;
-    let t = Gaussian::fit(&suspect_logits).map_err(degenerate(suspect_logits.len()))?;
-    let mu = t.mean() - g.mean();
-    let sigma = ((g.std() * g.std() + t.std() * t.std()) / 2.0).sqrt();
-    let analytic = if mu > 0.0 {
-        equal_error_rate(mu, sigma)
-    } else {
-        0.5
-    };
-    let (fp, fnr) = empirical_rates(&golden_logits, &suspect_logits, 0.0);
-    Ok(ChannelResult {
-        channel: "learned".to_string(),
-        mu,
-        sigma,
-        analytic_fn_rate: analytic,
-        empirical_fn_rate: fnr,
-        empirical_fp_rate: fp,
-    })
-}
-
-/// Fits the golden Gaussian of every channel state (the fusion
-/// normalisation).
-fn golden_fits(states: &[ChannelState]) -> Result<Vec<Gaussian>, Error> {
-    states
-        .iter()
-        .map(|state| {
-            Gaussian::fit(&state.scores).map_err(|source| Error::DegeneratePopulation {
-                channel: state.channel.clone(),
-                samples: state.scores.len(),
-                source,
-            })
-        })
-        .collect()
+    ChannelResult::fit_at(
+        "learned".to_string(),
+        &logits(baseline)?,
+        &logits(suspect)?,
+        Some(0.0),
+    )
 }
 
 /// Characterizes the golden population of `plan` under every supplied
-/// channel, with the default (auto-sized) [`Engine`].
+/// channel: [`characterize`] under the default [`Campaign`].
 ///
 /// # Errors
 ///
-/// [`Error::EmptyPopulation`] with no channels, [`Error::NotEnoughDies`]
-/// below two dies; design and simulation failures otherwise.
+/// See [`characterize`].
 pub fn characterize_campaign(
     lab: &Lab,
     plan: &CampaignPlan,
     channels: &[&dyn Channel],
 ) -> Result<GoldenCharacterization, Error> {
-    characterize_campaign_with(&Engine::default(), lab, plan, channels)
+    characterize(&Campaign::default(), lab, plan, channels)
 }
 
-/// [`characterize_campaign`] on an explicit [`Engine`].
+/// Characterizes the reference lot of `plan` under every supplied
+/// channel, in the scoring mode `R` picks.
 ///
-/// Each golden (die) device is programmed **once** and reused — with its
-/// simulation caches warm — across calibration, reference building and
-/// golden scoring. All per-die fans use seeds from the plan's seed tree,
-/// so the characterization is bit-identical for every worker count.
+/// Each reference-lot device is programmed **once** and reused — with
+/// its simulation caches warm — across calibration and acquisition.
+/// Calibrations that diverge and acquisitions that fail are retried up
+/// to the campaign's budget with fresh index-derived seeds; with
+/// `allow_degraded`, exhausted dies are quarantined (recorded in the
+/// channel's [`ChannelHealth`]) and exhausted calibrations, or
+/// populations left below [`Reference::min_dies`], lose the whole
+/// channel (recorded in [`Reference::lost`]).
+///
+/// Determinism: every seed comes from the plan's seed tree and every
+/// fault decision and retry seed from the event's indices, so the
+/// characterization is bit-identical at any worker count.
 ///
 /// # Errors
 ///
-/// See [`characterize_campaign`].
-pub fn characterize_campaign_with(
-    engine: &Engine,
+/// [`Error::EmptyPopulation`] with no channels or when every channel is
+/// lost, [`Error::NotEnoughDies`] below [`Reference::min_dies`] dies,
+/// [`Error::AcquisitionExhausted`] / [`Error::CalibrationDiverged`] when
+/// a budget runs out under the strict policy; design and simulation
+/// failures otherwise.
+pub fn characterize<R: Reference>(
+    campaign: &Campaign,
     lab: &Lab,
     plan: &CampaignPlan,
     channels: &[&dyn Channel],
-) -> Result<GoldenCharacterization, Error> {
-    characterize_campaign_faulted(
+) -> Result<R, Error> {
+    let Campaign {
         engine,
-        lab,
-        plan,
-        channels,
-        &FaultPlan::none(),
-        &RetryPolicy::strict(),
-    )
+        faults,
+        policy,
+    } = campaign;
+    let mut reference = R::empty(plan.clone());
+    let need = reference.min_dies();
+    if channels.is_empty() {
+        return Err(Error::EmptyPopulation {
+            what: "channel list",
+        });
+    }
+    if plan.n_dies < need {
+        return Err(Error::NotEnoughDies {
+            got: plan.n_dies,
+            need,
+        });
+    }
+    let _span = engine.obs().span("characterize");
+    let golden = Design::golden(lab)?;
+    let dies = lab.fabricate_batch(plan.n_dies);
+    let devs: Vec<ProgrammedDevice<'_>> = {
+        let _span = engine.obs().span("program");
+        engine.map(&dies, |_, die| {
+            ProgrammedDevice::with_obs(lab, &golden, die, engine.obs().clone())
+        })
+    };
+
+    for (c, channel) in channels.iter().enumerate() {
+        // Calibration, re-run on injected divergence.
+        let mut calibration = None;
+        let mut cal_attempts = 0usize;
+        {
+            let _span = engine.obs().span(&format!("calibrate.{}", channel.name()));
+            for attempt in 0..=policy.max_retries {
+                cal_attempts = attempt + 1;
+                if faults.fires(FaultSite::Calibrate, &[c as u64, attempt as u64]) {
+                    engine.obs().incr("faults.calibrate.fired");
+                    continue;
+                }
+                calibration = Some(channel.calibrate(engine, plan, &devs)?);
+                break;
+            }
+            engine
+                .obs()
+                .add("retry.calibrate", (cal_attempts - 1) as u64);
+        }
+        let Some(calibration) = calibration else {
+            if !policy.allow_degraded {
+                return Err(Error::CalibrationDiverged {
+                    channel: channel.name().to_string(),
+                    attempts: cal_attempts,
+                });
+            }
+            // For a lost channel the attempt counters record the
+            // calibration attempts that exhausted the budget.
+            let mut health = ChannelHealth::pristine(channel.name(), cal_attempts);
+            health.retried = cal_attempts - 1;
+            health.lost = true;
+            reference.push_lost(health);
+            continue;
+        };
+        let mut population = acquire_population_faulted(
+            engine,
+            *channel,
+            c,
+            &devs,
+            plan,
+            &calibration,
+            faults,
+            policy,
+            POP_REFERENCE,
+            |j| plan.die_seed(j),
+        )?;
+        // Calibration retries count as retries without changing the
+        // distinct-die population.
+        population.health.attempted += cal_attempts - 1;
+        population.health.retried += cal_attempts - 1;
+        if population.kept.len() < need {
+            // Only reachable under allow_degraded (otherwise the first
+            // exhausted die already aborted above).
+            population.health.lost = true;
+            reference.push_lost(population.health);
+            continue;
+        }
+        reference.push_channel(engine.obs(), *channel, calibration, population)?;
+    }
+    if reference.channels().is_empty() {
+        return Err(Error::EmptyPopulation {
+            what: "surviving channels",
+        });
+    }
+    Ok(reference)
 }
 
 /// One channel's population acquisition under a fault plan: the kept die
 /// indices (ascending), their acquisitions, and the health ledger.
-pub(crate) struct PopulationAcquisition {
-    pub(crate) kept: Vec<usize>,
-    pub(crate) acquisitions: Vec<Acquisition>,
-    pub(crate) health: ChannelHealth,
+#[derive(Debug)]
+pub struct PopulationAcquisition {
+    /// Die indices that produced an acquisition, ascending.
+    pub kept: Vec<usize>,
+    /// One acquisition per kept die.
+    pub acquisitions: Vec<Acquisition>,
+    /// Attempts, retries and quarantines of the acquisition run.
+    pub health: ChannelHealth,
 }
 
 /// Acquires one channel over a device population with retry and
@@ -499,7 +738,7 @@ pub(crate) struct PopulationAcquisition {
 /// performs exactly the acquisitions of the historical fault-oblivious
 /// loop.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn acquire_population_faulted(
+fn acquire_population_faulted(
     engine: &Engine,
     channel: &dyn Channel,
     channel_index: usize,
@@ -573,219 +812,27 @@ pub(crate) fn acquire_population_faulted(
     })
 }
 
-/// [`characterize_campaign_with`] under a [`FaultPlan`] and
-/// [`RetryPolicy`]: calibrations that diverge and acquisitions that fail
-/// are retried up to the budget with fresh index-derived seeds; with
-/// `allow_degraded`, exhausted dies are quarantined (recorded in the
-/// state's [`ChannelHealth`]) and exhausted calibrations lose the whole
-/// channel (recorded in [`GoldenCharacterization::lost`]).
-///
-/// Determinism: every fault decision and retry seed derives from the
-/// event's indices, so the same plans produce a bit-identical (possibly
-/// degraded) characterization at any worker count. Fed
-/// [`FaultPlan::none`] + [`RetryPolicy::strict`], this *is* the
-/// historical fault-oblivious characterization, bit for bit.
-///
-/// # Errors
-///
-/// [`Error::AcquisitionExhausted`] / [`Error::CalibrationDiverged`] when
-/// a budget runs out under the strict policy; [`Error::EmptyPopulation`]
-/// when every channel is lost; plus all of
-/// [`characterize_campaign`]'s errors.
-pub fn characterize_campaign_faulted(
-    engine: &Engine,
-    lab: &Lab,
-    plan: &CampaignPlan,
-    channels: &[&dyn Channel],
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<GoldenCharacterization, Error> {
-    if channels.is_empty() {
-        return Err(Error::EmptyPopulation {
-            what: "channel list",
-        });
-    }
-    if plan.n_dies < 2 {
-        return Err(Error::NotEnoughDies {
-            got: plan.n_dies,
-            need: 2,
-        });
-    }
-    let _span = engine.obs().span("characterize");
-    let golden = Design::golden(lab)?;
-    let dies = lab.fabricate_batch(plan.n_dies);
-    let golden_devs: Vec<ProgrammedDevice<'_>> = {
-        let _span = engine.obs().span("program");
-        engine.map(&dies, |_, die| {
-            ProgrammedDevice::with_obs(lab, &golden, die, engine.obs().clone())
-        })
-    };
-
-    let mut states: Vec<ChannelState> = Vec::with_capacity(channels.len());
-    let mut lost: Vec<ChannelHealth> = Vec::new();
-    for (c, channel) in channels.iter().enumerate() {
-        // Calibration, re-run on injected divergence.
-        let mut calibration = None;
-        let mut cal_attempts = 0usize;
-        {
-            let _span = engine.obs().span(&format!("calibrate.{}", channel.name()));
-            for attempt in 0..=policy.max_retries {
-                cal_attempts = attempt + 1;
-                if faults.fires(FaultSite::Calibrate, &[c as u64, attempt as u64]) {
-                    engine.obs().incr("faults.calibrate.fired");
-                    continue;
-                }
-                calibration = Some(channel.calibrate(engine, plan, &golden_devs)?);
-                break;
-            }
-            engine
-                .obs()
-                .add("retry.calibrate", (cal_attempts - 1) as u64);
-        }
-        let Some(calibration) = calibration else {
-            if !policy.allow_degraded {
-                return Err(Error::CalibrationDiverged {
-                    channel: channel.name().to_string(),
-                    attempts: cal_attempts,
-                });
-            }
-            // For a lost channel the attempt counters record the
-            // calibration attempts that exhausted the budget.
-            let mut health = ChannelHealth::pristine(channel.name(), cal_attempts);
-            health.retried = cal_attempts - 1;
-            health.lost = true;
-            lost.push(health);
-            continue;
-        };
-        let population = acquire_population_faulted(
-            engine,
-            *channel,
-            c,
-            &golden_devs,
-            plan,
-            &calibration,
-            faults,
-            policy,
-            POP_GOLDEN,
-            |j| plan.die_seed(j),
-        )?;
-        let mut health = population.health;
-        // Calibration retries count as retries without changing the
-        // distinct-die population.
-        health.attempted += cal_attempts - 1;
-        health.retried += cal_attempts - 1;
-        if population.kept.len() < 2 {
-            // Only reachable under allow_degraded (otherwise the first
-            // exhausted die already aborted above).
-            health.lost = true;
-            lost.push(health);
-            continue;
-        }
-        let reference = channel.characterize_golden(&population.acquisitions, &calibration)?;
-        let scores = population
-            .acquisitions
-            .iter()
-            .map(|a| channel.score(a, &reference, &calibration))
-            .collect::<Result<Vec<f64>, _>>()?;
-        states.push(ChannelState {
-            channel: channel.name().to_string(),
-            calibration,
-            reference,
-            scores,
-            kept: population.kept,
-            health,
-        });
-    }
-    if states.is_empty() {
-        return Err(Error::EmptyPopulation {
-            what: "surviving channels",
-        });
-    }
-    Ok(GoldenCharacterization {
-        plan: plan.clone(),
-        states,
-        lost,
-    })
-}
-
-/// Checks that the supplied channels match the stored characterization
+/// Checks that the supplied channels match the stored channels
 /// one-to-one (same count, same names, same order).
 fn check_channels_match(
-    charac: &GoldenCharacterization,
+    stored: &[StoredChannel<'_>],
     channels: &[&dyn Channel],
 ) -> Result<(), Error> {
-    if channels.len() != charac.states.len() {
+    if channels.len() != stored.len() {
         return Err(Error::ChannelShapeMismatch {
-            channel: format!("{} stored channel state(s)", charac.states.len()),
+            channel: format!("{} stored channel state(s)", stored.len()),
             expected: "one live channel per stored state",
         });
     }
-    for (channel, state) in channels.iter().zip(&charac.states) {
-        if channel.name() != state.channel {
+    for (channel, stored) in channels.iter().zip(stored) {
+        if channel.name() != stored.name {
             return Err(Error::ChannelShapeMismatch {
-                channel: state.channel.clone(),
+                channel: stored.name.to_string(),
                 expected: "a live channel with the stored state's name",
             });
         }
     }
     Ok(())
-}
-
-/// Scores one suspect design's population against a characterization.
-///
-/// `spec_index` is the design's position in the campaign's suspect list:
-/// it selects the design's seed stream
-/// ([`CampaignPlan::spec_die_seed`]), so scoring design `s` alone
-/// reproduces exactly the scores it gets inside a batched
-/// [`score_campaign`] at position `s`.
-///
-/// # Errors
-///
-/// [`Error::ChannelShapeMismatch`] when `channels` does not match the
-/// stored states; design and simulation failures otherwise.
-pub fn score_design_with(
-    engine: &Engine,
-    lab: &Lab,
-    charac: &GoldenCharacterization,
-    spec_index: usize,
-    spec: &TrojanSpec,
-    channels: &[&dyn Channel],
-) -> Result<(f64, Vec<ScoredChannel>), Error> {
-    check_channels_match(charac, channels)?;
-    let _span = engine.obs().span("score");
-    let plan = &charac.plan;
-    let golden = Design::golden(lab)?;
-    let golden_slices = golden.used_slices();
-    let dies = lab.fabricate_batch(plan.n_dies);
-    let infected = Design::infected_with_obs(lab, spec, engine.obs())?;
-    let infected_devs: Vec<ProgrammedDevice<'_>> = {
-        let _span = engine.obs().span("program");
-        engine.map(&dies, |_, die| {
-            ProgrammedDevice::with_obs(lab, &infected, die, engine.obs().clone())
-        })
-    };
-    let mut scored = Vec::with_capacity(channels.len());
-    for (channel, state) in channels.iter().zip(&charac.states) {
-        let infected_scores = score_population(
-            engine,
-            *channel,
-            &infected_devs,
-            plan,
-            &state.calibration,
-            &state.reference,
-            |j| plan.spec_die_seed(spec_index, j),
-        )?;
-        scored.push(ScoredChannel {
-            channel: state.channel.clone(),
-            golden: state.scores.clone(),
-            infected: infected_scores,
-        });
-    }
-    let size_fraction = infected
-        .trojan()
-        .map(|t| t.fraction_of_design(golden_slices))
-        .unwrap_or(0.0);
-    Ok((size_fraction, scored))
 }
 
 /// Fuses stored per-channel scored populations into per-channel
@@ -827,120 +874,50 @@ pub fn fuse_scored_channels(
         .collect::<Result<Vec<_>, _>>()?;
     let fits = sets
         .iter()
-        .map(|set| {
-            Gaussian::fit(&set.golden).map_err(|source| Error::DegeneratePopulation {
-                channel: set.channel.clone(),
-                samples: set.golden.len(),
-                source,
-            })
-        })
+        .map(|set| fit_population(&set.channel, &set.golden))
         .collect::<Result<Vec<_>, _>>()?;
-    let golden_scores: Vec<Vec<f64>> = sets.iter().map(|s| s.golden.clone()).collect();
-    let infected_scores: Vec<Vec<f64>> = sets.iter().map(|s| s.infected.clone()).collect();
-    let golden_fused = fuse(&fits, &golden_scores, n_dies);
-    let infected_fused = fuse(&fits, &infected_scores, n_dies);
-    let fused = ChannelResult::fit("fused", &golden_fused, &infected_fused)?;
+    // Every die is kept in a stored population.
+    let all: Vec<usize> = (0..n_dies).collect();
+    let golden: Vec<(&[usize], &[f64])> = sets.iter().map(|s| (&all[..], &s.golden[..])).collect();
+    let infected: Vec<(&[usize], &[f64])> =
+        sets.iter().map(|s| (&all[..], &s.infected[..])).collect();
+    let fused = ChannelResult::fit(
+        "fused",
+        &fuse_masked(&fits, &golden, n_dies),
+        &fuse_masked(&fits, &infected, n_dies),
+    )?;
     Ok((per_channel, fused))
 }
 
-/// Scores suspect designs against a characterization, with the default
-/// (auto-sized) [`Engine`].
+/// Scores suspect designs against a stored [`Reference`] under
+/// `campaign`: the second half of the paper's method, runnable any
+/// number of times (and in any process) against the same
+/// characterization without re-measuring the reference lot.
+///
+/// Suspect acquisitions retry and quarantine exactly like the
+/// characterization's (suspect design `s` uses population tag `s + 1`
+/// in the fault-decision context), fusion runs over the dies kept by
+/// *every* channel, and the report carries a per-channel
+/// [`ChannelHealth`] section whenever the fault plan is active or the
+/// characterization is degraded. With `model`, every row's fused slot
+/// carries the `learned` channel (see [`ScoringSession::with_model`])
+/// instead of the z-score sum.
 ///
 /// # Errors
 ///
-/// See [`score_campaign_with`].
-pub fn score_campaign(
+/// [`Error::ChannelShapeMismatch`] when `channels` (or the model's
+/// features) do not match the stored channels; plus all of
+/// [`ScoringSession::score_spec_at`]'s errors.
+pub fn score(
+    campaign: &Campaign,
     lab: &Lab,
-    charac: &GoldenCharacterization,
+    reference: &dyn Reference,
     specs: &[TrojanSpec],
     channels: &[&dyn Channel],
-) -> Result<MultiChannelReport, Error> {
-    score_campaign_with(&Engine::default(), lab, charac, specs, channels)
-}
-
-/// [`score_campaign`] on an explicit [`Engine`]: the second half of
-/// [`multi_channel_experiment`], runnable any number of times (and in any
-/// process) against the same characterization without re-measuring the
-/// golden population.
-///
-/// # Errors
-///
-/// [`Error::ChannelShapeMismatch`] when `channels` does not match the
-/// stored states; [`Error::DegeneratePopulation`] when a metric
-/// population has no spread; design and simulation failures otherwise.
-pub fn score_campaign_with(
-    engine: &Engine,
-    lab: &Lab,
-    charac: &GoldenCharacterization,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-) -> Result<MultiChannelReport, Error> {
-    Ok(score_campaign_faulted(
-        engine,
-        lab,
-        charac,
-        specs,
-        channels,
-        &FaultPlan::none(),
-        &RetryPolicy::strict(),
-    )?
-    .report)
-}
-
-/// [`score_campaign_with`] under a [`FaultPlan`] and [`RetryPolicy`]:
-/// suspect acquisitions retry and quarantine exactly like
-/// [`characterize_campaign_faulted`]'s (suspect design `s` uses
-/// population tag `s + 1` in the fault-decision context), fusion runs
-/// over the dies kept by *every* channel, and the returned report
-/// carries a per-channel [`ChannelHealth`] section whenever the fault
-/// plan is active or the characterization is degraded.
-///
-/// Fed [`FaultPlan::none`] + [`RetryPolicy::strict`] on a pristine
-/// characterization, the report is bit-identical to the historical
-/// [`score_campaign_with`] and its health section is empty.
-///
-/// # Errors
-///
-/// [`Error::AcquisitionExhausted`] when a suspect die exhausts its
-/// budget under the strict policy; [`Error::ChannelDegraded`] when
-/// quarantine leaves a suspect population below two dies; plus all of
-/// [`score_campaign`]'s errors.
-pub fn score_campaign_faulted(
-    engine: &Engine,
-    lab: &Lab,
-    charac: &GoldenCharacterization,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<ScoredCampaign, Error> {
-    score_campaign_faulted_with_model(engine, lab, charac, specs, channels, faults, policy, None)
-}
-
-/// [`score_campaign_faulted`] with an optional trained classifier: when
-/// `model` is `Some`, every row's fused slot carries the `learned`
-/// channel (see [`ScoringSession::with_model`]) instead of the z-score
-/// sum. `None` is bit-identical to [`score_campaign_faulted`].
-///
-/// # Errors
-///
-/// [`Error::ChannelShapeMismatch`] when the model's features do not
-/// match the channel set; plus all of [`score_campaign_faulted`]'s
-/// errors.
-#[allow(clippy::too_many_arguments)]
-pub fn score_campaign_faulted_with_model(
-    engine: &Engine,
-    lab: &Lab,
-    charac: &GoldenCharacterization,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
     model: Option<&LogisticModel>,
 ) -> Result<ScoredCampaign, Error> {
-    check_channels_match(charac, channels)?;
-    let _span = engine.obs().span("score");
-    let mut session = ScoringSession::new(engine, lab, charac, channels)?;
+    let _span = campaign.engine.obs().span("score");
+    let mut session = ScoringSession::new(campaign, lab, reference, channels)?;
     if let Some(model) = model {
         session = session.with_model(model)?;
     }
@@ -950,7 +927,7 @@ pub fn score_campaign_faulted_with_model(
     let mut rows = Vec::with_capacity(specs.len());
     let mut designs = Vec::with_capacity(specs.len());
     for (s, spec) in specs.iter().enumerate() {
-        let scored = session.score_spec_at(s, spec, faults, policy)?;
+        let scored = session.score_spec_at(s, spec)?;
         for (c, h) in scored.health.iter().enumerate() {
             match &mut scoring_health[c] {
                 Some(acc) => acc.merge(h),
@@ -960,36 +937,33 @@ pub fn score_campaign_faulted_with_model(
         rows.push(scored.row);
         designs.push(scored.design);
     }
-
-    let report = MultiChannelReport {
-        rows,
-        n_dies: charac.plan.n_dies,
-        channel_names: charac.states.iter().map(|s| s.channel.clone()).collect(),
-        health: health_section(charac, &scoring_health, faults),
-    };
+    let report = session.report(rows, &scoring_health);
     Ok(ScoredCampaign { report, designs })
 }
 
 /// The amortized half of suspect scoring: everything that depends only
-/// on the characterization, not on any particular suspect — the golden
-/// design's slice count, the fabricated die population and (for
-/// multi-channel campaigns) the golden fusion fits.
+/// on the reference, not on any particular suspect — the golden
+/// design's slice count, the fabricated die population, the baseline
+/// populations and (for multi-channel campaigns) the baseline fusion
+/// fits.
 ///
-/// [`score_campaign_faulted`] builds one session per campaign; `htd
-/// serve` builds one per plan-digest batch so this setup is paid once
-/// per batch instead of once per request. Scoring through a session *is*
-/// the batched campaign path, so a suspect scored alone at `index` is
-/// bit-identical to the same suspect inside any batch at position
-/// `index`, at any worker count.
+/// [`score`] builds one session per campaign; `htd serve` builds one
+/// per artifact batch so this setup is paid once per batch instead of
+/// once per request. Scoring through a session *is* the batched campaign
+/// path, so a suspect scored alone at `index` is bit-identical to the
+/// same suspect inside any batch at position `index`, at any worker
+/// count.
 pub struct ScoringSession<'a> {
-    engine: &'a Engine,
+    campaign: &'a Campaign,
     lab: &'a Lab,
-    charac: &'a GoldenCharacterization,
+    reference: &'a dyn Reference,
     channels: &'a [&'a dyn Channel],
+    stored: Vec<StoredChannel<'a>>,
+    baselines: Vec<Cow<'a, [f64]>>,
     golden_slices: usize,
     dies: Vec<DieVariation>,
     fits: Vec<Gaussian>,
-    golden_fused: Option<Vec<f64>>,
+    baseline_fused: Option<Vec<f64>>,
     model: Option<&'a LogisticModel>,
 }
 
@@ -1007,59 +981,72 @@ pub struct SpecScore {
     pub health: Vec<ChannelHealth>,
 }
 
+/// Pairs each stored channel's kept dies with one population per
+/// channel, in the form [`fuse_masked`] and [`masked_feature_rows`]
+/// take.
+fn masked<'s, P: AsRef<[f64]>>(
+    stored: &'s [StoredChannel<'_>],
+    populations: &'s [P],
+) -> Vec<(&'s [usize], &'s [f64])> {
+    stored
+        .iter()
+        .zip(populations)
+        .map(|(s, p)| (s.kept, p.as_ref()))
+        .collect()
+}
+
 impl<'a> ScoringSession<'a> {
-    /// Prepares the shared scoring state for `charac`.
+    /// Prepares the shared scoring state for `reference`.
     ///
     /// # Errors
     ///
     /// [`Error::ChannelShapeMismatch`] when `channels` does not match
-    /// the stored states; [`Error::DegeneratePopulation`] when a golden
-    /// population has no spread (multi-channel only); design failures
-    /// otherwise.
+    /// the stored channels; [`Error::DegeneratePopulation`] when a
+    /// baseline population has no spread (multi-channel only); design
+    /// failures otherwise.
     pub fn new(
-        engine: &'a Engine,
+        campaign: &'a Campaign,
         lab: &'a Lab,
-        charac: &'a GoldenCharacterization,
+        reference: &'a dyn Reference,
         channels: &'a [&'a dyn Channel],
     ) -> Result<Self, Error> {
-        check_channels_match(charac, channels)?;
-        let plan = &charac.plan;
+        let stored = reference.channels();
+        check_channels_match(&stored, channels)?;
+        let plan = reference.plan();
         let golden = Design::golden(lab)?;
         let golden_slices = golden.used_slices();
         let dies = lab.fabricate_batch(plan.n_dies);
+        let baselines: Vec<Cow<'a, [f64]>> =
+            (0..stored.len()).map(|c| reference.baseline(c)).collect();
 
-        // Fusion normalisation: the golden fit of each channel. Only
+        // Fusion normalisation: the baseline fit of each channel. Only
         // needed (and only required to be non-degenerate) when there is
         // something to fuse.
-        let (fits, golden_fused) = if channels.len() >= 2 {
-            let _span = engine.obs().span("fuse");
-            let fits = golden_fits(&charac.states)?;
-            let masked: Vec<(&[usize], &[f64])> = charac
-                .states
+        let (fits, baseline_fused) = if channels.len() >= 2 {
+            let _span = campaign.engine.obs().span("fuse");
+            let fits = stored
                 .iter()
-                .map(|s| (s.kept.as_slice(), s.scores.as_slice()))
-                .collect();
-            let fused = fuse_masked(&fits, &masked, plan.n_dies);
+                .zip(&baselines)
+                .map(|(s, baseline)| fit_population(s.name, baseline))
+                .collect::<Result<Vec<_>, _>>()?;
+            let fused = fuse_masked(&fits, &masked(&stored, &baselines), plan.n_dies);
             (fits, Some(fused))
         } else {
             (Vec::new(), None)
         };
         Ok(ScoringSession {
-            engine,
+            campaign,
             lab,
-            charac,
+            reference,
             channels,
+            stored,
+            baselines,
             golden_slices,
             dies,
             fits,
-            golden_fused,
+            baseline_fused,
             model: None,
         })
-    }
-
-    /// The characterization this session scores against.
-    pub fn characterization(&self) -> &GoldenCharacterization {
-        self.charac
     }
 
     /// Attaches a trained classifier: every subsequent score replaces
@@ -1070,10 +1057,9 @@ impl<'a> ScoringSession<'a> {
     /// # Errors
     ///
     /// [`Error::ChannelShapeMismatch`] when the model's feature labels
-    /// do not match the characterization's channels (count, names,
-    /// order).
+    /// do not match the stored channels (count, names, order).
     pub fn with_model(mut self, model: &'a LogisticModel) -> Result<Self, Error> {
-        check_model_features(model, self.charac.states.iter().map(|s| s.channel.as_str()))?;
+        check_model_features(model, self.stored.iter().map(|s| s.name))?;
         self.model = Some(model);
         Ok(self)
     }
@@ -1087,17 +1073,16 @@ impl<'a> ScoringSession<'a> {
     ///
     /// [`Error::AcquisitionExhausted`] when a suspect die exhausts its
     /// budget under the strict policy; [`Error::ChannelDegraded`] when
-    /// quarantine leaves a population below two dies; design and
-    /// simulation failures otherwise.
-    pub fn score_spec_at(
-        &self,
-        index: usize,
-        spec: &TrojanSpec,
-        faults: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Result<SpecScore, Error> {
-        let engine = self.engine;
-        let plan = &self.charac.plan;
+    /// quarantine leaves a population below [`Reference::min_dies`];
+    /// design and simulation failures otherwise.
+    pub fn score_spec_at(&self, index: usize, spec: &TrojanSpec) -> Result<SpecScore, Error> {
+        let Campaign {
+            engine,
+            faults,
+            policy,
+        } = self.campaign;
+        let plan = self.reference.plan();
+        let need = self.reference.min_dies();
         let infected = Design::infected_with_obs(self.lab, spec, engine.obs())?;
         let infected_devs: Vec<ProgrammedDevice<'_>> = {
             let _span = engine.obs().span("program");
@@ -1108,46 +1093,44 @@ impl<'a> ScoringSession<'a> {
         let mut per_channel: Vec<(Vec<usize>, Vec<f64>)> = Vec::with_capacity(self.channels.len());
         let mut scored_sets = Vec::with_capacity(self.channels.len());
         let mut health = Vec::with_capacity(self.channels.len());
-        for (c, (channel, state)) in self.channels.iter().zip(&self.charac.states).enumerate() {
+        for (c, (channel, stored)) in self.channels.iter().zip(&self.stored).enumerate() {
             let population = acquire_population_faulted(
                 engine,
                 *channel,
                 c,
                 &infected_devs,
                 plan,
-                &state.calibration,
+                stored.calibration,
                 faults,
                 policy,
                 (index as u64) + 1,
                 |j| plan.spec_die_seed(index, j),
             )?;
-            if population.kept.len() < 2 {
+            if population.kept.len() < need {
                 return Err(Error::ChannelDegraded {
-                    channel: state.channel.clone(),
+                    channel: stored.name.to_string(),
                     kept: population.kept.len(),
-                    need: 2,
+                    need,
                 });
             }
-            let scores = population
-                .acquisitions
-                .iter()
-                .map(|a| channel.score(a, &state.reference, &state.calibration))
-                .collect::<Result<Vec<f64>, _>>()?;
+            let scores =
+                self.reference
+                    .score(engine.obs(), c, *channel, &population.acquisitions)?;
             health.push(population.health);
             scored_sets.push(ScoredChannel {
-                channel: state.channel.clone(),
-                golden: state.scores.clone(),
+                channel: stored.name.to_string(),
+                golden: self.baselines[c].to_vec(),
                 infected: scores.clone(),
             });
             per_channel.push((population.kept, scores));
         }
         let channel_results = self
-            .charac
-            .states
+            .stored
             .iter()
+            .zip(&self.baselines)
             .zip(&per_channel)
-            .map(|(state, (_, scores))| {
-                ChannelResult::fit(state.channel.clone(), &state.scores, scores)
+            .map(|((stored, baseline), (_, scores))| {
+                ChannelResult::fit(stored.name, baseline, scores)
             })
             .collect::<Result<Vec<_>, _>>()?;
         let suspect_masked: Vec<(&[usize], &[f64])> = per_channel
@@ -1156,24 +1139,22 @@ impl<'a> ScoringSession<'a> {
             .collect();
         let fused = if let Some(model) = self.model {
             let _span = engine.obs().span("fuse");
-            let golden_masked: Vec<(&[usize], &[f64])> = self
-                .charac
-                .states
-                .iter()
-                .map(|s| (s.kept.as_slice(), s.scores.as_slice()))
-                .collect();
             Some(learned_result(
                 model,
-                &golden_masked,
+                &masked(&self.stored, &self.baselines),
                 &suspect_masked,
                 plan.n_dies,
             )?)
         } else {
-            match &self.golden_fused {
-                Some(golden_fused) => {
+            match &self.baseline_fused {
+                Some(baseline_fused) => {
                     let _span = engine.obs().span("fuse");
                     let infected_fused = fuse_masked(&self.fits, &suspect_masked, plan.n_dies);
-                    Some(ChannelResult::fit("fused", golden_fused, &infected_fused)?)
+                    Some(ChannelResult::fit(
+                        "fused",
+                        baseline_fused,
+                        &infected_fused,
+                    )?)
                 }
                 None => None,
             }
@@ -1183,6 +1164,7 @@ impl<'a> ScoringSession<'a> {
             .map(|t| t.fraction_of_design(self.golden_slices))
             .unwrap_or(0.0);
         engine.obs().incr("score.designs");
+        self.reference.count_design(engine.obs());
         Ok(SpecScore {
             row: MultiChannelRow {
                 name: spec.name.clone(),
@@ -1203,121 +1185,54 @@ impl<'a> ScoringSession<'a> {
     /// scored through this session — exactly the report `htd score`
     /// writes for the same (artifact, suspect) pair, which is what lets
     /// the serve path promise byte-identical responses.
-    pub fn single_report(&self, score: &SpecScore, faults: &FaultPlan) -> MultiChannelReport {
+    pub fn single_report(&self, score: &SpecScore) -> MultiChannelReport {
         let scoring: Vec<Option<ChannelHealth>> = score.health.iter().cloned().map(Some).collect();
-        MultiChannelReport {
-            rows: vec![score.row.clone()],
-            n_dies: self.charac.plan.n_dies,
-            channel_names: self
-                .charac
-                .states
+        self.report(vec![score.row.clone()], &scoring)
+    }
+
+    /// The report over `rows`, with the health section of the reference
+    /// merged with `scoring_health` (one optional record per stored
+    /// channel). The section appears whenever faults could have fired or
+    /// the characterization already lost something, so a pristine
+    /// campaign keeps the historical (empty) shape.
+    fn report(
+        &self,
+        rows: Vec<MultiChannelRow>,
+        scoring_health: &[Option<ChannelHealth>],
+    ) -> MultiChannelReport {
+        let n_dies = self.reference.plan().n_dies;
+        let lost = self.reference.lost();
+        let degraded = !lost.is_empty()
+            || self
+                .stored
                 .iter()
-                .map(|s| s.channel.clone())
-                .collect(),
-            health: health_section(self.charac, &scoring, faults),
-        }
-    }
-}
-
-/// The health section of a report scored against `charac`: it appears
-/// whenever faults could have fired or the characterization already lost
-/// something, so a pristine campaign keeps the historical (empty) shape.
-fn health_section(
-    charac: &GoldenCharacterization,
-    scoring_health: &[Option<ChannelHealth>],
-    faults: &FaultPlan,
-) -> Vec<ChannelHealth> {
-    let plan = &charac.plan;
-    let charac_degraded = !charac.lost.is_empty()
-        || charac
-            .states
-            .iter()
-            .any(|s| s.kept.len() != plan.n_dies || !s.health.is_pristine(plan.n_dies));
-    let mut health = Vec::new();
-    if !faults.is_none() || charac_degraded {
-        for (c, state) in charac.states.iter().enumerate() {
-            let mut h = state.health.clone();
-            if let Some(scoring) = scoring_health.get(c).and_then(Option::as_ref) {
-                h.merge(scoring);
+                .any(|s| s.kept.len() != n_dies || !s.health.is_pristine(n_dies));
+        let mut health = Vec::new();
+        if !self.campaign.faults.is_none() || degraded {
+            for (c, stored) in self.stored.iter().enumerate() {
+                let mut h = stored.health.clone();
+                if let Some(scoring) = scoring_health.get(c).and_then(Option::as_ref) {
+                    h.merge(scoring);
+                }
+                health.push(h);
             }
-            health.push(h);
+            health.extend(lost.iter().cloned());
         }
-        health.extend(charac.lost.iter().cloned());
+        MultiChannelReport {
+            rows,
+            n_dies,
+            channel_names: self.stored.iter().map(|s| s.name.to_string()).collect(),
+            health,
+        }
     }
-    health
 }
 
-/// Runs a [`CampaignPlan`] through every supplied [`Channel`] over one
-/// shared die population, with the default (auto-sized) [`Engine`].
-///
-/// # Errors
-///
-/// [`Error::EmptyPopulation`] with no channels, [`Error::NotEnoughDies`]
-/// below two dies, [`Error::DegeneratePopulation`] when a metric
-/// population has no spread; design and simulation failures otherwise.
-pub fn multi_channel_experiment(
-    lab: &Lab,
-    plan: &CampaignPlan,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-) -> Result<MultiChannelReport, Error> {
-    multi_channel_experiment_with(&Engine::default(), lab, plan, specs, channels)
-}
-
-/// [`multi_channel_experiment`] on an explicit [`Engine`]:
-/// [`characterize_campaign_with`] followed by [`score_campaign_with`].
-///
-/// All per-die fans use seeds from the plan's seed tree, so the report is
-/// bit-identical for every worker count, any channel subset reproduces
-/// the same per-channel numbers, and a characterization saved to disk and
-/// reloaded scores identically to this in-memory composition.
-///
-/// # Errors
-///
-/// See [`multi_channel_experiment`].
-pub fn multi_channel_experiment_with(
-    engine: &Engine,
-    lab: &Lab,
-    plan: &CampaignPlan,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-) -> Result<MultiChannelReport, Error> {
-    let charac = characterize_campaign_with(engine, lab, plan, channels)?;
-    score_campaign_with(engine, lab, &charac, specs, channels)
-}
-
-/// Runs the fused delay+EM experiment over `n_dies` dies.
+/// Runs the fused delay+EM experiment over `n_dies` dies on `engine`:
+/// the historical two-channel view of a golden [`characterize`] +
+/// [`score`] campaign.
 ///
 /// The delay campaign is intentionally small (a handful of pairs) — the
 /// point is channel comparison, not full fingerprinting.
-///
-/// # Errors
-///
-/// Propagates design construction, simulation and fitting failures.
-#[allow(clippy::too_many_arguments)]
-pub fn fusion_experiment(
-    lab: &Lab,
-    specs: &[TrojanSpec],
-    n_dies: usize,
-    campaign_pairs: usize,
-    pt: &[u8; 16],
-    key: &[u8; 16],
-    seed: u64,
-) -> Result<FusionReport, Error> {
-    fusion_experiment_with(
-        &Engine::default(),
-        lab,
-        specs,
-        n_dies,
-        campaign_pairs,
-        pt,
-        key,
-        seed,
-    )
-}
-
-/// [`fusion_experiment`] on an explicit [`Engine`]: the historical
-/// two-channel (EM + delay) view over [`multi_channel_experiment_with`].
 ///
 /// # Errors
 ///
@@ -1336,7 +1251,10 @@ pub fn fusion_experiment_with(
     let plan = CampaignPlan::with_random_pairs(n_dies, campaign_pairs, 3, *pt, *key, seed);
     let em = EmChannel::paper();
     let delay = DelayChannel;
-    let report = multi_channel_experiment_with(engine, lab, &plan, specs, &[&em, &delay])?;
+    let channels: [&dyn Channel; 2] = [&em, &delay];
+    let campaign = Campaign::with_engine(engine.clone());
+    let charac: GoldenCharacterization = characterize(&campaign, lab, &plan, &channels)?;
+    let report = score(&campaign, lab, &charac, specs, &channels, None)?.report;
     let mut rows = Vec::with_capacity(report.rows.len());
     for row in report.rows {
         let mut channels = row.channels.into_iter();
@@ -1361,6 +1279,33 @@ mod tests {
     use super::*;
     use crate::channel::PowerChannel;
     use crate::em_detect::TraceMetric;
+
+    /// A golden characterize + score campaign under the default
+    /// [`Campaign`].
+    fn experiment(
+        lab: &Lab,
+        plan: &CampaignPlan,
+        specs: &[TrojanSpec],
+        channels: &[&dyn Channel],
+    ) -> Result<MultiChannelReport, Error> {
+        let campaign = Campaign::default();
+        let charac: GoldenCharacterization = characterize(&campaign, lab, plan, channels)?;
+        Ok(score(&campaign, lab, &charac, specs, channels, None)?.report)
+    }
+
+    fn small_fusion_experiment(lab: &Lab) -> FusionReport {
+        fusion_experiment_with(
+            &Engine::default(),
+            lab,
+            &[TrojanSpec::ht2()],
+            6,
+            2,
+            &[0x11u8; 16],
+            &[0x22u8; 16],
+            42,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn channel_result_computes_separation() {
@@ -1397,16 +1342,7 @@ mod tests {
     #[test]
     fn small_fusion_experiment_runs() {
         let lab = Lab::paper();
-        let report = fusion_experiment(
-            &lab,
-            &[TrojanSpec::ht2()],
-            6,
-            2,
-            &[0x11u8; 16],
-            &[0x22u8; 16],
-            42,
-        )
-        .unwrap();
+        let report = small_fusion_experiment(&lab);
         assert_eq!(report.rows.len(), 1);
         let row = &report.rows[0];
         assert!(row.em.mu > 0.0, "EM channel must separate");
@@ -1429,9 +1365,7 @@ mod tests {
         let em = EmChannel::paper();
         let delay = DelayChannel;
         let power = PowerChannel::new(TraceMetric::SumOfLocalMaxima);
-        let report =
-            multi_channel_experiment(&lab, &plan, &[TrojanSpec::ht2()], &[&em, &delay, &power])
-                .unwrap();
+        let report = experiment(&lab, &plan, &[TrojanSpec::ht2()], &[&em, &delay, &power]).unwrap();
         assert_eq!(report.channel_names, vec!["EM", "delay", "power"]);
         let row = &report.rows[0];
         assert_eq!(row.channels.len(), 3);
@@ -1443,16 +1377,7 @@ mod tests {
         }
         // The two-channel EM/delay numbers are unchanged by the extra
         // power channel riding along in the same campaign.
-        let two = fusion_experiment(
-            &lab,
-            &[TrojanSpec::ht2()],
-            6,
-            2,
-            &[0x11u8; 16],
-            &[0x22u8; 16],
-            42,
-        )
-        .unwrap();
+        let two = small_fusion_experiment(&lab);
         assert_eq!(row.channels[0].mu, two.rows[0].em.mu);
         assert_eq!(row.channels[1].mu, two.rows[0].delay.mu);
     }
@@ -1462,13 +1387,13 @@ mod tests {
         let lab = Lab::paper();
         let plan = CampaignPlan::traces(4, [0u8; 16], [0u8; 16], 1);
         assert!(matches!(
-            multi_channel_experiment(&lab, &plan, &[], &[]),
+            experiment(&lab, &plan, &[], &[]),
             Err(Error::EmptyPopulation { .. })
         ));
         let em = EmChannel::paper();
         let tiny = CampaignPlan::traces(1, [0u8; 16], [0u8; 16], 1);
         assert!(matches!(
-            multi_channel_experiment(&lab, &tiny, &[], &[&em]),
+            experiment(&lab, &tiny, &[], &[&em]),
             Err(Error::NotEnoughDies { got: 1, need: 2 })
         ));
     }
@@ -1488,18 +1413,21 @@ mod tests {
         let lab = Lab::paper();
         let em = EmChannel::paper();
         let delay = DelayChannel;
+        let campaign = Campaign::default();
+        let score_on =
+            |channels: &[&dyn Channel]| score(&campaign, &lab, &charac, &[], channels, None);
         // Wrong count.
         assert!(matches!(
-            score_campaign(&lab, &charac, &[], &[&em, &delay]),
+            score_on(&[&em, &delay]),
             Err(Error::ChannelShapeMismatch { .. })
         ));
         // Wrong name.
         assert!(matches!(
-            score_campaign(&lab, &charac, &[], &[&delay]),
+            score_on(&[&delay]),
             Err(Error::ChannelShapeMismatch { .. })
         ));
         // Matching channels, no suspects: an empty report.
-        let report = score_campaign(&lab, &charac, &[], &[&em]).unwrap();
+        let report = score_on(&[&em]).unwrap().report;
         assert!(report.rows.is_empty());
         assert_eq!(report.channel_names, vec!["EM"]);
     }

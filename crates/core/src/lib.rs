@@ -24,11 +24,15 @@
 //!   channel ([`EmChannel`](channel::EmChannel),
 //!   [`DelayChannel`](channel::DelayChannel),
 //!   [`PowerChannel`](channel::PowerChannel)) implements the same
-//!   acquire → characterize_golden → score stages, and
-//!   [`fusion::multi_channel_experiment`] drives any set of them over one
-//!   shared die population described by a [`CampaignPlan`].
-//! * [`engine`] — the deterministic measurement engine: every campaign
-//!   entry point has a `*_with(&Engine, …)` variant that fans pairs,
+//!   acquire → characterize_golden → score stages.
+//! * [`fusion`] — the one scoring pipeline: [`fusion::characterize`]
+//!   drives any set of channels over one shared die population described
+//!   by a [`CampaignPlan`], and [`fusion::score`] scores suspects against
+//!   the result. A [`fusion::Reference`] picks the scoring mode — golden
+//!   reference, or the self-referencing [`reffree`] mode — and a
+//!   [`fusion::Campaign`] carries the engine, fault plan and retry
+//!   policy.
+//! * [`engine`] — the deterministic measurement engine: it fans pairs,
 //!   repetitions and dies across a worker pool. Results are
 //!   **bit-identical for every worker count** (noise streams derive from
 //!   item indices, never from scheduling), and each
@@ -90,13 +94,11 @@ pub mod prelude {
     pub use crate::delay_detect::{DelayDetector, DelayEvidence, GoldenDelayModel};
     pub use crate::em_detect::{EmDetector, EmGoldenModel, FnRateReport};
     pub use crate::fusion::{
-        masked_feature_rows, ChannelResult, ChannelState, GoldenCharacterization,
-        MultiChannelReport, MultiChannelRow, ScoredCampaign, ScoredChannel, ScoredDesign,
-        ScoringSession, SpecScore,
+        masked_feature_rows, Campaign, ChannelResult, ChannelState, GoldenCharacterization,
+        MultiChannelReport, MultiChannelRow, Reference, ScoredCampaign, ScoredChannel,
+        ScoredDesign, ScoringSession, SpecScore,
     };
-    pub use crate::reffree::{
-        ReferenceFreeCharacterization, ReferenceFreeFit, ReferenceFreeSession, ReferenceFreeState,
-    };
+    pub use crate::reffree::{ReferenceFreeCharacterization, ReferenceFreeFit, ReferenceFreeState};
     pub use crate::resilience::{ChannelHealth, RetryPolicy};
     pub use crate::Engine;
     pub use crate::{CampaignPlan, Design, Error, Lab, ProgrammedDevice};

@@ -1,8 +1,7 @@
-//! Golden-reference-free detection — characterizing a suspect die against
-//! its **own** symmetric path pairs and its **neighbouring dies**, so no
-//! trusted golden population is ever fabricated (the variability-aware
-//! self-referencing approach of arXiv:2201.09668, applied to this
-//! repository's delay/EM channels).
+//! Golden-reference-free detection — scoring a suspect die against its
+//! **own** symmetric path pairs, so no trusted golden population is ever
+//! fabricated (the variability-aware self-referencing approach of
+//! arXiv:2201.09668, applied to this repository's delay/EM channels).
 //!
 //! Two self-referencing ideas compose:
 //!
@@ -14,51 +13,33 @@
 //!   differential residue. The die's self-score is the magnitude of that
 //!   residue — the channel metric of the normalised acquisition against
 //!   a zero reference.
-//! * **Neighbouring-die baselining** — the *distribution* a suspect
-//!   die's self-score is judged against comes from the neighbouring dies
-//!   of the reference lot ([`ReferenceFreeFit`]). Crucially the
-//!   neighbours calibrate only the expected residual *level*; they never
-//!   serve as a per-die reference. A leave-one-out reference would
-//!   silently cancel any trojan present in *every* die of the lot (the
-//!   realistic fab-infection model: inter-die differencing carries zero
-//!   signal when the whole lot is identically infected), whereas the
-//!   within-die residual grows on every infected die.
+//! * **A reference-lot baseline** — the *distribution* a suspect die's
+//!   self-score is judged against comes from the dies of a reference lot
+//!   ([`ReferenceFreeFit`]). The lot calibrates only the expected
+//!   residual *level*; no die ever serves as another die's reference, so
+//!   a trojan present in *every* die of a suspect lot (the realistic
+//!   fab-infection model) still displaces each die's within-die residual.
 //!
-//! The workflow mirrors the golden path, so everything downstream
-//! (store, CLI, serve, fusion, the learned classifier) composes
-//! unchanged:
-//!
-//! * [`characterize_reffree`] — calibrate on a reference lot and pin its
-//!   self-score distribution as the *baseline* ([`ReferenceFreeFit`]).
-//!   The lot needs no golden trust beyond "was fabricated from the
-//!   audited netlist"; no per-die reference payload is stored.
-//! * [`ReferenceFreeSession`] / [`score_reffree_campaign`] — acquire a
-//!   suspect lot, compute *its* self-scores, and reduce
-//!   baseline vs. suspect populations through the same
-//!   [`ChannelResult`] machinery (Eq. 5 rates, fused z-scores, or the
-//!   learned classifier) as the golden mode.
-//!
-//! Determinism matches the golden path bit for bit: every seed comes
-//! from the [`CampaignPlan`] seed tree and every fault decision from
-//! event indices, so characterizations, scores and reports are identical
-//! at any worker count.
+//! [`ReferenceFreeCharacterization`] is the mode's [`Reference`]: the
+//! shared [`characterize`](crate::fusion::characterize) loop pins the
+//! reference lot's self-score distribution as the baseline, and the
+//! shared [`ScoringSession`](crate::fusion::ScoringSession) compares a
+//! suspect lot's folded self-scores with it through the same
+//! [`ChannelResult`](crate::fusion::ChannelResult) machinery (Eq. 5
+//! rates, fused z-scores, or the learned classifier) as the golden mode.
+//! The lot needs no golden trust beyond "was fabricated from the audited
+//! netlist"; no per-die reference payload is stored.
 
-use htd_faults::{FaultPlan, FaultSite};
-use htd_stats::logistic::LogisticModel;
-use htd_stats::Gaussian;
-use htd_trojan::TrojanSpec;
+use std::borrow::Cow;
+
+use htd_obs::Obs;
 
 use crate::campaign::CampaignPlan;
 use crate::channel::{Acquisition, Calibration, Channel, GoldenReference};
 use crate::delay_detect::DelayMatrix;
 use crate::error::Error;
-use crate::fusion::{
-    acquire_population_faulted, check_model_features, fuse_masked, learned_result, ChannelResult,
-    MultiChannelReport, MultiChannelRow, ScoredCampaign, ScoredChannel, ScoredDesign, SpecScore,
-    POP_GOLDEN,
-};
-use crate::resilience::{ChannelHealth, RetryPolicy};
-use crate::{Design, Engine, Lab, ProgrammedDevice};
+use crate::fusion::{fit_population, PopulationAcquisition, Reference, StoredChannel};
+use crate::resilience::ChannelHealth;
 use htd_em::Trace;
 
 /// The baseline self-score distribution of one channel on the reference
@@ -79,8 +60,6 @@ pub struct ReferenceFreeFit {
 /// One channel's durable reference-free state: calibration, the baseline
 /// self-score population and its fit. No [`GoldenReference`] payload —
 /// every suspect die is its own reference at scoring time.
-///
-/// [`GoldenReference`]: crate::channel::GoldenReference
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceFreeState {
     /// The channel's label ([`Channel::name`]).
@@ -169,25 +148,31 @@ fn zero_reference(acquisition: &Acquisition) -> GoldenReference {
     }
 }
 
-/// Within-die residual self-scores of a normalised population: die `j`
-/// is scored against the zero reference, so the score is the channel
-/// metric of whatever survives `j`'s own common-mode removal. The
-/// residual's nominal component is common to every die and cancels in
-/// the baseline-vs-suspect comparison; a trojan's symmetric-path
-/// asymmetry inflates it on *every* infected die, so a homogeneously
-/// infected lot still separates from the baseline (an inter-die
-/// leave-one-out reference would cancel exactly that signal). Order is
-/// die order, so the result is worker-invariant by construction — the
-/// scoring is pure arithmetic on already-acquired data.
+/// Within-die residual self-scores of a population: each acquisition
+/// loses its common mode and is scored against the zero reference, so
+/// the score is the channel metric of whatever survives the die's own
+/// common-mode removal. The residual's nominal component is common to
+/// every die and cancels in the baseline-vs-suspect comparison; a
+/// trojan's symmetric-path asymmetry inflates it on *every* infected
+/// die, so a homogeneously infected lot still separates from the
+/// baseline. Order is die order, so the result is worker-invariant by
+/// construction — the scoring is pure arithmetic on already-acquired
+/// data.
 fn residual_self_scores(
+    obs: &Obs,
     channel: &dyn Channel,
-    normalized: &[Acquisition],
+    acquisitions: &[Acquisition],
     calibration: &Calibration,
 ) -> Result<Vec<f64>, Error> {
-    normalized
+    let scores = acquisitions
         .iter()
-        .map(|a| channel.score(a, &zero_reference(a), calibration))
-        .collect()
+        .map(|a| {
+            let normalized = common_mode_removed(a);
+            channel.score(&normalized, &zero_reference(&normalized), calibration)
+        })
+        .collect::<Result<Vec<f64>, Error>>()?;
+    obs.add("score.reffree.selfscores", scores.len() as u64);
+    Ok(scores)
 }
 
 /// Folds a self-score population around the baseline mean: the
@@ -201,547 +186,98 @@ fn folded(scores: &[f64], baseline_mean: f64) -> Vec<f64> {
     scores.iter().map(|s| (s - baseline_mean).abs()).collect()
 }
 
-/// Fits the baseline Gaussian of a self-score population.
-fn fit_self_scores(channel: &str, self_scores: &[f64]) -> Result<ReferenceFreeFit, Error> {
-    let g = Gaussian::fit(self_scores).map_err(|source| Error::DegeneratePopulation {
-        channel: channel.to_string(),
-        samples: self_scores.len(),
-        source,
-    })?;
-    Ok(ReferenceFreeFit {
-        mean: g.mean(),
-        std: g.std(),
-        n_dies: self_scores.len(),
-    })
-}
-
-/// Characterizes the reference lot of `plan` without any golden
-/// reference, with the default (auto-sized) [`Engine`].
-///
-/// # Errors
-///
-/// [`Error::EmptyPopulation`] with no channels, [`Error::NotEnoughDies`]
-/// below three dies (leave-one-out needs a neighbour *and* a spread);
-/// design and simulation failures otherwise.
-pub fn characterize_reffree(
-    lab: &Lab,
-    plan: &CampaignPlan,
-    channels: &[&dyn Channel],
-) -> Result<ReferenceFreeCharacterization, Error> {
-    characterize_reffree_with(&Engine::default(), lab, plan, channels)
-}
-
-/// [`characterize_reffree`] on an explicit [`Engine`].
-///
-/// # Errors
-///
-/// See [`characterize_reffree`].
-pub fn characterize_reffree_with(
-    engine: &Engine,
-    lab: &Lab,
-    plan: &CampaignPlan,
-    channels: &[&dyn Channel],
-) -> Result<ReferenceFreeCharacterization, Error> {
-    characterize_reffree_faulted(
-        engine,
-        lab,
-        plan,
-        channels,
-        &FaultPlan::none(),
-        &RetryPolicy::strict(),
-    )
-}
-
-/// [`characterize_reffree_with`] under a [`FaultPlan`] and
-/// [`RetryPolicy`] — retry, quarantine and channel-loss semantics are
-/// identical to [`characterize_campaign_faulted`]'s, and the fault
-/// decision contexts use the same `(channel, population, die, attempt)`
-/// indices, so the *same* fault plan degrades the golden and
-/// reference-free modes identically.
-///
-/// [`characterize_campaign_faulted`]: crate::fusion::characterize_campaign_faulted
-///
-/// # Errors
-///
-/// [`Error::AcquisitionExhausted`] / [`Error::CalibrationDiverged`] when
-/// a budget runs out under the strict policy; [`Error::EmptyPopulation`]
-/// when every channel is lost; [`Error::DegeneratePopulation`] when a
-/// baseline self-score population has no spread.
-pub fn characterize_reffree_faulted(
-    engine: &Engine,
-    lab: &Lab,
-    plan: &CampaignPlan,
-    channels: &[&dyn Channel],
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<ReferenceFreeCharacterization, Error> {
-    if channels.is_empty() {
-        return Err(Error::EmptyPopulation {
-            what: "channel list",
-        });
+/// Reference-free mode: each die is scored against its own common mode,
+/// and suspects' folded self-scores are compared with the reference
+/// lot's.
+impl Reference for ReferenceFreeCharacterization {
+    /// Three: folding two self-scores around their own mean yields two
+    /// equal values, a baseline with no spread.
+    fn min_dies(&self) -> usize {
+        3
     }
-    if plan.n_dies < 3 {
-        return Err(Error::NotEnoughDies {
-            got: plan.n_dies,
-            need: 3,
-        });
-    }
-    let _span = engine.obs().span("characterize");
-    let reference_design = Design::golden(lab)?;
-    let dies = lab.fabricate_batch(plan.n_dies);
-    let devs: Vec<ProgrammedDevice<'_>> = {
-        let _span = engine.obs().span("program");
-        engine.map(&dies, |_, die| {
-            ProgrammedDevice::with_obs(lab, &reference_design, die, engine.obs().clone())
-        })
-    };
 
-    let mut states: Vec<ReferenceFreeState> = Vec::with_capacity(channels.len());
-    let mut lost: Vec<ChannelHealth> = Vec::new();
-    for (c, channel) in channels.iter().enumerate() {
-        // Calibration, re-run on injected divergence — same retry loop
-        // and counters as the golden characterization.
-        let mut calibration = None;
-        let mut cal_attempts = 0usize;
-        {
-            let _span = engine.obs().span(&format!("calibrate.{}", channel.name()));
-            for attempt in 0..=policy.max_retries {
-                cal_attempts = attempt + 1;
-                if faults.fires(FaultSite::Calibrate, &[c as u64, attempt as u64]) {
-                    engine.obs().incr("faults.calibrate.fired");
-                    continue;
-                }
-                calibration = Some(channel.calibrate(engine, plan, &devs)?);
-                break;
-            }
-            engine
-                .obs()
-                .add("retry.calibrate", (cal_attempts - 1) as u64);
-        }
-        let Some(calibration) = calibration else {
-            if !policy.allow_degraded {
-                return Err(Error::CalibrationDiverged {
-                    channel: channel.name().to_string(),
-                    attempts: cal_attempts,
-                });
-            }
-            let mut health = ChannelHealth::pristine(channel.name(), cal_attempts);
-            health.retried = cal_attempts - 1;
-            health.lost = true;
-            lost.push(health);
-            continue;
-        };
-        let population = acquire_population_faulted(
-            engine,
-            *channel,
-            c,
-            &devs,
-            plan,
-            &calibration,
-            faults,
-            policy,
-            POP_GOLDEN,
-            |j| plan.die_seed(j),
-        )?;
-        let mut health = population.health;
-        health.attempted += cal_attempts - 1;
-        health.retried += cal_attempts - 1;
-        if population.kept.len() < 3 {
-            // Leave-one-out needs at least three survivors; only
-            // reachable under allow_degraded.
-            health.lost = true;
-            lost.push(health);
-            continue;
-        }
-        let normalized: Vec<Acquisition> = population
-            .acquisitions
+    fn plan(&self) -> &CampaignPlan {
+        &self.plan
+    }
+
+    fn channels(&self) -> Vec<StoredChannel<'_>> {
+        self.states
             .iter()
-            .map(common_mode_removed)
-            .collect();
-        let self_scores = residual_self_scores(*channel, &normalized, &calibration)?;
-        engine
-            .obs()
-            .add("score.reffree.selfscores", self_scores.len() as u64);
-        let fit = fit_self_scores(channel.name(), &self_scores)?;
-        states.push(ReferenceFreeState {
+            .map(|s| StoredChannel {
+                name: &s.channel,
+                calibration: &s.calibration,
+                scores: &s.self_scores,
+                kept: &s.kept,
+                health: &s.health,
+            })
+            .collect()
+    }
+
+    fn lost(&self) -> &[ChannelHealth] {
+        &self.lost
+    }
+
+    /// The folded self-scores. The fold derives from the stored
+    /// self-scores, so a reloaded characterization fuses identically to
+    /// a fresh one.
+    fn baseline(&self, c: usize) -> Cow<'_, [f64]> {
+        let state = &self.states[c];
+        Cow::Owned(folded(&state.self_scores, state.fit.mean))
+    }
+
+    fn score(
+        &self,
+        obs: &Obs,
+        c: usize,
+        channel: &dyn Channel,
+        acquisitions: &[Acquisition],
+    ) -> Result<Vec<f64>, Error> {
+        let state = &self.states[c];
+        let scores = residual_self_scores(obs, channel, acquisitions, &state.calibration)?;
+        Ok(folded(&scores, state.fit.mean))
+    }
+
+    fn count_design(&self, obs: &Obs) {
+        obs.incr("score.reffree.designs");
+    }
+
+    fn empty(plan: CampaignPlan) -> Self {
+        ReferenceFreeCharacterization {
+            plan,
+            states: Vec::new(),
+            lost: Vec::new(),
+        }
+    }
+
+    fn push_channel(
+        &mut self,
+        obs: &Obs,
+        channel: &dyn Channel,
+        calibration: Calibration,
+        population: PopulationAcquisition,
+    ) -> Result<(), Error> {
+        let self_scores =
+            residual_self_scores(obs, channel, &population.acquisitions, &calibration)?;
+        let g = fit_population(channel.name(), &self_scores)?;
+        let fit = ReferenceFreeFit {
+            mean: g.mean(),
+            std: g.std(),
+            n_dies: self_scores.len(),
+        };
+        self.states.push(ReferenceFreeState {
             channel: channel.name().to_string(),
             calibration,
             self_scores,
             fit,
             kept: population.kept,
-            health,
+            health: population.health,
         });
-    }
-    if states.is_empty() {
-        return Err(Error::EmptyPopulation {
-            what: "surviving channels",
-        });
-    }
-    Ok(ReferenceFreeCharacterization {
-        plan: plan.clone(),
-        states,
-        lost,
-    })
-}
-
-/// Checks that the supplied channels match the stored reference-free
-/// states one-to-one (same count, same names, same order).
-fn check_channels_match(
-    charac: &ReferenceFreeCharacterization,
-    channels: &[&dyn Channel],
-) -> Result<(), Error> {
-    if channels.len() != charac.states.len() {
-        return Err(Error::ChannelShapeMismatch {
-            channel: format!("{} stored channel state(s)", charac.states.len()),
-            expected: "one live channel per stored state",
-        });
-    }
-    for (channel, state) in channels.iter().zip(&charac.states) {
-        if channel.name() != state.channel {
-            return Err(Error::ChannelShapeMismatch {
-                channel: state.channel.clone(),
-                expected: "a live channel with the stored state's name",
-            });
-        }
-    }
-    Ok(())
-}
-
-/// The reference-free counterpart of [`ScoringSession`]: everything that
-/// depends only on the characterization, amortised across suspects. A
-/// suspect scored alone at `index` is bit-identical to the same suspect
-/// inside any batch at position `index`, at any worker count — the same
-/// promise `htd serve` relies on for the golden mode.
-///
-/// [`ScoringSession`]: crate::fusion::ScoringSession
-pub struct ReferenceFreeSession<'a> {
-    engine: &'a Engine,
-    lab: &'a Lab,
-    charac: &'a ReferenceFreeCharacterization,
-    channels: &'a [&'a dyn Channel],
-    golden_slices: usize,
-    dies: Vec<htd_fabric::DieVariation>,
-    folded_baselines: Vec<Vec<f64>>,
-    fits: Vec<Gaussian>,
-    baseline_fused: Option<Vec<f64>>,
-    model: Option<&'a LogisticModel>,
-}
-
-impl<'a> ReferenceFreeSession<'a> {
-    /// Prepares the shared scoring state for `charac`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChannelShapeMismatch`] when `channels` does not match
-    /// the stored states; design failures otherwise.
-    pub fn new(
-        engine: &'a Engine,
-        lab: &'a Lab,
-        charac: &'a ReferenceFreeCharacterization,
-        channels: &'a [&'a dyn Channel],
-    ) -> Result<Self, Error> {
-        check_channels_match(charac, channels)?;
-        let plan = &charac.plan;
-        let golden = Design::golden(lab)?;
-        let golden_slices = golden.used_slices();
-        let dies = lab.fabricate_batch(plan.n_dies);
-        // Everything downstream compares *folded* populations (absolute
-        // displacement from the stored baseline mean). The folds derive
-        // from the stored self-scores, so a reloaded characterization
-        // fuses identically to a fresh one.
-        let folded_baselines: Vec<Vec<f64>> = charac
-            .states
-            .iter()
-            .map(|s| folded(&s.self_scores, s.fit.mean))
-            .collect();
-        let (fits, baseline_fused) = if channels.len() >= 2 {
-            let _span = engine.obs().span("fuse");
-            let fits: Vec<Gaussian> = charac
-                .states
-                .iter()
-                .zip(&folded_baselines)
-                .map(|(s, baseline)| {
-                    Gaussian::fit(baseline).map_err(|source| Error::DegeneratePopulation {
-                        channel: s.channel.clone(),
-                        samples: s.fit.n_dies,
-                        source,
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let masked: Vec<(&[usize], &[f64])> = charac
-                .states
-                .iter()
-                .zip(&folded_baselines)
-                .map(|(s, baseline)| (s.kept.as_slice(), baseline.as_slice()))
-                .collect();
-            let fused = fuse_masked(&fits, &masked, plan.n_dies);
-            (fits, Some(fused))
-        } else {
-            (Vec::new(), None)
-        };
-        Ok(ReferenceFreeSession {
-            engine,
-            lab,
-            charac,
-            channels,
-            golden_slices,
-            dies,
-            folded_baselines,
-            fits,
-            baseline_fused,
-            model: None,
-        })
+        Ok(())
     }
 
-    /// The characterization this session scores against.
-    pub fn characterization(&self) -> &ReferenceFreeCharacterization {
-        self.charac
+    fn push_lost(&mut self, health: ChannelHealth) {
+        self.lost.push(health);
     }
-
-    /// Attaches a trained classifier — the learned mode over
-    /// reference-free features. See [`ScoringSession::with_model`].
-    ///
-    /// [`ScoringSession::with_model`]: crate::fusion::ScoringSession::with_model
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChannelShapeMismatch`] when the model's feature labels
-    /// do not match the characterization's channels.
-    pub fn with_model(mut self, model: &'a LogisticModel) -> Result<Self, Error> {
-        check_model_features(model, self.charac.states.iter().map(|s| s.channel.as_str()))?;
-        self.model = Some(model);
-        Ok(self)
-    }
-
-    /// Scores one suspect at campaign position `index`, entirely from the
-    /// suspect lot's own measurements: per channel, acquire the suspect
-    /// population (same seeds and fault contexts as the golden mode's
-    /// suspect acquisition), normalise out each die's common mode, and
-    /// compare the lot's folded within-die residual self-scores against
-    /// the stored baseline.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::AcquisitionExhausted`] when a suspect die exhausts its
-    /// budget under the strict policy; [`Error::ChannelDegraded`] when
-    /// quarantine leaves a population below three dies; design and
-    /// simulation failures otherwise.
-    pub fn score_spec_at(
-        &self,
-        index: usize,
-        spec: &TrojanSpec,
-        faults: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Result<SpecScore, Error> {
-        let engine = self.engine;
-        let plan = &self.charac.plan;
-        let infected = Design::infected_with_obs(self.lab, spec, engine.obs())?;
-        let infected_devs: Vec<ProgrammedDevice<'_>> = {
-            let _span = engine.obs().span("program");
-            engine.map(&self.dies, |_, die| {
-                ProgrammedDevice::with_obs(self.lab, &infected, die, engine.obs().clone())
-            })
-        };
-        let mut per_channel: Vec<(Vec<usize>, Vec<f64>)> = Vec::with_capacity(self.channels.len());
-        let mut scored_sets = Vec::with_capacity(self.channels.len());
-        let mut health = Vec::with_capacity(self.channels.len());
-        for (c, (channel, state)) in self.channels.iter().zip(&self.charac.states).enumerate() {
-            let population = acquire_population_faulted(
-                engine,
-                *channel,
-                c,
-                &infected_devs,
-                plan,
-                &state.calibration,
-                faults,
-                policy,
-                (index as u64) + 1,
-                |j| plan.spec_die_seed(index, j),
-            )?;
-            if population.kept.len() < 3 {
-                return Err(Error::ChannelDegraded {
-                    channel: state.channel.clone(),
-                    kept: population.kept.len(),
-                    need: 3,
-                });
-            }
-            let normalized: Vec<Acquisition> = population
-                .acquisitions
-                .iter()
-                .map(common_mode_removed)
-                .collect();
-            let scores = residual_self_scores(*channel, &normalized, &state.calibration)?;
-            engine
-                .obs()
-                .add("score.reffree.selfscores", scores.len() as u64);
-            health.push(population.health);
-            let scores = folded(&scores, state.fit.mean);
-            scored_sets.push(ScoredChannel {
-                channel: state.channel.clone(),
-                golden: self.folded_baselines[c].clone(),
-                infected: scores.clone(),
-            });
-            per_channel.push((population.kept, scores));
-        }
-        let channel_results = self
-            .charac
-            .states
-            .iter()
-            .zip(&self.folded_baselines)
-            .zip(&per_channel)
-            .map(|((state, baseline), (_, scores))| {
-                ChannelResult::fit(state.channel.clone(), baseline, scores)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let suspect_masked: Vec<(&[usize], &[f64])> = per_channel
-            .iter()
-            .map(|(kept, scores)| (kept.as_slice(), scores.as_slice()))
-            .collect();
-        let fused = if let Some(model) = self.model {
-            let _span = engine.obs().span("fuse");
-            let baseline_masked: Vec<(&[usize], &[f64])> = self
-                .charac
-                .states
-                .iter()
-                .zip(&self.folded_baselines)
-                .map(|(s, baseline)| (s.kept.as_slice(), baseline.as_slice()))
-                .collect();
-            Some(learned_result(
-                model,
-                &baseline_masked,
-                &suspect_masked,
-                plan.n_dies,
-            )?)
-        } else {
-            match &self.baseline_fused {
-                Some(baseline_fused) => {
-                    let _span = engine.obs().span("fuse");
-                    let suspect_fused = fuse_masked(&self.fits, &suspect_masked, plan.n_dies);
-                    Some(ChannelResult::fit("fused", baseline_fused, &suspect_fused)?)
-                }
-                None => None,
-            }
-        };
-        let size_fraction = infected
-            .trojan()
-            .map(|t| t.fraction_of_design(self.golden_slices))
-            .unwrap_or(0.0);
-        engine.obs().incr("score.designs");
-        engine.obs().incr("score.reffree.designs");
-        Ok(SpecScore {
-            row: MultiChannelRow {
-                name: spec.name.clone(),
-                size_fraction,
-                channels: channel_results,
-                fused,
-            },
-            design: ScoredDesign {
-                name: spec.name.clone(),
-                size_fraction,
-                scored: scored_sets,
-            },
-            health,
-        })
-    }
-
-    /// Assembles the one-row [`MultiChannelReport`] of a single suspect
-    /// scored through this session — exactly the report `htd score`
-    /// writes for the same (artifact, suspect) pair.
-    pub fn single_report(&self, score: &SpecScore, faults: &FaultPlan) -> MultiChannelReport {
-        let scoring: Vec<Option<ChannelHealth>> = score.health.iter().cloned().map(Some).collect();
-        MultiChannelReport {
-            rows: vec![score.row.clone()],
-            n_dies: self.charac.plan.n_dies,
-            channel_names: self
-                .charac
-                .states
-                .iter()
-                .map(|s| s.channel.clone())
-                .collect(),
-            health: health_section(self.charac, &scoring, faults),
-        }
-    }
-}
-
-/// The health section of a reference-free report — same appearance rule
-/// as the golden path's: present whenever faults could have fired or the
-/// characterization already lost something.
-fn health_section(
-    charac: &ReferenceFreeCharacterization,
-    scoring_health: &[Option<ChannelHealth>],
-    faults: &FaultPlan,
-) -> Vec<ChannelHealth> {
-    let plan = &charac.plan;
-    let charac_degraded = !charac.lost.is_empty()
-        || charac
-            .states
-            .iter()
-            .any(|s| s.kept.len() != plan.n_dies || !s.health.is_pristine(plan.n_dies));
-    let mut health = Vec::new();
-    if !faults.is_none() || charac_degraded {
-        for (c, state) in charac.states.iter().enumerate() {
-            let mut h = state.health.clone();
-            if let Some(scoring) = scoring_health.get(c).and_then(Option::as_ref) {
-                h.merge(scoring);
-            }
-            health.push(h);
-        }
-        health.extend(charac.lost.iter().cloned());
-    }
-    health
-}
-
-/// Scores a suspect campaign against a reference-free characterization:
-/// the reference-free twin of [`score_campaign_faulted`], with an
-/// optional trained classifier replacing the fused channel.
-///
-/// [`score_campaign_faulted`]: crate::fusion::score_campaign_faulted
-///
-/// # Errors
-///
-/// [`Error::ChannelShapeMismatch`] when `channels` (or the model's
-/// features) do not match the stored states; plus all of
-/// [`ReferenceFreeSession::score_spec_at`]'s errors.
-#[allow(clippy::too_many_arguments)]
-pub fn score_reffree_campaign(
-    engine: &Engine,
-    lab: &Lab,
-    charac: &ReferenceFreeCharacterization,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-    model: Option<&LogisticModel>,
-) -> Result<ScoredCampaign, Error> {
-    check_channels_match(charac, channels)?;
-    let _span = engine.obs().span("score");
-    let mut session = ReferenceFreeSession::new(engine, lab, charac, channels)?;
-    if let Some(model) = model {
-        session = session.with_model(model)?;
-    }
-
-    let mut scoring_health: Vec<Option<ChannelHealth>> = vec![None; channels.len()];
-    let mut rows = Vec::with_capacity(specs.len());
-    let mut designs = Vec::with_capacity(specs.len());
-    for (s, spec) in specs.iter().enumerate() {
-        let scored = session.score_spec_at(s, spec, faults, policy)?;
-        for (c, h) in scored.health.iter().enumerate() {
-            match &mut scoring_health[c] {
-                Some(acc) => acc.merge(h),
-                slot => *slot = Some(h.clone()),
-            }
-        }
-        rows.push(scored.row);
-        designs.push(scored.design);
-    }
-
-    let report = MultiChannelReport {
-        rows,
-        n_dies: charac.plan.n_dies,
-        channel_names: charac.states.iter().map(|s| s.channel.clone()).collect(),
-        health: health_section(charac, &scoring_health, faults),
-    };
-    Ok(ScoredCampaign { report, designs })
 }
 
 #[cfg(test)]
@@ -749,9 +285,39 @@ mod tests {
     use super::*;
     use crate::channel::{ChannelSpec, DelayChannel, EmChannel};
     use crate::em_detect::TraceMetric;
+    use crate::fusion::{characterize, score, Campaign, ScoredCampaign, ScoringSession};
+    use crate::{Engine, Lab};
+    use htd_trojan::TrojanSpec;
 
     fn plan() -> CampaignPlan {
         CampaignPlan::with_random_pairs(4, 2, 2, [0x13; 16], [0x7f; 16], 42)
+    }
+
+    fn characterize_reference_free(
+        engine: Engine,
+        lab: &Lab,
+        plan: &CampaignPlan,
+        channels: &[&dyn Channel],
+    ) -> Result<ReferenceFreeCharacterization, Error> {
+        characterize(&Campaign::with_engine(engine), lab, plan, channels)
+    }
+
+    fn score_on(
+        engine: Engine,
+        lab: &Lab,
+        charac: &ReferenceFreeCharacterization,
+        specs: &[TrojanSpec],
+        channels: &[&dyn Channel],
+    ) -> ScoredCampaign {
+        score(
+            &Campaign::with_engine(engine),
+            lab,
+            charac,
+            specs,
+            channels,
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -778,40 +344,21 @@ mod tests {
         let em = EmChannel::paper();
         let delay = DelayChannel;
         let channels: [&dyn Channel; 2] = [&em, &delay];
-        let charac = characterize_reffree(&lab, &plan, &channels).unwrap();
+        let charac =
+            characterize_reference_free(Engine::default(), &lab, &plan, &channels).unwrap();
         assert_eq!(charac.states.len(), 2);
         for state in &charac.states {
             assert_eq!(state.self_scores.len(), plan.n_dies);
             assert_eq!(state.fit.n_dies, plan.n_dies);
             assert!(state.fit.std > 0.0);
         }
-        let engine = Engine::with_workers(2);
-        let charac2 = characterize_reffree_with(&engine, &lab, &plan, &channels).unwrap();
+        let charac2 =
+            characterize_reference_free(Engine::with_workers(2), &lab, &plan, &channels).unwrap();
         assert_eq!(charac, charac2);
 
         let specs = [TrojanSpec::ht1()];
-        let scored = score_reffree_campaign(
-            &Engine::serial(),
-            &lab,
-            &charac,
-            &specs,
-            &channels,
-            &FaultPlan::none(),
-            &RetryPolicy::strict(),
-            None,
-        )
-        .unwrap();
-        let scored2 = score_reffree_campaign(
-            &engine,
-            &lab,
-            &charac,
-            &specs,
-            &channels,
-            &FaultPlan::none(),
-            &RetryPolicy::strict(),
-            None,
-        )
-        .unwrap();
+        let scored = score_on(Engine::serial(), &lab, &charac, &specs, &channels);
+        let scored2 = score_on(Engine::with_workers(2), &lab, &charac, &specs, &channels);
         assert_eq!(scored, scored2);
         let row = &scored.report.rows[0];
         assert_eq!(row.channels.len(), 2);
@@ -825,26 +372,20 @@ mod tests {
         let plan = plan();
         let em = EmChannel::paper();
         let channels: [&dyn Channel; 1] = [&em];
-        let charac = characterize_reffree(&lab, &plan, &channels).unwrap();
-        let engine = Engine::serial();
-        let session = ReferenceFreeSession::new(&engine, &lab, &charac, &channels).unwrap();
+        let charac =
+            characterize_reference_free(Engine::default(), &lab, &plan, &channels).unwrap();
+        let campaign = Campaign::with_engine(Engine::serial());
+        let session = ScoringSession::new(&campaign, &lab, &charac, &channels).unwrap();
         let spec = TrojanSpec::ht2();
-        let score = session
-            .score_spec_at(0, &spec, &FaultPlan::none(), &RetryPolicy::strict())
-            .unwrap();
-        let report = session.single_report(&score, &FaultPlan::none());
-        let campaign = score_reffree_campaign(
-            &engine,
+        let report = session.single_report(&session.score_spec_at(0, &spec).unwrap());
+        let scored = score_on(
+            Engine::serial(),
             &lab,
             &charac,
             std::slice::from_ref(&spec),
             &channels,
-            &FaultPlan::none(),
-            &RetryPolicy::strict(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(report, campaign.report);
+        );
+        assert_eq!(report, scored.report);
     }
 
     #[test]
@@ -852,24 +393,21 @@ mod tests {
         // The defining property of the mode: a lot where EVERY die
         // carries the trojan still displaces from the reference lot's
         // baseline, because the within-die residual changes on each
-        // infected die. An inter-die (leave-one-out) reference would
-        // cancel the common trojan and pin µ at zero.
+        // infected die. An inter-die reference would cancel the common
+        // trojan and pin µ at zero.
         let lab = Lab::paper();
         let plan = CampaignPlan::with_random_pairs(6, 2, 2, [0x13; 16], [0x7f; 16], 42);
         let delay = DelayChannel;
         let channels: [&dyn Channel; 1] = [&delay];
-        let charac = characterize_reffree(&lab, &plan, &channels).unwrap();
-        let scored = score_reffree_campaign(
-            &Engine::serial(),
+        let charac =
+            characterize_reference_free(Engine::default(), &lab, &plan, &channels).unwrap();
+        let scored = score_on(
+            Engine::serial(),
             &lab,
             &charac,
             &[TrojanSpec::ht3()],
             &channels,
-            &FaultPlan::none(),
-            &RetryPolicy::strict(),
-            None,
-        )
-        .unwrap();
+        );
         let result = &scored.report.rows[0].channels[0];
         assert!(
             result.mu > 0.0,
@@ -889,20 +427,21 @@ mod tests {
         let plan = CampaignPlan::with_random_pairs(2, 2, 2, [0x13; 16], [0x7f; 16], 42);
         let em = EmChannel::paper();
         let channels: [&dyn Channel; 1] = [&em];
-        let err = characterize_reffree(&lab, &plan, &channels).unwrap_err();
+        let err =
+            characterize_reference_free(Engine::default(), &lab, &plan, &channels).unwrap_err();
         assert!(matches!(err, Error::NotEnoughDies { got: 2, need: 3 }));
     }
 
     #[test]
     fn channel_specs_round_trip_into_sessions() {
-        // The CLI builds channels from specs; make sure the reffree path
-        // accepts the same construction.
+        // The CLI builds channels from specs; make sure the reference-free
+        // path accepts the same construction.
         let lab = Lab::paper();
         let plan = plan();
         let specs = [ChannelSpec::Em(TraceMetric::SumOfLocalMaxima)];
         let built: Vec<Box<dyn Channel>> = specs.iter().map(|s| s.build()).collect();
         let refs: Vec<&dyn Channel> = built.iter().map(|b| b.as_ref()).collect();
-        let charac = characterize_reffree(&lab, &plan, &refs).unwrap();
+        let charac = characterize_reference_free(Engine::default(), &lab, &plan, &refs).unwrap();
         assert_eq!(charac.states[0].channel, "EM");
     }
 }

@@ -42,13 +42,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use htd_core::prelude::{Channel, ReferenceFreeSession, RetryPolicy, ScoringSession};
+use htd_core::prelude::{Campaign, Channel, RetryPolicy, ScoringSession};
 use htd_core::{Engine, Error, Lab};
 use htd_faults::FaultPlan;
 use htd_obs::{Obs, RunManifest, ToolInfo};
-use htd_store::{ClassifierModel, ScorableArtifact};
+use htd_store::ClassifierModel;
 use htd_trojan::TrojanSpec;
 
 use crate::cache::{GoldenCache, ResultCache};
@@ -161,6 +161,10 @@ struct Shared {
     /// Server-assigned request ids (`srv-1`, `srv-2`, …) for requests
     /// that carry none of their own.
     next_request_id: AtomicU64,
+    /// Queued score requests whose handler has not yet written the
+    /// reply. [`serve`] waits for these before returning, so an answer
+    /// the scheduler already produced is not lost to process exit.
+    replies_pending: AtomicU64,
     /// Introspection context the `stats` verb serves inline.
     stats: StatsContext,
 }
@@ -207,6 +211,7 @@ pub fn serve(
         shed: AtomicU64::new(0),
         handler_errors: AtomicU64::new(0),
         next_request_id: AtomicU64::new(0),
+        replies_pending: AtomicU64::new(0),
         stats: StatsContext {
             started: Instant::now(),
             tool: config.tool.clone(),
@@ -260,7 +265,14 @@ pub fn serve(
 
     let report = scheduler
         .join()
-        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    // Every queued request has its reply by now; give the handlers a
+    // bounded moment to write them before the caller's process exits.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while shared.replies_pending.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let report = report?;
     Ok(ServeReport {
         responses_busy: shared.shed.load(Ordering::SeqCst),
         responses_error: report.responses_error + shared.handler_errors.load(Ordering::SeqCst),
@@ -319,6 +331,7 @@ fn handle_connection(stream: TcpStream, local: SocketAddr, shared: &Shared, obs:
                     let _span = obs.span_tagged("serve.accept", &[("request", &request)]);
                     enqueue(shared, golden, suspect, model, request.clone(), echo, obs)
                 };
+                let queued = matches!(admitted, Enqueued::Queued(_));
                 let response = match admitted {
                     Enqueued::Queued(wait) => match wait.recv() {
                         Ok(response) => response,
@@ -343,8 +356,14 @@ fn handle_connection(stream: TcpStream, local: SocketAddr, shared: &Shared, obs:
                         }
                     }
                 };
-                let _span = obs.span_tagged("serve.respond", &[("request", &request)]);
-                if send(&mut writer, &response).is_err() {
+                let sent = {
+                    let _span = obs.span_tagged("serve.respond", &[("request", &request)]);
+                    send(&mut writer, &response)
+                };
+                if queued {
+                    shared.replies_pending.fetch_sub(1, Ordering::SeqCst);
+                }
+                if sent.is_err() {
                     return;
                 }
                 continue;
@@ -428,6 +447,7 @@ fn enqueue(
         return Enqueued::Shed;
     }
     let (reply, wait) = mpsc::channel();
+    shared.replies_pending.fetch_add(1, Ordering::SeqCst);
     queue.push_back(Job {
         golden,
         suspect,
@@ -455,12 +475,12 @@ fn send(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
 /// drains whatever is left and writes the final manifest.
 fn scheduler_loop(config: &ServeConfig, obs: &Obs, shared: &Shared) -> Result<ServeReport, Error> {
     let lab = Lab::paper();
-    let engine = if config.workers == 0 {
-        Engine::auto()
-    } else {
-        Engine::with_workers(config.workers)
-    }
-    .with_obs(obs.clone());
+    let campaign = Campaign {
+        engine: Engine::with_workers(config.workers).with_obs(obs.clone()),
+        faults: config.faults.clone(),
+        policy: config.policy,
+    };
+    let engine = &campaign.engine;
     shared
         .stats
         .workers
@@ -501,9 +521,8 @@ fn scheduler_loop(config: &ServeConfig, obs: &Obs, shared: &Shared) -> Result<Se
         }
         score_batch(
             batch,
-            config,
             &lab,
-            &engine,
+            &campaign,
             &mut goldens,
             &mut results,
             &mut report,
@@ -524,12 +543,12 @@ fn scheduler_loop(config: &ServeConfig, obs: &Obs, shared: &Shared) -> Result<Se
         if let Some(manifest) = &config.manifest {
             if manifest_due >= manifest.every.max(1) {
                 manifest_due = 0;
-                write_manifest(manifest, &engine, &last_digest_hex, obs)?;
+                write_manifest(manifest, engine, &last_digest_hex, obs)?;
             }
         }
     }
     if let Some(manifest) = &config.manifest {
-        write_manifest(manifest, &engine, &last_digest_hex, obs)?;
+        write_manifest(manifest, engine, &last_digest_hex, obs)?;
     }
     Ok(report)
 }
@@ -540,16 +559,15 @@ fn scheduler_loop(config: &ServeConfig, obs: &Obs, shared: &Shared) -> Result<Se
 #[allow(clippy::too_many_arguments)]
 fn score_batch(
     batch: Vec<Job>,
-    config: &ServeConfig,
     lab: &Lab,
-    engine: &Engine,
+    campaign: &Campaign,
     goldens: &mut GoldenCache,
     results: &mut ResultCache,
     report: &mut ServeReport,
     manifest_due: &mut u64,
     last_digest_hex: &mut String,
 ) {
-    let obs = engine.obs();
+    let obs = campaign.engine.obs();
     let _span = obs.span("serve.batch");
     obs.incr("serve.batches");
     obs.add("serve.requests", batch.len() as u64);
@@ -615,13 +633,6 @@ fn score_batch(
         groups.entry(key).or_default().push(job);
     }
 
-    // A scoring session over either artifact kind; both score at a
-    // campaign position and render the identical one-row report.
-    enum Session<'a> {
-        Golden(ScoringSession<'a>),
-        RefFree(ReferenceFreeSession<'a>),
-    }
-
     for key in group_order {
         let group = groups.remove(&key).expect("grouped above");
         let (content, model_path) = key;
@@ -675,24 +686,11 @@ fn score_batch(
 
         let channels = golden.artifact.build_channels();
         let channel_refs: Vec<&dyn Channel> = channels.iter().map(AsRef::as_ref).collect();
-        let built: Result<Session<'_>, Error> = match &golden.artifact {
-            ScorableArtifact::Golden(artifact) => {
-                ScoringSession::new(engine, lab, artifact.characterization(), &channel_refs)
-                    .and_then(|s| match &model {
-                        Some((m, _)) => s.with_model(m),
-                        None => Ok(s),
-                    })
-                    .map(Session::Golden)
-            }
-            ScorableArtifact::ReferenceFree(artifact) => {
-                ReferenceFreeSession::new(engine, lab, artifact.characterization(), &channel_refs)
-                    .and_then(|s| match &model {
-                        Some((m, _)) => s.with_model(m),
-                        None => Ok(s),
-                    })
-                    .map(Session::RefFree)
-            }
-        };
+        let built = ScoringSession::new(campaign, lab, golden.artifact.reference(), &channel_refs)
+            .and_then(|s| match &model {
+                Some((m, _)) => s.with_model(m),
+                None => Ok(s),
+            });
         let session = match built {
             Ok(session) => session,
             Err(err) => {
@@ -707,14 +705,9 @@ fn score_batch(
             let _span = obs.span_tagged("serve.request", &[("request", &job.request)]);
             // Position 0 pins the seed stream and fault tag to the
             // offline single-suspect path: bit-identity by construction.
-            let outcome = match &session {
-                Session::Golden(s) => s
-                    .score_spec_at(0, &job.spec, &config.faults, &config.policy)
-                    .map(|score| htd_store::to_text(&s.single_report(&score, &config.faults))),
-                Session::RefFree(s) => s
-                    .score_spec_at(0, &job.spec, &config.faults, &config.policy)
-                    .map(|score| htd_store::to_text(&s.single_report(&score, &config.faults))),
-            };
+            let outcome = session
+                .score_spec_at(0, &job.spec)
+                .map(|score| htd_store::to_text(&session.single_report(&score)));
             match outcome {
                 Ok(text) => {
                     results.put(content, &memo_key(&job.suspect), text.clone());

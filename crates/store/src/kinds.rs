@@ -7,7 +7,7 @@ use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Acquisition, Calibration, Channel, ChannelSpec, GoldenReference};
 use htd_core::fusion::{
     ChannelResult, ChannelState, GoldenCharacterization, MultiChannelReport, MultiChannelRow,
-    ScoredChannel,
+    Reference, ScoredChannel,
 };
 use htd_core::reffree::{ReferenceFreeCharacterization, ReferenceFreeFit, ReferenceFreeState};
 use htd_core::resilience::ChannelHealth;
@@ -327,6 +327,47 @@ impl Artifact for MultiChannelReport {
     }
 }
 
+/// Checks a spec list against the channels of a characterization it is
+/// stored with: one spec per surviving channel in execution order, one
+/// score per kept die, at least two kept dies strictly ascending within
+/// the plan, and no surviving channel marked lost.
+fn check_stored_channels(specs: &[ChannelSpec], reference: &dyn Reference) -> Result<(), Error> {
+    let stored = reference.channels();
+    if specs.len() != stored.len() {
+        return Err(Error::ChannelShapeMismatch {
+            channel: format!("{} spec(s)", specs.len()),
+            expected: "one spec per characterized channel",
+        });
+    }
+    let n_dies = reference.plan().n_dies;
+    for (spec, channel) in specs.iter().zip(&stored) {
+        let mismatch = |expected| {
+            Err(Error::ChannelShapeMismatch {
+                channel: channel.name.to_string(),
+                expected,
+            })
+        };
+        if spec.name() != channel.name {
+            return mismatch("spec order matching channel execution order");
+        }
+        if channel.kept.len() != channel.scores.len() {
+            return mismatch("one score per kept die");
+        }
+        if channel.kept.len() < 2 {
+            return mismatch("at least two kept dies");
+        }
+        let ascending = channel.kept.windows(2).all(|w| w[0] < w[1]);
+        let in_plan = channel.kept.last().is_none_or(|&k| k < n_dies);
+        if !ascending || !in_plan {
+            return mismatch("kept dies strictly ascending within the plan");
+        }
+        if channel.health.lost {
+            return mismatch("surviving states only (lost channels go in `lost`)");
+        }
+    }
+    Ok(())
+}
+
 /// The composite golden artifact: the channel construction recipes plus
 /// the full [`GoldenCharacterization`]. Loading one is everything `htd
 /// score` needs — no re-measurement, no out-of-band channel knowledge.
@@ -348,46 +389,7 @@ impl GoldenArtifact {
     /// plan's dies (at least two of them), or when a surviving state is
     /// marked lost.
     pub fn new(specs: Vec<ChannelSpec>, charac: GoldenCharacterization) -> Result<Self, Error> {
-        if specs.len() != charac.states.len() {
-            return Err(Error::ChannelShapeMismatch {
-                channel: format!("{} spec(s)", specs.len()),
-                expected: "one spec per characterized channel",
-            });
-        }
-        for (spec, state) in specs.iter().zip(&charac.states) {
-            if spec.name() != state.channel {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "spec order matching channel execution order",
-                });
-            }
-            if state.kept.len() != state.scores.len() {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "one golden score per kept die",
-                });
-            }
-            if state.kept.len() < 2 {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "at least two kept dies",
-                });
-            }
-            let ascending = state.kept.windows(2).all(|w| w[0] < w[1]);
-            let in_plan = state.kept.last().is_none_or(|&k| k < charac.plan.n_dies);
-            if !ascending || !in_plan {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "kept dies strictly ascending within the plan",
-                });
-            }
-            if state.health.lost {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "surviving states only (lost channels go in `lost`)",
-                });
-            }
-        }
+        check_stored_channels(&specs, &charac)?;
         Ok(GoldenArtifact { specs, charac })
     }
 
@@ -847,51 +849,18 @@ impl ReferenceFreeArtifact {
         specs: Vec<ChannelSpec>,
         charac: ReferenceFreeCharacterization,
     ) -> Result<Self, Error> {
-        if specs.len() != charac.states.len() {
-            return Err(Error::ChannelShapeMismatch {
-                channel: format!("{} spec(s)", specs.len()),
-                expected: "one spec per characterized channel",
-            });
-        }
-        for (spec, state) in specs.iter().zip(&charac.states) {
-            if spec.name() != state.channel {
+        check_stored_channels(&specs, &charac)?;
+        for state in &charac.states {
+            if state.fit.n_dies != state.self_scores.len() {
                 return Err(Error::ChannelShapeMismatch {
                     channel: state.channel.clone(),
-                    expected: "spec order matching channel execution order",
-                });
-            }
-            if state.kept.len() != state.self_scores.len()
-                || state.fit.n_dies != state.self_scores.len()
-            {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "one self-score per kept die, matching the fit",
-                });
-            }
-            if state.kept.len() < 2 {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "at least two kept dies",
-                });
-            }
-            let ascending = state.kept.windows(2).all(|w| w[0] < w[1]);
-            let in_plan = state.kept.last().is_none_or(|&k| k < charac.plan.n_dies);
-            if !ascending || !in_plan {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "kept dies strictly ascending within the plan",
+                    expected: "a baseline fit over every self-score",
                 });
             }
             if !(state.fit.std > 0.0 && state.fit.std.is_finite() && state.fit.mean.is_finite()) {
                 return Err(Error::ChannelShapeMismatch {
                     channel: state.channel.clone(),
                     expected: "a finite baseline fit with positive spread",
-                });
-            }
-            if state.health.lost {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "surviving states only (lost channels go in `lost`)",
                 });
             }
         }

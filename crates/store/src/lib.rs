@@ -49,6 +49,7 @@ pub use kinds::{Artifact, ChannelFit, GoldenArtifact, ReferenceFreeArtifact};
 pub use htd_stats::logistic::LogisticModel as ClassifierModel;
 
 use htd_core::channel::Channel;
+use htd_core::fusion::Reference;
 use htd_core::{CampaignPlan, Error};
 
 use format::{frame, unframe, BodyWriter};
@@ -95,12 +96,73 @@ impl ScorableArtifact {
         }
     }
 
+    /// Reads whichever scorable kind the file at `path` declares, with
+    /// the store-I/O observability of [`load_with`]. With `salvage`, a
+    /// damaged body is recovered block by block as in
+    /// [`load_salvage_with`]; otherwise the result is always pristine.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] on filesystem failure; [`Error::Format`] on
+    /// malformed content (or, under `salvage`, a damaged header).
+    pub fn load_with(
+        path: impl AsRef<std::path::Path>,
+        obs: &htd_obs::Obs,
+        salvage: bool,
+    ) -> Result<Salvaged<Self>, Error> {
+        fn load<A: Artifact>(
+            path: &std::path::Path,
+            obs: &htd_obs::Obs,
+            salvage: bool,
+        ) -> Result<Salvaged<A>, Error> {
+            if salvage {
+                load_salvage_with(path, obs)
+            } else {
+                Ok(Salvaged {
+                    artifact: load_with(path, obs)?,
+                    recovered: false,
+                    dropped_lines: 0,
+                })
+            }
+        }
+        let path = path.as_ref();
+        // The sniff is a plain (uncounted) read, so the store.read
+        // counters describe only the authoritative load.
+        let text = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
+        Ok(match sniff_kind(&text) {
+            Some(ReferenceFreeArtifact::KIND) => load::<ReferenceFreeArtifact>(path, obs, salvage)?
+                .map(ScorableArtifact::ReferenceFree),
+            _ => load::<GoldenArtifact>(path, obs, salvage)?.map(ScorableArtifact::Golden),
+        })
+    }
+
+    /// Writes the artifact to `path` (see [`save_with`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] carrying the path on any filesystem failure.
+    pub fn save_with(
+        &self,
+        path: impl AsRef<std::path::Path>,
+        obs: &htd_obs::Obs,
+    ) -> Result<(), Error> {
+        match self {
+            ScorableArtifact::Golden(a) => save_with(path, a, obs),
+            ScorableArtifact::ReferenceFree(a) => save_with(path, a, obs),
+        }
+    }
+
+    /// The stored characterization, as the scoring pipeline consumes it.
+    pub fn reference(&self) -> &dyn Reference {
+        match self {
+            ScorableArtifact::Golden(a) => a.characterization(),
+            ScorableArtifact::ReferenceFree(a) => a.characterization(),
+        }
+    }
+
     /// The campaign plan behind either kind.
     pub fn plan(&self) -> &CampaignPlan {
-        match self {
-            ScorableArtifact::Golden(a) => &a.characterization().plan,
-            ScorableArtifact::ReferenceFree(a) => &a.characterization().plan,
-        }
+        self.reference().plan()
     }
 
     /// Rebuilds the live channels the stored specs describe, in order.
@@ -230,6 +292,17 @@ pub struct Salvaged<A> {
     pub recovered: bool,
     /// Number of body lines dropped to recover the value.
     pub dropped_lines: usize,
+}
+
+impl<A> Salvaged<A> {
+    /// The same provenance around a transformed value.
+    pub fn map<B>(self, f: impl FnOnce(A) -> B) -> Salvaged<B> {
+        Salvaged {
+            artifact: f(self.artifact),
+            recovered: self.recovered,
+            dropped_lines: self.dropped_lines,
+        }
+    }
 }
 
 /// Best-effort parse of a (possibly damaged) artifact: the header must

@@ -1,18 +1,18 @@
-//! The store's headline guarantee (the PR's acceptance criterion):
-//! scoring a suspect population against a golden-reference artifact that
-//! went through disk — characterize → save → load → score — produces
-//! bit-identical per-die scores and FN rates to the all-in-memory
-//! `multi_channel_experiment` on the same `CampaignPlan`, at worker
-//! counts 1 and N.
+//! The store's headline guarantee: scoring a suspect population against
+//! an artifact that went through disk — characterize → save → load →
+//! score — produces bit-identical per-die scores and FN rates to scoring
+//! the in-memory characterization on the same `CampaignPlan`, for every
+//! artifact kind, at worker counts 1 and N.
 
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
 use htd_core::fusion::{
-    characterize_campaign_with, multi_channel_experiment_with, score_campaign_with,
-    score_design_with,
+    characterize, score, Campaign, GoldenCharacterization, Reference, ScoringSession,
 };
-use htd_core::{CampaignPlan, Engine, Lab};
-use htd_store::GoldenArtifact;
+use htd_core::reffree::ReferenceFreeCharacterization;
+use htd_core::{CampaignPlan, Engine, Error, Lab};
+use htd_obs::Obs;
+use htd_store::{GoldenArtifact, ReferenceFreeArtifact, ScorableArtifact};
 use htd_trojan::TrojanSpec;
 
 fn specs() -> Vec<ChannelSpec> {
@@ -22,8 +22,12 @@ fn specs() -> Vec<ChannelSpec> {
     ]
 }
 
-#[test]
-fn scoring_a_loaded_artifact_is_bit_identical_to_the_in_memory_experiment() {
+/// Characterizes in memory as `R`, stores the result through `store`,
+/// reloads it from disk and checks that both score identically.
+fn check_round_trip<R: Reference>(
+    kind: &str,
+    store: impl FnOnce(Vec<ChannelSpec>, R) -> Result<ScorableArtifact, Error>,
+) {
     let lab = Lab::paper();
     let plan = CampaignPlan::with_random_pairs(6, 3, 2, [0x42; 16], [0x0f; 16], 0xA5A5);
     let trojans = [TrojanSpec::ht1(), TrojanSpec::ht3()];
@@ -32,44 +36,59 @@ fn scoring_a_loaded_artifact_is_bit_identical_to_the_in_memory_experiment() {
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
 
     // The all-in-memory reference run.
-    let in_memory =
-        multi_channel_experiment_with(&Engine::serial(), &lab, &plan, &trojans, &refs).unwrap();
+    let serial = Campaign::with_engine(Engine::serial());
+    let charac: R = characterize(&serial, &lab, &plan, &refs).unwrap();
+    let in_memory = score(&serial, &lab, &charac, &trojans, &refs, None).unwrap();
 
-    // Characterize once, round-trip the artifact through disk.
-    let charac = characterize_campaign_with(&Engine::serial(), &lab, &plan, &refs).unwrap();
-    let path = std::env::temp_dir().join(format!("htd-equivalence-{}.htd", std::process::id()));
-    htd_store::save(&path, &GoldenArtifact::new(channel_specs, charac).unwrap()).unwrap();
-    let loaded: GoldenArtifact = htd_store::load(&path).unwrap();
+    // Round-trip the characterization through disk.
+    let path =
+        std::env::temp_dir().join(format!("htd-equivalence-{kind}-{}.htd", std::process::id()));
+    store(channel_specs, charac)
+        .unwrap()
+        .save_with(&path, &Obs::noop())
+        .unwrap();
+    let loaded = ScorableArtifact::load_with(&path, &Obs::noop(), false).unwrap();
     std::fs::remove_file(&path).ok();
+    assert!(!loaded.recovered, "{kind}: a fresh file loads pristine");
+    let loaded = loaded.artifact;
 
     // The loaded artifact rebuilds its own channels.
     let rebuilt = loaded.build_channels();
     let rebuilt_refs: Vec<&dyn Channel> = rebuilt.iter().map(Box::as_ref).collect();
-    let charac = loaded.characterization();
+    let reference = loaded.reference();
 
-    // Stored golden state is bit-identical (per-die golden scores included).
-    for (state, name) in charac.states.iter().zip(["EM", "delay"]) {
-        assert_eq!(state.channel, name);
-        assert_eq!(state.scores.len(), plan.n_dies);
+    // Stored per-die reference-lot scores are all there.
+    for (stored, name) in reference.channels().iter().zip(["EM", "delay"]) {
+        assert_eq!(stored.name, name, "{kind}");
+        assert_eq!(stored.scores.len(), plan.n_dies, "{kind}");
     }
 
     for workers in [1usize, 4] {
-        let engine = Engine::with_workers(workers);
-        let scored = score_campaign_with(&engine, &lab, charac, &trojans, &rebuilt_refs).unwrap();
+        let campaign = Campaign::with_engine(Engine::with_workers(workers));
+        let scored = score(&campaign, &lab, reference, &trojans, &rebuilt_refs, None).unwrap();
         // Full-report equality covers every µ, σ, analytic FN rate and
         // empirical FN/FP rate of every channel and the fused rows.
-        assert_eq!(scored, in_memory, "workers = {workers}");
+        assert_eq!(scored, in_memory, "{kind}, workers = {workers}");
 
-        // Per-die suspect scores, not just fitted summaries.
+        // Per-die suspect scores, one suspect at a time through a
+        // session, not just fitted summaries.
+        let session = ScoringSession::new(&campaign, &lab, reference, &rebuilt_refs).unwrap();
         for (s, spec) in trojans.iter().enumerate() {
-            let (_, sets) =
-                score_design_with(&engine, &lab, charac, s, spec, &rebuilt_refs).unwrap();
-            let (_, reference_sets) =
-                score_design_with(&Engine::serial(), &lab, charac, s, spec, &rebuilt_refs).unwrap();
-            for (a, b) in sets.iter().zip(&reference_sets) {
-                assert_eq!(a.golden, b.golden, "workers = {workers}");
-                assert_eq!(a.infected, b.infected, "workers = {workers}");
-            }
+            let sets = session.score_spec_at(s, spec).unwrap().design.scored;
+            assert_eq!(
+                sets, in_memory.designs[s].scored,
+                "{kind}, workers = {workers}"
+            );
         }
     }
+}
+
+#[test]
+fn scoring_a_loaded_artifact_is_bit_identical_to_the_in_memory_experiment() {
+    check_round_trip("golden", |specs, charac: GoldenCharacterization| {
+        GoldenArtifact::new(specs, charac).map(ScorableArtifact::Golden)
+    });
+    check_round_trip("reffree", |specs, charac: ReferenceFreeCharacterization| {
+        ReferenceFreeArtifact::new(specs, charac).map(ScorableArtifact::ReferenceFree)
+    });
 }

@@ -9,11 +9,8 @@ use std::path::PathBuf;
 use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{
-    characterize_campaign_faulted, characterize_campaign_with, score_campaign_faulted,
-    GoldenCharacterization, MultiChannelReport,
-};
-use htd_core::reffree::{characterize_reffree_with, score_reffree_campaign};
+use htd_core::fusion::{characterize, score, Campaign, GoldenCharacterization, MultiChannelReport};
+use htd_core::reffree::ReferenceFreeCharacterization;
 use htd_core::resilience::RetryPolicy;
 use htd_core::{Engine, Error, Lab};
 use htd_faults::{FaultPlan, FaultSite};
@@ -47,6 +44,15 @@ fn faultplan() -> FaultPlan {
     }
 }
 
+/// A campaign on `workers` workers under `faults` + `policy`.
+fn campaign(workers: usize, faults: &FaultPlan, policy: RetryPolicy) -> Campaign {
+    Campaign {
+        engine: Engine::with_workers(workers),
+        faults: faults.clone(),
+        policy,
+    }
+}
+
 /// Characterizes and scores `ht2` under `faults` + `policy`, both
 /// phases faulted, on `workers` workers.
 fn faulted_campaign(
@@ -54,24 +60,16 @@ fn faulted_campaign(
     faults: &FaultPlan,
     policy: &RetryPolicy,
 ) -> Result<(GoldenCharacterization, MultiChannelReport), Error> {
-    let engine = Engine::with_workers(workers);
+    let campaign = campaign(workers, faults, *policy);
     let lab = Lab::paper();
     let channels: Vec<Box<dyn Channel>> = specs().iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let charac = characterize_campaign_faulted(&engine, &lab, &plan(), &refs, faults, policy)?;
+    let charac: GoldenCharacterization = characterize(&campaign, &lab, &plan(), &refs)?;
     // A lost channel would leave `refs` out of lockstep with the states;
     // none of these tests expect that here.
     assert_eq!(charac.states.len(), refs.len(), "no channel lost");
-    let campaign = score_campaign_faulted(
-        &engine,
-        &lab,
-        &charac,
-        &[TrojanSpec::ht2()],
-        &refs,
-        faults,
-        policy,
-    )?;
-    Ok((charac, campaign.report))
+    let scored = score(&campaign, &lab, &charac, &[TrojanSpec::ht2()], &refs, None)?;
+    Ok((charac, scored.report))
 }
 
 #[test]
@@ -112,22 +110,20 @@ fn degraded_reports_are_bit_identical_across_worker_counts() {
 /// The CLI smoke flow, as a library call: a **pristine** golden artifact
 /// (characterize runs fault-free) scored under the committed fault plan.
 fn smoke_flow_report() -> MultiChannelReport {
-    let engine = Engine::with_workers(2);
     let lab = Lab::paper();
     let channels: Vec<Box<dyn Channel>> = specs().iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let charac = characterize_campaign_with(&engine, &lab, &plan(), &refs).expect("characterize");
-    score_campaign_faulted(
-        &engine,
+    let charac: GoldenCharacterization = characterize(
+        &Campaign::with_engine(Engine::with_workers(2)),
         &lab,
-        &charac,
-        &[TrojanSpec::ht2()],
+        &plan(),
         &refs,
-        &faultplan(),
-        &RetryPolicy::degraded(2),
     )
-    .expect("degraded scoring completes")
-    .report
+    .expect("characterize");
+    let faulted = campaign(2, &faultplan(), RetryPolicy::degraded(2));
+    score(&faulted, &lab, &charac, &[TrojanSpec::ht2()], &refs, None)
+        .expect("degraded scoring completes")
+        .report
 }
 
 #[test]
@@ -245,19 +241,12 @@ fn an_exhausted_calibration_loses_the_channel_but_not_the_campaign() {
         calibrate_rate: 0.5,
         store_rate: 0.0,
     };
-    let engine = Engine::with_workers(2);
     let lab = Lab::paper();
     let channels: Vec<Box<dyn Channel>> = specs().iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let charac = characterize_campaign_faulted(
-        &engine,
-        &lab,
-        &plan(),
-        &refs,
-        &faults,
-        &RetryPolicy::degraded(max_retries),
-    )
-    .expect("the delay channel carries the campaign");
+    let degraded = campaign(2, &faults, RetryPolicy::degraded(max_retries));
+    let charac: GoldenCharacterization = characterize(&degraded, &lab, &plan(), &refs)
+        .expect("the delay channel carries the campaign");
     let names: Vec<&str> = charac.states.iter().map(|s| s.channel.as_str()).collect();
     assert_eq!(names, ["delay"]);
     assert_eq!(charac.lost.len(), 1);
@@ -273,18 +262,15 @@ fn an_exhausted_calibration_loses_the_channel_but_not_the_campaign() {
     assert_eq!(back, artifact);
 
     // Under the strict policy the same plan is a hard error.
-    let err = characterize_campaign_faulted(
-        &engine,
-        &lab,
-        &plan(),
-        &refs,
+    let strict = campaign(
+        2,
         &faults,
-        &RetryPolicy {
+        RetryPolicy {
             max_retries,
             allow_degraded: false,
         },
-    )
-    .unwrap_err();
+    );
+    let err = characterize::<GoldenCharacterization>(&strict, &lab, &plan(), &refs).unwrap_err();
     assert!(
         matches!(err, Error::CalibrationDiverged { .. }),
         "unexpected error: {err}"
@@ -302,24 +288,20 @@ fn reffree_plan() -> CampaignPlan {
 /// reference-free characterization scoring `ht2` under `faults` +
 /// `policy`.
 fn reffree_flow_report(faults: &FaultPlan, policy: &RetryPolicy) -> MultiChannelReport {
-    let engine = Engine::with_workers(2);
     let lab = Lab::paper();
     let channels: Vec<Box<dyn Channel>> = specs().iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let charac = characterize_reffree_with(&engine, &lab, &reffree_plan(), &refs)
-        .expect("characterize reference-free");
-    score_reffree_campaign(
-        &engine,
+    let charac: ReferenceFreeCharacterization = characterize(
+        &Campaign::with_engine(Engine::with_workers(2)),
         &lab,
-        &charac,
-        &[TrojanSpec::ht2()],
+        &reffree_plan(),
         &refs,
-        faults,
-        policy,
-        None,
     )
-    .expect("reference-free scoring completes")
-    .report
+    .expect("characterize reference-free");
+    let faulted = campaign(2, faults, *policy);
+    score(&faulted, &lab, &charac, &[TrojanSpec::ht2()], &refs, None)
+        .expect("reference-free scoring completes")
+        .report
 }
 
 /// The two pinned reference-free reports: fault-free, and under the

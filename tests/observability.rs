@@ -11,7 +11,7 @@ use std::process::Command;
 use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{characterize_campaign_faulted, score_campaign_faulted};
+use htd_core::fusion::{characterize, score, Campaign, GoldenCharacterization};
 use htd_core::resilience::RetryPolicy;
 use htd_core::{Engine, Lab};
 use htd_faults::FaultPlan;
@@ -105,18 +105,15 @@ fn library_counters_are_worker_invariant() {
         let lab = Lab::paper();
         let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
         let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-        let charac = characterize_campaign_faulted(engine, &lab, &plan, &refs, &faults, &policy)
-            .expect("characterize completes");
-        let scored = score_campaign_faulted(
-            engine,
-            &lab,
-            &charac,
-            &[TrojanSpec::ht2()],
-            &refs,
-            &faults,
-            &policy,
-        )
-        .expect("score completes");
+        let campaign = Campaign {
+            engine: engine.clone(),
+            faults: faults.clone(),
+            policy,
+        };
+        let charac: GoldenCharacterization =
+            characterize(&campaign, &lab, &plan, &refs).expect("characterize completes");
+        let scored = score(&campaign, &lab, &charac, &[TrojanSpec::ht2()], &refs, None)
+            .expect("score completes");
         htd_store::to_text(&scored.report)
     };
 
@@ -179,7 +176,7 @@ fn library_counters_are_worker_invariant() {
 /// mode's own `score.reffree.*` counters.
 #[test]
 fn reffree_counters_are_worker_invariant() {
-    use htd_core::reffree::{characterize_reffree_faulted, score_reffree_campaign};
+    use htd_core::reffree::ReferenceFreeCharacterization;
     use htd_store::ReferenceFreeArtifact;
 
     let plan = CampaignPlan::with_random_pairs(4, 2, 2, [0x42; 16], [0x0f; 16], 42);
@@ -199,7 +196,12 @@ fn reffree_counters_are_worker_invariant() {
         let lab = Lab::paper();
         let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
         let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-        let charac = characterize_reffree_faulted(engine, &lab, &plan, &refs, &faults, &policy)
+        let campaign = Campaign {
+            engine: engine.clone(),
+            faults: faults.clone(),
+            policy,
+        };
+        let charac: ReferenceFreeCharacterization = characterize(&campaign, &lab, &plan, &refs)
             .expect("reference-free characterize completes");
         // Lockstep filter, exactly as the CLI stores it: one spec per
         // surviving state, in execution order.
@@ -210,14 +212,12 @@ fn reffree_counters_are_worker_invariant() {
             .collect();
         let artifact = ReferenceFreeArtifact::new(surviving, charac)
             .expect("surviving states form a consistent artifact");
-        let scored = score_reffree_campaign(
-            engine,
+        let scored = score(
+            &campaign,
             &lab,
             artifact.characterization(),
             &[TrojanSpec::ht2()],
             &refs,
-            &faults,
-            &policy,
             None,
         )
         .expect("reference-free score completes");
@@ -250,7 +250,10 @@ fn reffree_counters_are_worker_invariant() {
     };
     assert_eq!(get("span.characterize"), 1);
     assert_eq!(get("span.score"), 1);
-    assert!(get("score.reffree.selfscores") > 0, "LOO scores registered");
+    assert!(
+        get("score.reffree.selfscores") > 0,
+        "within-die self-scores registered"
+    );
     assert_eq!(get("score.reffree.designs"), 1);
     assert_eq!(get("score.designs"), 1);
 }
