@@ -11,11 +11,12 @@ use htd_core::fusion::{
     ChannelResult, ChannelState, GoldenCharacterization, MultiChannelReport, MultiChannelRow,
     ScoredChannel,
 };
+use htd_core::reffree::{ReferenceFreeCharacterization, ReferenceFreeFit, ReferenceFreeState};
 use htd_core::resilience::ChannelHealth;
 use htd_em::Trace;
 use htd_faults::FaultPlan;
 use htd_stats::Gaussian;
-use htd_store::{from_text, to_text, ChannelFit, GoldenArtifact};
+use htd_store::{from_text, to_text, ChannelFit, GoldenArtifact, ReferenceFreeArtifact};
 use htd_timing::GlitchParams;
 use proptest::prelude::*;
 
@@ -190,7 +191,22 @@ fn report_strategy() -> impl Strategy<Value = MultiChannelReport> {
         })
 }
 
-fn golden_strategy() -> impl Strategy<Value = GoldenArtifact> {
+/// One channel block of a stored characterization, with every per-kind
+/// payload drawn so either kind can be assembled from it.
+#[derive(Debug)]
+struct Block {
+    spec: ChannelSpec,
+    calibration: Calibration,
+    reference: GoldenReference,
+    fit: (f64, f64),
+    scores: Vec<f64>,
+    kept: Vec<usize>,
+    health: ChannelHealth,
+}
+
+/// The shared shape of both stored characterization kinds: a plan, one
+/// to three channel blocks and a possibly empty `lost` section.
+fn stored_strategy() -> impl Strategy<Value = (CampaignPlan, Vec<Block>, Vec<ChannelHealth>)> {
     plan_strategy().prop_flat_map(|plan| {
         let n = plan.n_dies;
         (
@@ -198,8 +214,8 @@ fn golden_strategy() -> impl Strategy<Value = GoldenArtifact> {
             proptest::collection::vec(
                 (
                     (0usize..3, calibration_strategy()),
-                    trace_strategy(),
-                    matrix_strategy(),
+                    (trace_strategy(), matrix_strategy()),
+                    (finite(), 0.001f64..1.0e6),
                     proptest::collection::vec(finite(), n..n + 1),
                     proptest::collection::vec(any::<bool>(), n..n + 1),
                 ),
@@ -209,46 +225,89 @@ fn golden_strategy() -> impl Strategy<Value = GoldenArtifact> {
         )
             .prop_map(|(plan, chans, mut lost)| {
                 let n = plan.n_dies;
-                let mut specs = Vec::new();
-                let mut states = Vec::new();
-                for ((sel, calibration), trace, matrix, scores, mask) in chans {
-                    let spec = match sel {
-                        0 => ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
-                        1 => ChannelSpec::Power(TraceMetric::MaxPoint),
-                        _ => ChannelSpec::Delay,
-                    };
-                    let reference = if matches!(spec, ChannelSpec::Delay) {
-                        GoldenReference::MeanMatrix(matrix)
-                    } else {
-                        GoldenReference::MeanTrace(trace)
-                    };
-                    // Drop a random subset of dies (keeping at least two)
-                    // so degraded kept/health markers round-trip too.
-                    let kept: Vec<usize> = (0..n).filter(|&j| mask[j]).collect();
-                    let (kept, scores) = if kept.len() < 2 {
-                        ((0..n).collect::<Vec<_>>(), scores)
-                    } else {
-                        let scores = kept.iter().map(|&j| scores[j]).collect();
-                        (kept, scores)
-                    };
-                    let mut health = ChannelHealth::pristine(spec.name(), n);
-                    health.dropped = n - kept.len();
-                    states.push(ChannelState {
-                        channel: spec.name().to_string(),
-                        calibration,
-                        reference,
-                        scores,
-                        kept,
-                        health,
-                    });
-                    specs.push(spec);
-                }
+                let blocks = chans
+                    .into_iter()
+                    .map(|((sel, calibration), (trace, matrix), fit, scores, mask)| {
+                        let spec = match sel {
+                            0 => ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
+                            1 => ChannelSpec::Power(TraceMetric::MaxPoint),
+                            _ => ChannelSpec::Delay,
+                        };
+                        let reference = if matches!(spec, ChannelSpec::Delay) {
+                            GoldenReference::MeanMatrix(matrix)
+                        } else {
+                            GoldenReference::MeanTrace(trace)
+                        };
+                        // Drop a random subset of dies (keeping at least
+                        // two) so degraded kept/health markers round-trip
+                        // too.
+                        let kept: Vec<usize> = (0..n).filter(|&j| mask[j]).collect();
+                        let (kept, scores) = if kept.len() < 2 {
+                            ((0..n).collect::<Vec<_>>(), scores)
+                        } else {
+                            let scores = kept.iter().map(|&j| scores[j]).collect();
+                            (kept, scores)
+                        };
+                        let mut health = ChannelHealth::pristine(spec.name(), n);
+                        health.dropped = n - kept.len();
+                        Block {
+                            spec,
+                            calibration,
+                            reference,
+                            fit,
+                            scores,
+                            kept,
+                            health,
+                        }
+                    })
+                    .collect();
                 for h in &mut lost {
                     h.lost = true;
                 }
-                GoldenArtifact::new(specs, GoldenCharacterization { plan, states, lost })
-                    .expect("strategy builds consistent artifacts")
+                (plan, blocks, lost)
             })
+    })
+}
+
+fn golden_strategy() -> impl Strategy<Value = GoldenArtifact> {
+    stored_strategy().prop_map(|(plan, blocks, lost)| {
+        let specs = blocks.iter().map(|b| b.spec).collect();
+        let states = blocks
+            .into_iter()
+            .map(|b| ChannelState {
+                channel: b.spec.name().to_string(),
+                calibration: b.calibration,
+                reference: b.reference,
+                scores: b.scores,
+                kept: b.kept,
+                health: b.health,
+            })
+            .collect();
+        GoldenArtifact::new(specs, GoldenCharacterization { plan, states, lost })
+            .expect("strategy builds consistent artifacts")
+    })
+}
+
+fn reffree_strategy() -> impl Strategy<Value = ReferenceFreeArtifact> {
+    stored_strategy().prop_map(|(plan, blocks, lost)| {
+        let specs = blocks.iter().map(|b| b.spec).collect();
+        let states = blocks
+            .into_iter()
+            .map(|b| ReferenceFreeState {
+                channel: b.spec.name().to_string(),
+                calibration: b.calibration,
+                fit: ReferenceFreeFit {
+                    mean: b.fit.0,
+                    std: b.fit.1,
+                    n_dies: b.scores.len(),
+                },
+                self_scores: b.scores,
+                kept: b.kept,
+                health: b.health,
+            })
+            .collect();
+        ReferenceFreeArtifact::new(specs, ReferenceFreeCharacterization { plan, states, lost })
+            .expect("strategy builds consistent artifacts")
     })
 }
 
@@ -314,6 +373,11 @@ proptest! {
     #[test]
     fn golden_roundtrips(artifact in golden_strategy()) {
         assert_roundtrip!(GoldenArtifact, artifact);
+    }
+
+    #[test]
+    fn reffree_roundtrips(artifact in reffree_strategy()) {
+        assert_roundtrip!(ReferenceFreeArtifact, artifact);
     }
 
     #[test]

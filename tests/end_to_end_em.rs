@@ -2,12 +2,26 @@
 //! comparison, inter-die golden modelling, and classification with the
 //! sum-of-local-maxima metric.
 
-use htd_core::em_detect::{characterize_em_golden, direct_compare, EmDetector, SideChannel};
+use htd_core::em_detect::{
+    characterize_em_golden, direct_compare, EmDetector, EmGoldenModel, SideChannel,
+};
 use htd_core::prelude::*;
 use htd_core::ProgrammedDevice;
 
 const PT: [u8; 16] = [0x42u8; 16];
 const KEY: [u8; 16] = [0x13u8; 16];
+
+/// Pins a golden model bit for bit: the Gaussian's mean and standard
+/// deviation, then every golden metric in die order.
+fn assert_model_bits(model: &EmGoldenModel, want: &[u64]) {
+    let got: Vec<u64> = [model.gaussian.mean(), model.gaussian.std()]
+        .into_iter()
+        .chain(model.golden_metrics.iter().copied())
+        .map(f64::to_bits)
+        .collect();
+    let hex: Vec<String> = got.iter().map(|b| format!("{b:#018x}")).collect();
+    assert_eq!(got, want, "golden model bits: [{}]", hex.join(", "));
+}
 
 #[test]
 fn same_die_direct_comparison_flags_the_trojan() {
@@ -46,6 +60,21 @@ fn interdie_detector_classifies_large_trojan_reliably() {
     let dies = lab.fabricate_batch(8); // the paper's batch size
     let model =
         characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 500).unwrap();
+    assert_model_bits(
+        &model,
+        &[
+            0x4113cfd770000000,
+            0x40ffac9a2d42de72,
+            0x41122af600000000,
+            0x4106d66e00000000,
+            0x411c8aa680000000,
+            0x4100838e00000000,
+            0x410ce54a00000000,
+            0x411ab2ae00000000,
+            0x411c457980000000,
+            0x4116b15480000000,
+        ],
+    );
     let det = EmDetector::with_false_positive_rate(model, 0.05).unwrap();
     // Fresh dies the model never saw.
     let mut detected = 0;
@@ -78,6 +107,19 @@ fn metric_grows_with_trojan_size() {
     let dies = lab.fabricate_batch(6);
     let model =
         characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 900).unwrap();
+    assert_model_bits(
+        &model,
+        &[
+            0x4111794700000001,
+            0x41010579e7407cc5,
+            0x4110c7c95555555e,
+            0x4104f2eaaaaaaab0,
+            0x411d80ea00000009,
+            0x40fec49555555553,
+            0x410dabd6aaaaaaaa,
+            0x41198e70aaaaaaa2,
+        ],
+    );
     let det = EmDetector::with_false_positive_rate(model, 0.05).unwrap();
     let probe_die = lab.fabricate_die(77);
     let mut metrics = Vec::new();
