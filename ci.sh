@@ -93,6 +93,7 @@ diff "$HTD_SMOKE_DIR/learned.csv" tests/fixtures/learned_smoke.csv
 # reproduce their committed fixtures byte for byte.
 "$HTD" characterize --out "$HTD_SMOKE_DIR/reffree.htd" --mode reference-free \
     --dies 4 --pairs 2 --reps 2 --seed 42 --channels em,delay
+"$HTD" diff "$HTD_SMOKE_DIR/reffree.htd" "$HTD_SMOKE_DIR/reffree.htd"
 "$HTD" score --golden "$HTD_SMOKE_DIR/reffree.htd" --trojans ht2 \
     --report "$HTD_SMOKE_DIR/reffree-report.htd"
 "$HTD" report "$HTD_SMOKE_DIR/reffree-report.htd" --csv >/dev/null

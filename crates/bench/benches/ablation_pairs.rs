@@ -5,7 +5,7 @@
 use htd_bench::{banner, lab};
 use htd_core::delay_detect::{characterize_golden, DelayCampaign, DelayDetector};
 use htd_core::report::{ps, Table};
-use htd_core::{Design, ProgrammedDevice};
+use htd_core::{Design, Engine, ProgrammedDevice};
 use htd_trojan::TrojanSpec;
 
 fn main() {
@@ -34,12 +34,13 @@ fn main() {
         "clean: flagged bits",
         "clean verdict",
     ]);
+    let engine = Engine::default();
     for n in [1usize, 2, 5, 10, 20, 35, 50] {
         let e = detector
-            .examine_pairs(&dut, 9, n)
+            .examine_pairs_with(&engine, &dut, 9, n)
             .expect("n within campaign");
         let c = detector
-            .examine_pairs(&clean, 10, n)
+            .examine_pairs_with(&engine, &clean, 10, n)
             .expect("n within campaign");
         table.push_row(&[
             n.to_string(),

@@ -55,8 +55,9 @@ fn main() {
     let mut csv_headers: Vec<String> = vec!["bit".into()];
     for (name, design, salt) in &designs {
         let dev = ProgrammedDevice::new(&lab, design, &die);
+        let n_pairs = detector.golden().campaign.pairs.len();
         let evidence = detector
-            .examine_with(&engine, &dev, *salt)
+            .examine_pairs_with(&engine, &dev, *salt, n_pairs)
             .expect("examination succeeds");
         for pair in [13usize, 47] {
             let series = &evidence.diff_ps[pair];

@@ -22,7 +22,7 @@ fn main() {
     let golden = Design::golden(&lab).expect("golden design builds");
     let infected = Design::infected(&lab, &TrojanSpec::ht2()).expect("insertion succeeds");
     let dies = lab.fabricate_batch(8);
-    let model = characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 6000)
+    let model = characterize_em_golden(&lab, dies.len(), SideChannel::Em, &PT, &KEY, 6000)
         .expect("golden characterisation succeeds");
 
     let mut table = Table::new(&[

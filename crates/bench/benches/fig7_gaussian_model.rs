@@ -26,10 +26,9 @@ fn main() {
     // A larger population than the paper's 8 dies to draw clean pdfs.
     let n_dies = 64;
     println!("\nmeasuring both populations over {n_dies} virtual dies (HT 2)...");
-    let golden = Design::golden(&lab).expect("golden design builds");
     let infected = Design::infected(&lab, &TrojanSpec::ht2()).expect("insertion succeeds");
     let dies = lab.fabricate_batch(n_dies);
-    let model = characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 777)
+    let model = characterize_em_golden(&lab, n_dies, SideChannel::Em, &PT, &KEY, 777)
         .expect("golden characterisation succeeds");
     let infected_metrics: Vec<f64> = dies
         .iter()

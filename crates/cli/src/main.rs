@@ -27,7 +27,7 @@ use htd_serve::{ManifestConfig, ServeConfig};
 use htd_stats::logistic::{train as train_logistic, TrainConfig};
 use htd_stats::Gaussian;
 use htd_store::{
-    sniff_kind, ChannelFit, ClassifierModel, GoldenArtifact, ReferenceFreeArtifact,
+    sniff_kind, Artifact, ChannelFit, ClassifierModel, GoldenArtifact, ReferenceFreeArtifact,
     ScorableArtifact,
 };
 use htd_trojan::{Payload, PlacementStrategy, Trigger, TrojanSpec, ZooConfig, ZooTrigger};
@@ -1771,27 +1771,24 @@ fn diff(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         .into());
     }
 
-    // Golden artifacts diff by identity of their campaign plan — the
-    // digest printed here is the serve wire/shard key, so two goldens
-    // with the same line land on the same scoring instance (the serve
-    // caches themselves key by artifact content, which the row diff
-    // below distinguishes).
-    if kind_a == Some("golden") {
-        let a: GoldenArtifact = htd_store::from_text_at(&text_a, path_a)?;
-        let b: GoldenArtifact = htd_store::from_text_at(&text_b, path_b)?;
-        println!(
-            "plan {path_a}: {}",
-            htd_store::plan_digest_hex(&a.characterization().plan)
-        );
-        println!(
-            "plan {path_b}: {}",
-            htd_store::plan_digest_hex(&b.characterization().plan)
-        );
+    // Characterization artifacts (golden or reference-free) diff by
+    // identity of their campaign plan — the digest printed here is the
+    // serve wire/shard key, so two artifacts with the same line land on
+    // the same scoring instance (the serve caches themselves key by
+    // artifact content, which the row diff below distinguishes).
+    if matches!(
+        kind_a,
+        Some(GoldenArtifact::KIND | ReferenceFreeArtifact::KIND)
+    ) {
+        let a = ScorableArtifact::from_text_at(&text_a, path_a)?;
+        let b = ScorableArtifact::from_text_at(&text_b, path_b)?;
+        println!("plan {path_a}: {}", htd_store::plan_digest_hex(a.plan()));
+        println!("plan {path_b}: {}", htd_store::plan_digest_hex(b.plan()));
         if a == b {
             println!("artifacts match");
             return Ok(ExitCode::SUCCESS);
         }
-        if a.characterization().plan != b.characterization().plan {
+        if a.plan() != b.plan() {
             println!("campaign plans differ");
         } else {
             println!("same plan, different characterizations");

@@ -372,3 +372,41 @@ fn characterize_checks_the_model_against_the_channels_in_every_mode() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn diff_compares_characterization_artifacts_of_either_kind_by_plan() {
+    let dir = labdir("diff-kinds");
+    for mode in ["golden", "reference-free"] {
+        for seed in ["1", "2"] {
+            expect_success(&htd(
+                &dir,
+                &[
+                    "characterize",
+                    "--out",
+                    &format!("{mode}-{seed}.htd"),
+                    "--mode",
+                    mode,
+                    "--dies",
+                    "3",
+                    "--pairs",
+                    "1",
+                    "--reps",
+                    "1",
+                    "--seed",
+                    seed,
+                    "--channels",
+                    "em",
+                ],
+            ));
+        }
+        let a = format!("{mode}-1.htd");
+        let b = format!("{mode}-2.htd");
+        let out = htd(&dir, &["diff", &a, &a]);
+        assert_eq!(out.status.code(), Some(0), "--mode {mode}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("artifacts match"));
+        let out = htd(&dir, &["diff", &a, &b]);
+        assert_eq!(out.status.code(), Some(1), "--mode {mode}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("campaign plans differ"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

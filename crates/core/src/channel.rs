@@ -8,7 +8,8 @@
 //!    devices (the delay channel aims its glitch sweep here; trace
 //!    channels need no calibration),
 //! 2. **acquire** — one raw measurement per device (a trace, or a
-//!    mean-onset matrix),
+//!    mean-onset matrix), one attempt under a fault plan that may
+//!    quarantine the attempt's internal repetitions,
 //! 3. **characterize_golden** — fold the golden acquisitions into the
 //!    channel's population reference (`E_n(G)` / the mean onset matrix),
 //! 4. **score** — reduce one acquisition against the reference to a
@@ -32,7 +33,7 @@ use htd_faults::{FaultPlan, RepHealth};
 use htd_timing::GlitchParams;
 
 use crate::campaign::CampaignPlan;
-use crate::delay_detect::{measure_matrix_faulted, measure_matrix_with, DelayMatrix};
+use crate::delay_detect::{measure_matrix_faulted, DelayMatrix};
 use crate::em_detect::{SideChannel, TraceMetric};
 use crate::error::Error;
 use crate::{Engine, ProgrammedDevice};
@@ -156,41 +157,22 @@ pub trait Channel: Sync {
         Ok(Calibration::None)
     }
 
-    /// Acquires one device's raw measurement. `seed` comes from the
-    /// plan's seed tree ([`CampaignPlan::die_seed`] /
-    /// [`CampaignPlan::spec_die_seed`]) and must fully determine the
-    /// measurement noise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation and calibration-shape failures.
-    fn acquire(
-        &self,
-        engine: &Engine,
-        device: &ProgrammedDevice<'_>,
-        plan: &CampaignPlan,
-        calibration: &Calibration,
-        seed: u64,
-    ) -> Result<Acquisition, Error>;
-
-    /// [`Channel::acquire`] under a [`FaultPlan`]: one acquisition
-    /// attempt whose internal repetitions may be quarantined. Returns
-    /// `Ok(None)` when injected repetition faults destroy the whole
-    /// attempt (a delay sweep losing every repetition of some pair) —
-    /// the caller re-acquires with a fresh [`htd_faults::retry_seed`].
-    /// `ctx` names the attempt (channel index, population tag, die
-    /// index, attempt number) so fault decisions stay index-pure.
-    ///
-    /// The default implementation is for channels without internal
-    /// repetitions: it delegates to [`Channel::acquire`] and reports a
-    /// fault-free [`RepHealth`]. Fed [`FaultPlan::none`], every
-    /// implementation must be bit-identical to [`Channel::acquire`].
+    /// One acquisition attempt on one device. `seed` (from the plan's
+    /// seed tree, through [`htd_faults::retry_seed`]) must fully
+    /// determine the measurement noise; `ctx` (channel index, population
+    /// tag, die index, attempt) keys the fault decisions of the
+    /// attempt's internal repetitions. Returns `Ok(None)` when injected
+    /// faults destroy the whole attempt (a delay sweep losing every
+    /// repetition of some pair); channels without repetitions ignore
+    /// `faults` and report a fault-free [`RepHealth`]. Under
+    /// [`FaultPlan::none`] an attempt is the fault-oblivious measurement,
+    /// bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates simulation and calibration-shape failures.
     #[allow(clippy::too_many_arguments)]
-    fn acquire_faulted(
+    fn acquire(
         &self,
         engine: &Engine,
         device: &ProgrammedDevice<'_>,
@@ -199,13 +181,7 @@ pub trait Channel: Sync {
         seed: u64,
         faults: &FaultPlan,
         ctx: &[u64; 4],
-    ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
-        let _ = (faults, ctx);
-        Ok(Some((
-            self.acquire(engine, device, plan, calibration, seed)?,
-            RepHealth::default(),
-        )))
-    }
+    ) -> Result<Option<(Acquisition, RepHealth)>, Error>;
 
     /// Folds the golden acquisitions into the channel's population
     /// reference.
@@ -265,10 +241,11 @@ impl Channel for EmChannel {
         plan: &CampaignPlan,
         _calibration: &Calibration,
         seed: u64,
-    ) -> Result<Acquisition, Error> {
-        Ok(Acquisition::Trace(
-            device.acquire_em_trace(&plan.pt, &plan.key, seed)?,
-        ))
+        _faults: &FaultPlan,
+        _ctx: &[u64; 4],
+    ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
+        let trace = device.acquire_em_trace(&plan.pt, &plan.key, seed)?;
+        Ok(Some((Acquisition::Trace(trace), RepHealth::default())))
     }
 
     fn characterize_golden(
@@ -316,10 +293,11 @@ impl Channel for PowerChannel {
         plan: &CampaignPlan,
         _calibration: &Calibration,
         seed: u64,
-    ) -> Result<Acquisition, Error> {
-        Ok(Acquisition::Trace(
-            device.acquire_power_trace(&plan.pt, &plan.key, seed)?,
-        ))
+        _faults: &FaultPlan,
+        _ctx: &[u64; 4],
+    ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
+        let trace = device.acquire_power_trace(&plan.pt, &plan.key, seed)?;
+        Ok(Some((Acquisition::Trace(trace), RepHealth::default())))
     }
 
     fn characterize_golden(
@@ -390,21 +368,6 @@ impl Channel for DelayChannel {
     }
 
     fn acquire(
-        &self,
-        engine: &Engine,
-        device: &ProgrammedDevice<'_>,
-        plan: &CampaignPlan,
-        calibration: &Calibration,
-        seed: u64,
-    ) -> Result<Acquisition, Error> {
-        let params = calibration.glitch(self.name())?;
-        let campaign = plan.delay_campaign();
-        Ok(Acquisition::Matrix(measure_matrix_with(
-            engine, device, &campaign, params, seed,
-        )?))
-    }
-
-    fn acquire_faulted(
         &self,
         engine: &Engine,
         device: &ProgrammedDevice<'_>,

@@ -14,11 +14,11 @@
 //!    decision threshold are evidence of an HT; more pairs sample more
 //!    bits and accumulate more evidence (Section III-B).
 //!
-//! Every measurement entry point has an [`Engine`]-taking `*_with`
-//! variant that fans the campaign (settle simulation per pair, then one
-//! task per pair × repetition cell) across the engine's worker pool.
-//! Noise streams are derived from cell indices, never from scheduling
-//! order, so the results are bit-identical for every worker count.
+//! The `*_with` entry points fan the campaign (settle simulation per
+//! pair, then one task per pair × repetition cell) across an [`Engine`]'s
+//! worker pool; the others run on the default engine. Noise streams are
+//! derived from cell indices, never from scheduling order, so the
+//! results are bit-identical for every worker count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,23 +114,6 @@ fn rep_noise_seed(campaign_seed: u64, noise_salt: u64, pair_idx: usize, rep: usi
 /// Measures the mean-onset matrix of `device` under `campaign` using
 /// `params`. `noise_salt` decorrelates the `dM` draws of independent
 /// characterisations (golden vs DUT runs — `r1` vs `r2` in Eqns. 2–3).
-///
-/// Uses the default (auto-sized) [`Engine`]; results do not depend on the
-/// worker count.
-///
-/// # Errors
-///
-/// Propagates settle-time simulation failures.
-pub fn measure_matrix(
-    device: &ProgrammedDevice<'_>,
-    campaign: &DelayCampaign,
-    params: &GlitchParams,
-    noise_salt: u64,
-) -> Result<DelayMatrix, Error> {
-    measure_matrix_with(&Engine::default(), device, campaign, params, noise_salt)
-}
-
-/// [`measure_matrix`] on an explicit [`Engine`].
 ///
 /// The campaign fans in two stages: settle-time simulation per pair
 /// (through the device's settle cache), then one task per
@@ -369,46 +352,19 @@ impl DelayDetector {
         device: &ProgrammedDevice<'_>,
         noise_salt: u64,
     ) -> Result<DelayEvidence, Error> {
-        self.examine_with(&Engine::default(), device, noise_salt)
+        let n_pairs = self.golden.campaign.pairs.len();
+        self.examine_pairs_with(&Engine::default(), device, noise_salt, n_pairs)
     }
 
-    /// [`DelayDetector::examine`] on an explicit [`Engine`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates settle-time simulation failures.
-    pub fn examine_with(
-        &self,
-        engine: &Engine,
-        device: &ProgrammedDevice<'_>,
-        noise_salt: u64,
-    ) -> Result<DelayEvidence, Error> {
-        self.examine_pairs_with(engine, device, noise_salt, self.golden.campaign.pairs.len())
-    }
-
-    /// Like [`DelayDetector::examine`] but using only the first
-    /// `n_pairs` pairs — the evidence-vs-pairs ablation of Section III-B.
+    /// Like [`DelayDetector::examine`] on an explicit [`Engine`], using
+    /// only the first `n_pairs` pairs — the evidence-vs-pairs ablation of
+    /// Section III-B.
     ///
     /// # Errors
     ///
     /// [`Error::PairCountExceedsCampaign`] if `n_pairs` exceeds the golden
     /// campaign (the extra pairs would have no golden rows to compare
     /// against).
-    pub fn examine_pairs(
-        &self,
-        device: &ProgrammedDevice<'_>,
-        noise_salt: u64,
-        n_pairs: usize,
-    ) -> Result<DelayEvidence, Error> {
-        self.examine_pairs_with(&Engine::default(), device, noise_salt, n_pairs)
-    }
-
-    /// [`DelayDetector::examine_pairs`] on an explicit [`Engine`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::PairCountExceedsCampaign`] if `n_pairs` exceeds the golden
-    /// campaign.
     pub fn examine_pairs_with(
         &self,
         engine: &Engine,

@@ -12,16 +12,15 @@
 //!   false-positive/false-negative trade-off of Eq. (5).
 
 use htd_em::Trace;
-use htd_fabric::DieVariation;
 use htd_stats::peaks::sum_of_local_maxima;
 use htd_stats::Gaussian;
 use htd_trojan::TrojanSpec;
 
 use crate::campaign::CampaignPlan;
-use crate::channel::{trace_channel, Calibration, Channel, GoldenReference};
+use crate::channel::{trace_channel, Channel};
 use crate::error::Error;
-use crate::fusion::{characterize, score, Campaign, GoldenCharacterization};
-use crate::{Design, Engine, Lab, ProgrammedDevice};
+use crate::fusion::{characterize, fit_population, score, Campaign, GoldenCharacterization};
+use crate::{Engine, Lab};
 
 /// Which measurement chain an experiment uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,9 +138,12 @@ pub struct EmGoldenModel {
     pub gaussian: Gaussian,
 }
 
-/// Characterises the golden population over a batch of dies: one averaged
-/// acquisition per die with a fixed (but arbitrary) plaintext, as in
-/// Section V-A.
+/// Characterises the golden population over a batch of `n_dies` dies
+/// (`lab.fabricate_batch(n_dies)`): one averaged acquisition per die with
+/// a fixed (but arbitrary) plaintext, as in Section V-A. This is
+/// [`characterize`] with the chain's sum-of-local-maxima trace channel
+/// under the default [`Campaign`], so the model is bit-identical for
+/// every worker count.
 ///
 /// # Errors
 ///
@@ -150,93 +152,23 @@ pub struct EmGoldenModel {
 /// metrics have no spread; simulation failures otherwise.
 pub fn characterize_em_golden(
     lab: &Lab,
-    golden: &Design,
-    dies: &[DieVariation],
+    n_dies: usize,
     chain: SideChannel,
     pt: &[u8; 16],
     key: &[u8; 16],
     seed: u64,
 ) -> Result<EmGoldenModel, Error> {
-    characterize_em_golden_with(
-        &Engine::default(),
-        lab,
-        golden,
-        dies,
-        chain,
-        TraceMetric::SumOfLocalMaxima,
-        pt,
-        key,
-        seed,
-    )
-}
-
-/// [`characterize_em_golden`] with an explicit [`TraceMetric`] and
-/// [`Engine`]. Runs the [`Channel`] stages of
-/// the chain's trace channel: acquisitions fan across the engine's
-/// workers with index-derived seeds, so the model is bit-identical for
-/// every worker count.
-///
-/// # Errors
-///
-/// See [`characterize_em_golden`].
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_em_golden_with(
-    engine: &Engine,
-    lab: &Lab,
-    golden: &Design,
-    dies: &[DieVariation],
-    chain: SideChannel,
-    metric: TraceMetric,
-    pt: &[u8; 16],
-    key: &[u8; 16],
-    seed: u64,
-) -> Result<EmGoldenModel, Error> {
-    if dies.len() < 2 {
-        return Err(Error::NotEnoughDies {
-            got: dies.len(),
-            need: 2,
-        });
-    }
-    let plan = CampaignPlan::traces(dies.len(), *pt, *key, seed);
-    let channel = trace_channel(chain, metric);
-    let calibration = Calibration::None;
-    let acquisitions = engine
-        .map(dies, |j, die| {
-            let dev = ProgrammedDevice::new(lab, golden, die);
-            channel.acquire(
-                &Engine::serial(),
-                &dev,
-                &plan,
-                &calibration,
-                plan.die_seed(j),
-            )
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    let reference = channel.characterize_golden(&acquisitions, &calibration)?;
-    let golden_metrics = acquisitions
-        .iter()
-        .map(|a| channel.score(a, &reference, &calibration))
-        .collect::<Result<Vec<f64>, _>>()?;
-    let gaussian =
-        Gaussian::fit(&golden_metrics).map_err(|source| Error::DegeneratePopulation {
-            channel: channel.name().to_string(),
-            samples: golden_metrics.len(),
-            source,
-        })?;
-    let mean_trace = match reference {
-        GoldenReference::MeanTrace(t) => t,
-        GoldenReference::MeanMatrix(_) => {
-            return Err(Error::ChannelShapeMismatch {
-                channel: channel.name().to_string(),
-                expected: "mean-trace reference",
-            })
-        }
-    };
+    let plan = CampaignPlan::traces(n_dies, *pt, *key, seed);
+    let channel = trace_channel(chain, TraceMetric::SumOfLocalMaxima);
+    let mut charac: GoldenCharacterization =
+        characterize(&Campaign::default(), lab, &plan, &[&*channel])?;
+    // Under the strict default policy the one channel survives or
+    // `characterize` fails.
+    let state = charac.states.swap_remove(0);
     Ok(EmGoldenModel {
-        mean_trace,
-        golden_metrics,
-        gaussian,
+        mean_trace: state.reference.mean_trace(channel.name())?.clone(),
+        gaussian: fit_population(channel.name(), &state.scores)?,
+        golden_metrics: state.scores,
     })
 }
 

@@ -758,7 +758,7 @@ fn acquire_population_faulted(
             return Attempt::Faulted;
         }
         let seed = retry_seed(seed_of(j), attempt);
-        match channel.acquire_faulted(
+        match channel.acquire(
             &engine.serial_like(),
             &devs[j],
             plan,

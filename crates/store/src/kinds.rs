@@ -1,7 +1,14 @@
 //! The [`Artifact`] trait and its implementation for every storable
 //! kind: campaign plans, calibrations, acquisitions, golden references,
-//! per-channel Gaussian fits, scored channels, rendered reports, and the
-//! composite golden characterization.
+//! per-channel Gaussian fits, scored channels, rendered reports,
+//! classifiers, and the composite characterization artifact.
+//!
+//! The `golden` and `reffree` characterizations are one generic
+//! [`CharacterizationArtifact`] with one writer and one (strict or
+//! salvaging) parser. After the plan, each channel block is
+//! `channel <spec>`, the calibration, the per-kind lines, `scores`, and
+//! the optional `kept` / `channel-health` markers; an optional `lost`
+//! section ends the body.
 
 use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Acquisition, Calibration, Channel, ChannelSpec, GoldenReference};
@@ -327,6 +334,354 @@ impl Artifact for MultiChannelReport {
     }
 }
 
+/// A characterization stored as a [`CharacterizationArtifact`]: the kind
+/// supplies its token and the per-kind lines of a channel block; the
+/// artifact reads everything else through [`Reference`].
+pub trait StoredCharacterization: Reference + Sized {
+    /// The kind token written into the artifact header.
+    const KIND: &'static str;
+
+    /// What the per-kind lines of one channel block hold.
+    type Lines;
+
+    /// Appends the per-kind lines of channel `c`.
+    fn write_lines(&self, c: usize, w: &mut BodyWriter);
+
+    /// Parses the lines [`StoredCharacterization::write_lines`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Format`] on any grammar or value violation.
+    fn parse_lines(p: &mut Parser<'_>) -> Result<Self::Lines, Error>;
+
+    /// Appends one parsed channel's state.
+    fn push_stored(
+        &mut self,
+        channel: String,
+        calibration: Calibration,
+        lines: Self::Lines,
+        scores: Vec<f64>,
+        kept: Vec<usize>,
+        health: ChannelHealth,
+    );
+
+    /// Checks what the per-kind lines must agree with. The default has
+    /// nothing to check.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ChannelShapeMismatch`] naming the inconsistent channel.
+    fn check(&self) -> Result<(), Error> {
+        Ok(())
+    }
+}
+
+/// Golden mode: the per-kind lines are the channel's golden reference
+/// payload.
+impl StoredCharacterization for GoldenCharacterization {
+    const KIND: &'static str = "golden";
+    type Lines = GoldenReference;
+
+    fn write_lines(&self, c: usize, w: &mut BodyWriter) {
+        write_payload(w, &self.states[c].reference.clone().into());
+    }
+
+    fn parse_lines(p: &mut Parser<'_>) -> Result<GoldenReference, Error> {
+        Ok(parse_payload(p)?.into_reference())
+    }
+
+    fn push_stored(
+        &mut self,
+        channel: String,
+        calibration: Calibration,
+        reference: GoldenReference,
+        scores: Vec<f64>,
+        kept: Vec<usize>,
+        health: ChannelHealth,
+    ) {
+        self.states.push(ChannelState {
+            channel,
+            calibration,
+            reference,
+            scores,
+            kept,
+            health,
+        });
+    }
+}
+
+/// Reference-free mode: the per-kind line is the `reffree-fit` of the
+/// baseline self-scores; no reference payload exists.
+impl StoredCharacterization for ReferenceFreeCharacterization {
+    const KIND: &'static str = "reffree";
+    type Lines = ReferenceFreeFit;
+
+    fn write_lines(&self, c: usize, w: &mut BodyWriter) {
+        let fit = &self.states[c].fit;
+        w.line(format!(
+            "reffree-fit {} {} {}",
+            fmt_f64(fit.mean),
+            fmt_f64(fit.std),
+            fit.n_dies,
+        ));
+    }
+
+    fn parse_lines(p: &mut Parser<'_>) -> Result<ReferenceFreeFit, Error> {
+        let rest = p.keyword_line("reffree-fit")?;
+        let mut words = rest.split_whitespace();
+        let mut next = || {
+            words
+                .next()
+                .ok_or_else(|| p.error("reffree-fit needs mean, std and die count"))
+        };
+        let mean = parse_f64(next()?).map_err(|e| p.error(e))?;
+        let std = parse_f64(next()?).map_err(|e| p.error(e))?;
+        let n_dies = parse_usize(next()?).map_err(|e| p.error(e))?;
+        if words.next().is_some() {
+            return Err(p.error("trailing tokens after reffree-fit"));
+        }
+        Ok(ReferenceFreeFit { mean, std, n_dies })
+    }
+
+    fn push_stored(
+        &mut self,
+        channel: String,
+        calibration: Calibration,
+        fit: ReferenceFreeFit,
+        self_scores: Vec<f64>,
+        kept: Vec<usize>,
+        health: ChannelHealth,
+    ) {
+        self.states.push(ReferenceFreeState {
+            channel,
+            calibration,
+            self_scores,
+            fit,
+            kept,
+            health,
+        });
+    }
+
+    fn check(&self) -> Result<(), Error> {
+        for state in &self.states {
+            let fit = &state.fit;
+            let expected = if fit.n_dies != state.self_scores.len() {
+                "a baseline fit over every self-score"
+            } else if !(fit.std > 0.0 && fit.std.is_finite() && fit.mean.is_finite()) {
+                "a finite baseline fit with positive spread"
+            } else {
+                continue;
+            };
+            return Err(Error::ChannelShapeMismatch {
+                channel: state.channel.clone(),
+                expected,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The composite characterization artifact: the channel construction
+/// recipes plus the full characterization. Loading one is everything
+/// `htd score` needs — no re-measurement, no out-of-band channel
+/// knowledge.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CharacterizationArtifact<C> {
+    specs: Vec<ChannelSpec>,
+    charac: C,
+}
+
+/// The `golden` artifact: channel recipes plus a
+/// [`GoldenCharacterization`].
+pub type GoldenArtifact = CharacterizationArtifact<GoldenCharacterization>;
+
+/// The `reffree` artifact: channel recipes plus a
+/// [`ReferenceFreeCharacterization`] — per channel only the calibration,
+/// the baseline self-scores and their fit travel.
+pub type ReferenceFreeArtifact = CharacterizationArtifact<ReferenceFreeCharacterization>;
+
+impl<C: StoredCharacterization> CharacterizationArtifact<C> {
+    /// Binds channel specs to a characterization they produced.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ChannelShapeMismatch`] when the spec list does not match
+    /// the characterization's channel states (count or name order), when
+    /// a state's score count differs from its kept-die count, when the
+    /// kept dies are not a strictly ascending subset of the plan's dies
+    /// (at least two of them), when a surviving state is marked lost, or
+    /// when the kind's own check fails (a reference-free fit not over
+    /// every self-score, or without a finite positive spread).
+    pub fn new(specs: Vec<ChannelSpec>, charac: C) -> Result<Self, Error> {
+        check_stored_channels(&specs, &charac)?;
+        charac.check()?;
+        Ok(CharacterizationArtifact { specs, charac })
+    }
+
+    /// The channel construction recipes, in execution order.
+    pub fn specs(&self) -> &[ChannelSpec] {
+        &self.specs
+    }
+
+    /// The stored characterization.
+    pub fn characterization(&self) -> &C {
+        &self.charac
+    }
+
+    /// Consumes the artifact into its characterization.
+    pub fn into_characterization(self) -> C {
+        self.charac
+    }
+
+    /// Rebuilds the live channels the stored specs describe, in order.
+    pub fn build_channels(&self) -> Vec<Box<dyn Channel>> {
+        self.specs.iter().map(ChannelSpec::build).collect()
+    }
+
+    /// Parses one channel block and appends it to `charac`: the spec
+    /// token, calibration, per-kind lines, scores, and the optional
+    /// degradation markers (`kept`, `channel-health`) whose absence
+    /// reconstructs a pristine state exactly.
+    fn parse_block(p: &mut Parser<'_>, charac: &mut C) -> Result<ChannelSpec, Error> {
+        let token = p.keyword_line("channel")?;
+        let spec = ChannelSpec::from_token(token)
+            .ok_or_else(|| p.error(format!("unknown channel spec `{token}`")))?;
+        let calibration = parse_calibration(p)?;
+        let lines = C::parse_lines(p)?;
+        let scores = parse_f64_list(p, "scores")?;
+        let kept = if p.peek().is_some_and(|l| l.starts_with("kept ")) {
+            let rest = p.keyword_line("kept")?;
+            let mut words = rest.split_whitespace();
+            let n = parse_usize(words.next().ok_or_else(|| p.error("kept needs a count"))?)
+                .map_err(|e| p.error(e))?;
+            let kept: Vec<usize> = words
+                .map(parse_usize)
+                .collect::<Result<_, _>>()
+                .map_err(|e| p.error(e))?;
+            if kept.len() != n {
+                return Err(p.error(format!("kept declares {n} dies but lists {}", kept.len())));
+            }
+            kept
+        } else {
+            (0..scores.len()).collect()
+        };
+        let health = if p.peek().is_some_and(|l| l.starts_with("channel-health ")) {
+            parse_health(p)?
+        } else {
+            ChannelHealth::pristine(spec.name(), scores.len())
+        };
+        charac.push_stored(
+            spec.name().to_string(),
+            calibration,
+            lines,
+            scores,
+            kept,
+            health,
+        );
+        Ok(spec)
+    }
+
+    /// Parses a body: the plan, the channel blocks and the optional
+    /// `lost` section. Without `salvage` any damage fails the parse. With
+    /// it, a corrupt line costs only its own block — the reader rewinds
+    /// to the block boundary, drops it, and resyncs at the next
+    /// `channel ` line — and the 0-based indices of the dropped body
+    /// lines are returned.
+    fn parse_blocks(p: &mut Parser<'_>, salvage: bool) -> Result<(Self, Vec<usize>), Error> {
+        let mut dropped = Vec::new();
+        let mut charac = C::empty(parse_plan(p)?);
+        let n_channels = parse_usize(p.keyword_line("channels")?.trim()).map_err(|e| p.error(e))?;
+        if !salvage && n_channels > p.remaining() {
+            return Err(p.error(format!(
+                "{} artifact declares {n_channels} channels but only {} lines remain",
+                C::KIND,
+                p.remaining()
+            )));
+        }
+        let mut specs = Vec::new();
+        while specs.len() < n_channels {
+            if salvage && p.peek().is_none_or(|l| l.starts_with("lost ")) {
+                break;
+            }
+            let mark = p.save();
+            match Self::parse_block(p, &mut charac) {
+                Ok(spec) => specs.push(spec),
+                Err(e) if !salvage => return Err(e),
+                Err(_) => {
+                    p.restore(mark);
+                    dropped.push(mark);
+                    let _ = p.next_line();
+                    dropped.extend(p.skip_to_prefix("channel "));
+                }
+            }
+        }
+        let mark = p.save();
+        let lost = match parse_lost_section(p) {
+            Ok(lost) => lost,
+            Err(e) if !salvage => return Err(e),
+            Err(_) => {
+                p.restore(mark);
+                while p.peek().is_some() {
+                    dropped.push(p.save());
+                    let _ = p.next_line();
+                }
+                Vec::new()
+            }
+        };
+        if salvage && specs.is_empty() {
+            return Err(p.error("no channel block survived salvage"));
+        }
+        for h in lost {
+            charac.push_lost(h);
+        }
+        let artifact = Self::new(specs, charac)
+            .map_err(|e| p.error(format!("inconsistent {} artifact: {e}", C::KIND)))?;
+        Ok((artifact, dropped))
+    }
+}
+
+impl<C: StoredCharacterization> Artifact for CharacterizationArtifact<C> {
+    const KIND: &'static str = C::KIND;
+
+    fn write_body(&self, w: &mut BodyWriter) {
+        write_plan(w, self.charac.plan());
+        w.line(format!("channels {}", self.specs.len()));
+        for (c, (spec, state)) in self.specs.iter().zip(self.charac.channels()).enumerate() {
+            w.line(format!("channel {}", spec.token()));
+            write_calibration(w, state.calibration);
+            self.charac.write_lines(c, w);
+            write_f64_list(w, "scores", state.scores);
+            // Degradation markers are only written when present, keeping
+            // pristine artifacts on their historical byte layout.
+            if state.kept.iter().copied().ne(0..state.scores.len()) {
+                let mut line = format!("kept {}", state.kept.len());
+                for &k in state.kept {
+                    line.push_str(&format!(" {k}"));
+                }
+                w.line(line);
+            }
+            if !state.health.is_pristine(state.scores.len()) {
+                write_health(w, state.health);
+            }
+        }
+        let lost = self.charac.lost();
+        if !lost.is_empty() {
+            w.line(format!("lost {}", lost.len()));
+            for h in lost {
+                write_health(w, h);
+            }
+        }
+    }
+
+    fn parse_body(p: &mut Parser<'_>) -> Result<Self, Error> {
+        Ok(Self::parse_blocks(p, false)?.0)
+    }
+
+    fn parse_body_salvage(p: &mut Parser<'_>) -> Result<(Self, Vec<usize>), Error> {
+        Self::parse_blocks(p, true)
+    }
+}
+
 /// Checks a spec list against the channels of a characterization it is
 /// stored with: one spec per surviving channel in execution order, one
 /// score per kept die, at least two kept dies strictly ascending within
@@ -368,199 +723,8 @@ fn check_stored_channels(specs: &[ChannelSpec], reference: &dyn Reference) -> Re
     Ok(())
 }
 
-/// The composite golden artifact: the channel construction recipes plus
-/// the full [`GoldenCharacterization`]. Loading one is everything `htd
-/// score` needs — no re-measurement, no out-of-band channel knowledge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GoldenArtifact {
-    specs: Vec<ChannelSpec>,
-    charac: GoldenCharacterization,
-}
-
-impl GoldenArtifact {
-    /// Binds channel specs to a characterization they produced.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChannelShapeMismatch`] when the spec list does not match
-    /// the characterization's channel states (count or name order), when
-    /// a state's golden-score count differs from its kept-die count,
-    /// when the kept dies are not a strictly ascending subset of the
-    /// plan's dies (at least two of them), or when a surviving state is
-    /// marked lost.
-    pub fn new(specs: Vec<ChannelSpec>, charac: GoldenCharacterization) -> Result<Self, Error> {
-        check_stored_channels(&specs, &charac)?;
-        Ok(GoldenArtifact { specs, charac })
-    }
-
-    /// The channel construction recipes, in execution order.
-    pub fn specs(&self) -> &[ChannelSpec] {
-        &self.specs
-    }
-
-    /// The stored characterization.
-    pub fn characterization(&self) -> &GoldenCharacterization {
-        &self.charac
-    }
-
-    /// Consumes the artifact into its characterization.
-    pub fn into_characterization(self) -> GoldenCharacterization {
-        self.charac
-    }
-
-    /// Rebuilds the live channels the stored specs describe, in order.
-    pub fn build_channels(&self) -> Vec<Box<dyn Channel>> {
-        self.specs.iter().map(ChannelSpec::build).collect()
-    }
-}
-
-impl Artifact for GoldenArtifact {
-    const KIND: &'static str = "golden";
-
-    fn write_body(&self, w: &mut BodyWriter) {
-        write_plan(w, &self.charac.plan);
-        w.line(format!("channels {}", self.specs.len()));
-        for (spec, state) in self.specs.iter().zip(&self.charac.states) {
-            w.line(format!("channel {}", spec.token()));
-            write_calibration(w, &state.calibration);
-            write_payload(w, &state.reference.clone().into());
-            write_f64_list(w, "scores", &state.scores);
-            // Degradation markers are only written when present, keeping
-            // pristine artifacts on their historical byte layout.
-            if state.kept.iter().copied().ne(0..state.scores.len()) {
-                let mut line = format!("kept {}", state.kept.len());
-                for &k in &state.kept {
-                    line.push_str(&format!(" {k}"));
-                }
-                w.line(line);
-            }
-            if !state.health.is_pristine(state.scores.len()) {
-                write_health(w, &state.health);
-            }
-        }
-        if !self.charac.lost.is_empty() {
-            w.line(format!("lost {}", self.charac.lost.len()));
-            for h in &self.charac.lost {
-                write_health(w, h);
-            }
-        }
-    }
-
-    fn parse_body(p: &mut Parser<'_>) -> Result<Self, Error> {
-        let plan = parse_plan(p)?;
-        let n_channels = parse_usize(p.keyword_line("channels")?.trim()).map_err(|e| p.error(e))?;
-        if n_channels > p.remaining() {
-            return Err(p.error(format!(
-                "golden artifact declares {n_channels} channels but only {} lines remain",
-                p.remaining()
-            )));
-        }
-        let mut specs = Vec::with_capacity(n_channels);
-        let mut states = Vec::with_capacity(n_channels);
-        for _ in 0..n_channels {
-            let (spec, state) = parse_channel_block(p)?;
-            states.push(state);
-            specs.push(spec);
-        }
-        let lost = parse_lost_section(p)?;
-        GoldenArtifact::new(specs, GoldenCharacterization { plan, states, lost })
-            .map_err(|e| p.error(format!("inconsistent golden artifact: {e}")))
-    }
-
-    /// Golden bodies are block-structured (one block per channel), so a
-    /// corrupt line costs only its own block: the reader rewinds to the
-    /// block boundary, drops it, and resyncs at the next `channel ` line.
-    fn parse_body_salvage(p: &mut Parser<'_>) -> Result<(Self, Vec<usize>), Error> {
-        let mut dropped = Vec::new();
-        let plan = parse_plan(p)?;
-        let n_channels = parse_usize(p.keyword_line("channels")?.trim()).map_err(|e| p.error(e))?;
-        let mut specs = Vec::new();
-        let mut states = Vec::new();
-        while specs.len() < n_channels {
-            match p.peek() {
-                None => break,
-                Some(l) if l.starts_with("lost ") => break,
-                Some(_) => {}
-            }
-            let mark = p.save();
-            match parse_channel_block(p) {
-                Ok((spec, state)) => {
-                    specs.push(spec);
-                    states.push(state);
-                }
-                Err(_) => {
-                    p.restore(mark);
-                    dropped.push(p.save());
-                    let _ = p.next_line();
-                    dropped.extend(p.skip_to_prefix("channel "));
-                }
-            }
-        }
-        let mark = p.save();
-        let lost = match parse_lost_section(p) {
-            Ok(lost) => lost,
-            Err(_) => {
-                p.restore(mark);
-                while p.peek().is_some() {
-                    dropped.push(p.save());
-                    let _ = p.next_line();
-                }
-                Vec::new()
-            }
-        };
-        if states.is_empty() {
-            return Err(p.error("no channel block survived salvage"));
-        }
-        let artifact = GoldenArtifact::new(specs, GoldenCharacterization { plan, states, lost })
-            .map_err(|e| p.error(format!("inconsistent golden artifact: {e}")))?;
-        Ok((artifact, dropped))
-    }
-}
-
-/// Parses one golden channel block: the spec token, calibration,
-/// reference payload, scores, and the optional degradation markers
-/// (`kept`, `channel-health`) whose absence reconstructs a pristine
-/// state exactly.
-fn parse_channel_block(p: &mut Parser<'_>) -> Result<(ChannelSpec, ChannelState), Error> {
-    let token = p.keyword_line("channel")?;
-    let spec = ChannelSpec::from_token(token)
-        .ok_or_else(|| p.error(format!("unknown channel spec `{token}`")))?;
-    let calibration = parse_calibration(p)?;
-    let reference = parse_payload(p)?.into_reference();
-    let scores = parse_f64_list(p, "scores")?;
-    let kept = if p.peek().is_some_and(|l| l.starts_with("kept ")) {
-        let rest = p.keyword_line("kept")?;
-        let mut words = rest.split_whitespace();
-        let n = parse_usize(words.next().ok_or_else(|| p.error("kept needs a count"))?)
-            .map_err(|e| p.error(e))?;
-        let kept: Vec<usize> = words
-            .map(parse_usize)
-            .collect::<Result<_, _>>()
-            .map_err(|e| p.error(e))?;
-        if kept.len() != n {
-            return Err(p.error(format!("kept declares {n} dies but lists {}", kept.len())));
-        }
-        kept
-    } else {
-        (0..scores.len()).collect()
-    };
-    let health = if p.peek().is_some_and(|l| l.starts_with("channel-health ")) {
-        parse_health(p)?
-    } else {
-        ChannelHealth::pristine(spec.name(), scores.len())
-    };
-    let state = ChannelState {
-        channel: spec.name().to_string(),
-        calibration,
-        reference,
-        scores,
-        kept,
-        health,
-    };
-    Ok((spec, state))
-}
-
-/// Parses the optional trailing `lost` section of a golden body.
+/// Parses the optional trailing `lost` section of a characterization
+/// body.
 fn parse_lost_section(p: &mut Parser<'_>) -> Result<Vec<ChannelHealth>, Error> {
     if !p.peek().is_some_and(|l| l.starts_with("lost ")) {
         return Ok(Vec::new());
@@ -820,242 +984,6 @@ fn parse_classifier_trailer(p: &mut Parser<'_>, model: &mut LogisticModel) -> Re
         )));
     }
     Ok(())
-}
-
-/// The composite reference-free artifact: the channel recipes plus the
-/// full [`ReferenceFreeCharacterization`]. Loading one is everything
-/// `htd score` needs to score a suspect lot without any golden
-/// reference — per channel only the calibration, the baseline
-/// self-scores and their fit travel; no reference payload exists.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReferenceFreeArtifact {
-    specs: Vec<ChannelSpec>,
-    charac: ReferenceFreeCharacterization,
-}
-
-impl ReferenceFreeArtifact {
-    /// Binds channel specs to a reference-free characterization they
-    /// produced.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChannelShapeMismatch`] when the spec list does not match
-    /// the characterization's states (count or name order), when a
-    /// state's self-score count differs from its kept-die count or its
-    /// fit's die count, when the kept dies are not a strictly ascending
-    /// subset of the plan's dies (at least two of them), when a fit's
-    /// spread is not positive, or when a surviving state is marked lost.
-    pub fn new(
-        specs: Vec<ChannelSpec>,
-        charac: ReferenceFreeCharacterization,
-    ) -> Result<Self, Error> {
-        check_stored_channels(&specs, &charac)?;
-        for state in &charac.states {
-            if state.fit.n_dies != state.self_scores.len() {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "a baseline fit over every self-score",
-                });
-            }
-            if !(state.fit.std > 0.0 && state.fit.std.is_finite() && state.fit.mean.is_finite()) {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "a finite baseline fit with positive spread",
-                });
-            }
-        }
-        Ok(ReferenceFreeArtifact { specs, charac })
-    }
-
-    /// The channel construction recipes, in execution order.
-    pub fn specs(&self) -> &[ChannelSpec] {
-        &self.specs
-    }
-
-    /// The stored characterization.
-    pub fn characterization(&self) -> &ReferenceFreeCharacterization {
-        &self.charac
-    }
-
-    /// Consumes the artifact into its characterization.
-    pub fn into_characterization(self) -> ReferenceFreeCharacterization {
-        self.charac
-    }
-
-    /// Rebuilds the live channels the stored specs describe, in order.
-    pub fn build_channels(&self) -> Vec<Box<dyn Channel>> {
-        self.specs.iter().map(ChannelSpec::build).collect()
-    }
-}
-
-impl Artifact for ReferenceFreeArtifact {
-    const KIND: &'static str = "reffree";
-
-    fn write_body(&self, w: &mut BodyWriter) {
-        write_plan(w, &self.charac.plan);
-        w.line(format!("channels {}", self.specs.len()));
-        for (spec, state) in self.specs.iter().zip(&self.charac.states) {
-            w.line(format!("channel {}", spec.token()));
-            write_calibration(w, &state.calibration);
-            w.line(format!(
-                "reffree-fit {} {} {}",
-                fmt_f64(state.fit.mean),
-                fmt_f64(state.fit.std),
-                state.fit.n_dies,
-            ));
-            write_f64_list(w, "scores", &state.self_scores);
-            if state.kept.iter().copied().ne(0..state.self_scores.len()) {
-                let mut line = format!("kept {}", state.kept.len());
-                for &k in &state.kept {
-                    line.push_str(&format!(" {k}"));
-                }
-                w.line(line);
-            }
-            if !state.health.is_pristine(state.self_scores.len()) {
-                write_health(w, &state.health);
-            }
-        }
-        if !self.charac.lost.is_empty() {
-            w.line(format!("lost {}", self.charac.lost.len()));
-            for h in &self.charac.lost {
-                write_health(w, h);
-            }
-        }
-    }
-
-    fn parse_body(p: &mut Parser<'_>) -> Result<Self, Error> {
-        let plan = parse_plan(p)?;
-        let n_channels = parse_usize(p.keyword_line("channels")?.trim()).map_err(|e| p.error(e))?;
-        if n_channels > p.remaining() {
-            return Err(p.error(format!(
-                "reference-free artifact declares {n_channels} channels but only {} lines remain",
-                p.remaining()
-            )));
-        }
-        let mut specs = Vec::with_capacity(n_channels);
-        let mut states = Vec::with_capacity(n_channels);
-        for _ in 0..n_channels {
-            let (spec, state) = parse_reffree_block(p)?;
-            states.push(state);
-            specs.push(spec);
-        }
-        let lost = parse_lost_section(p)?;
-        ReferenceFreeArtifact::new(specs, ReferenceFreeCharacterization { plan, states, lost })
-            .map_err(|e| p.error(format!("inconsistent reference-free artifact: {e}")))
-    }
-
-    /// Reference-free bodies share the golden artifact's block structure
-    /// (one block per channel), so salvage drops a corrupt block and
-    /// resyncs at the next `channel ` line.
-    fn parse_body_salvage(p: &mut Parser<'_>) -> Result<(Self, Vec<usize>), Error> {
-        let mut dropped = Vec::new();
-        let plan = parse_plan(p)?;
-        let n_channels = parse_usize(p.keyword_line("channels")?.trim()).map_err(|e| p.error(e))?;
-        let mut specs = Vec::new();
-        let mut states = Vec::new();
-        while specs.len() < n_channels {
-            match p.peek() {
-                None => break,
-                Some(l) if l.starts_with("lost ") => break,
-                Some(_) => {}
-            }
-            let mark = p.save();
-            match parse_reffree_block(p) {
-                Ok((spec, state)) => {
-                    specs.push(spec);
-                    states.push(state);
-                }
-                Err(_) => {
-                    p.restore(mark);
-                    dropped.push(p.save());
-                    let _ = p.next_line();
-                    dropped.extend(p.skip_to_prefix("channel "));
-                }
-            }
-        }
-        let mark = p.save();
-        let lost = match parse_lost_section(p) {
-            Ok(lost) => lost,
-            Err(_) => {
-                p.restore(mark);
-                while p.peek().is_some() {
-                    dropped.push(p.save());
-                    let _ = p.next_line();
-                }
-                Vec::new()
-            }
-        };
-        if states.is_empty() {
-            return Err(p.error("no channel block survived salvage"));
-        }
-        let artifact =
-            ReferenceFreeArtifact::new(specs, ReferenceFreeCharacterization { plan, states, lost })
-                .map_err(|e| p.error(format!("inconsistent reference-free artifact: {e}")))?;
-        Ok((artifact, dropped))
-    }
-}
-
-/// Parses one reference-free channel block: the spec token, calibration,
-/// baseline fit, self-scores, and the optional degradation markers.
-fn parse_reffree_block(p: &mut Parser<'_>) -> Result<(ChannelSpec, ReferenceFreeState), Error> {
-    let token = p.keyword_line("channel")?;
-    let spec = ChannelSpec::from_token(token)
-        .ok_or_else(|| p.error(format!("unknown channel spec `{token}`")))?;
-    let calibration = parse_calibration(p)?;
-    let rest = p.keyword_line("reffree-fit")?;
-    let mut words = rest.split_whitespace();
-    let mean = parse_f64(
-        words
-            .next()
-            .ok_or_else(|| p.error("reffree-fit needs mean, std and die count"))?,
-    )
-    .map_err(|e| p.error(e))?;
-    let std = parse_f64(
-        words
-            .next()
-            .ok_or_else(|| p.error("reffree-fit needs mean, std and die count"))?,
-    )
-    .map_err(|e| p.error(e))?;
-    let n_dies = parse_usize(
-        words
-            .next()
-            .ok_or_else(|| p.error("reffree-fit needs mean, std and die count"))?,
-    )
-    .map_err(|e| p.error(e))?;
-    if words.next().is_some() {
-        return Err(p.error("trailing tokens after reffree-fit"));
-    }
-    let self_scores = parse_f64_list(p, "scores")?;
-    let kept = if p.peek().is_some_and(|l| l.starts_with("kept ")) {
-        let rest = p.keyword_line("kept")?;
-        let mut words = rest.split_whitespace();
-        let n = parse_usize(words.next().ok_or_else(|| p.error("kept needs a count"))?)
-            .map_err(|e| p.error(e))?;
-        let kept: Vec<usize> = words
-            .map(parse_usize)
-            .collect::<Result<_, _>>()
-            .map_err(|e| p.error(e))?;
-        if kept.len() != n {
-            return Err(p.error(format!("kept declares {n} dies but lists {}", kept.len())));
-        }
-        kept
-    } else {
-        (0..self_scores.len()).collect()
-    };
-    let health = if p.peek().is_some_and(|l| l.starts_with("channel-health ")) {
-        parse_health(p)?
-    } else {
-        ChannelHealth::pristine(spec.name(), self_scores.len())
-    };
-    let state = ReferenceFreeState {
-        channel: spec.name().to_string(),
-        calibration,
-        self_scores,
-        fit: ReferenceFreeFit { mean, std, n_dies },
-        kept,
-        health,
-    };
-    Ok((spec, state))
 }
 
 /// Parses a `channel "<label>"` line.

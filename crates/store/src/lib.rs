@@ -4,9 +4,9 @@
 //! value in the detection pipeline: campaign plans, calibrations,
 //! acquisitions, golden references, per-channel Gaussian fits, scored
 //! channel populations, rendered multi-channel reports, and the composite
-//! golden characterization that lets `htd score` run against a population
-//! that was characterized once, possibly in another process, on another
-//! day.
+//! golden or reference-free characterization that lets `htd score` run
+//! against a population that was characterized once, possibly in another
+//! process, on another day.
 //!
 //! Every artifact is framed the same way:
 //!
@@ -41,7 +41,10 @@ mod kinds;
 
 pub use checksum::fnv1a64;
 pub use format::{quote, unquote, FORMAT_VERSION, IN_MEMORY, MAGIC};
-pub use kinds::{Artifact, ChannelFit, GoldenArtifact, ReferenceFreeArtifact};
+pub use kinds::{
+    Artifact, ChannelFit, CharacterizationArtifact, GoldenArtifact, ReferenceFreeArtifact,
+    StoredCharacterization,
+};
 
 /// The `classifier` artifact: a trained logistic-regression model,
 /// re-exported under its store-facing name so consumers (CLI, serve) can
@@ -88,17 +91,13 @@ impl ScorableArtifact {
     /// [`Error::Format`] on any framing, checksum, grammar or value
     /// violation of the declared kind.
     pub fn from_text_at(text: &str, origin: &str) -> Result<Self, Error> {
-        match sniff_kind(text) {
-            Some(ReferenceFreeArtifact::KIND) => {
-                Ok(ScorableArtifact::ReferenceFree(from_text_at(text, origin)?))
-            }
-            _ => Ok(ScorableArtifact::Golden(from_text_at(text, origin)?)),
-        }
+        Ok(Self::parse(text, origin, false, &htd_obs::Obs::noop())?.artifact)
     }
 
     /// Reads whichever scorable kind the file at `path` declares, with
-    /// the store-I/O observability of [`load_with`]. With `salvage`, a
-    /// damaged body is recovered block by block as in
+    /// the store-I/O observability of [`load_with`]. The file is read
+    /// once; its kind is sniffed from the same text that is parsed. With
+    /// `salvage`, a damaged body is recovered block by block as in
     /// [`load_salvage_with`]; otherwise the result is always pristine.
     ///
     /// # Errors
@@ -110,29 +109,23 @@ impl ScorableArtifact {
         obs: &htd_obs::Obs,
         salvage: bool,
     ) -> Result<Salvaged<Self>, Error> {
-        fn load<A: Artifact>(
-            path: &std::path::Path,
-            obs: &htd_obs::Obs,
-            salvage: bool,
-        ) -> Result<Salvaged<A>, Error> {
-            if salvage {
-                load_salvage_with(path, obs)
-            } else {
-                Ok(Salvaged {
-                    artifact: load_with(path, obs)?,
-                    recovered: false,
-                    dropped_lines: 0,
-                })
+        read_with(path.as_ref(), obs, |text, origin| {
+            Self::parse(text, origin, salvage, obs)
+        })
+    }
+
+    /// Dispatches `text` to the parser of the kind its header declares.
+    fn parse(
+        text: &str,
+        origin: &str,
+        salvage: bool,
+        obs: &htd_obs::Obs,
+    ) -> Result<Salvaged<Self>, Error> {
+        Ok(match sniff_kind(text) {
+            Some(ReferenceFreeArtifact::KIND) => {
+                parse_with(text, origin, salvage, obs)?.map(ScorableArtifact::ReferenceFree)
             }
-        }
-        let path = path.as_ref();
-        // The sniff is a plain (uncounted) read, so the store.read
-        // counters describe only the authoritative load.
-        let text = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
-        Ok(match sniff_kind(&text) {
-            Some(ReferenceFreeArtifact::KIND) => load::<ReferenceFreeArtifact>(path, obs, salvage)?
-                .map(ScorableArtifact::ReferenceFree),
-            _ => load::<GoldenArtifact>(path, obs, salvage)?.map(ScorableArtifact::Golden),
+            _ => parse_with(text, origin, salvage, obs)?.map(ScorableArtifact::Golden),
         })
     }
 
@@ -271,12 +264,44 @@ pub fn load_with<A: Artifact>(
     path: impl AsRef<std::path::Path>,
     obs: &htd_obs::Obs,
 ) -> Result<A, Error> {
+    read_with(path.as_ref(), obs, from_text_at)
+}
+
+/// Reads the file at `path` under a `store.read` span, counting it in
+/// `store.read.files` / `store.read.bytes`, and parses the text with
+/// `parse(text, origin)`, where the origin is the path.
+fn read_with<T>(
+    path: &std::path::Path,
+    obs: &htd_obs::Obs,
+    parse: impl FnOnce(&str, &str) -> Result<T, Error>,
+) -> Result<T, Error> {
     let _span = obs.span("store.read");
-    let path = path.as_ref();
     let text = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
     obs.incr("store.read.files");
     obs.add("store.read.bytes", text.len() as u64);
-    from_text_at(&text, &path.display().to_string())
+    parse(&text, &path.display().to_string())
+}
+
+/// Parses `text` strictly, or with `salvage` through the salvage reader,
+/// counting a non-pristine salvage in `store.read.salvaged`.
+fn parse_with<A: Artifact>(
+    text: &str,
+    origin: &str,
+    salvage: bool,
+    obs: &htd_obs::Obs,
+) -> Result<Salvaged<A>, Error> {
+    if !salvage {
+        return Ok(Salvaged {
+            artifact: from_text_at(text, origin)?,
+            recovered: false,
+            dropped_lines: 0,
+        });
+    }
+    let salvaged = from_text_salvage_at(text, origin)?;
+    if salvaged.recovered {
+        obs.incr("store.read.salvaged");
+    }
+    Ok(salvaged)
 }
 
 /// An artifact read back by the salvage path, with its provenance.
@@ -387,16 +412,9 @@ pub fn load_salvage_with<A: Artifact>(
     path: impl AsRef<std::path::Path>,
     obs: &htd_obs::Obs,
 ) -> Result<Salvaged<A>, Error> {
-    let _span = obs.span("store.read");
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
-    obs.incr("store.read.files");
-    obs.add("store.read.bytes", text.len() as u64);
-    let salvaged = from_text_salvage_at(&text, &path.display().to_string())?;
-    if salvaged.recovered {
-        obs.incr("store.read.salvaged");
-    }
-    Ok(salvaged)
+    read_with(path.as_ref(), obs, |text, origin| {
+        parse_with(text, origin, true, obs)
+    })
 }
 
 #[cfg(test)]

@@ -9,28 +9,25 @@ use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Calibration, ChannelSpec, GoldenReference};
 use htd_core::delay_detect::DelayMatrix;
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{ChannelState, GoldenCharacterization, Reference};
+use htd_core::fusion::{ChannelState, GoldenCharacterization};
 use htd_core::reffree::{ReferenceFreeCharacterization, ReferenceFreeFit, ReferenceFreeState};
 use htd_core::resilience::ChannelHealth;
 use htd_em::Trace;
 use htd_faults::{FaultPlan, FaultSite};
 use htd_store::{
-    from_text, from_text_salvage, to_text, Artifact, GoldenArtifact, ReferenceFreeArtifact,
+    from_text, from_text_salvage, to_text, CharacterizationArtifact, GoldenArtifact,
+    ReferenceFreeArtifact, StoredCharacterization,
 };
 use htd_timing::GlitchParams;
 
 /// A stored characterization kind, as the salvage tests vary it.
-trait Kind: Artifact + PartialEq + std::fmt::Debug {
+trait Kind: StoredCharacterization + PartialEq + std::fmt::Debug {
     /// The first per-kind line of the EM block and of the delay block.
     const PAYLOAD: [&'static str; 2];
 
     /// A two-channel (EM, delay) artifact whose EM scores are
     /// `1 2.5 -3 0.125`.
-    fn sample() -> Self;
-
-    fn reference(&self) -> &dyn Reference;
-
-    fn specs(&self) -> &[ChannelSpec];
+    fn sample() -> CharacterizationArtifact<Self>;
 }
 
 fn plan() -> CampaignPlan {
@@ -54,10 +51,10 @@ fn specs() -> Vec<ChannelSpec> {
     ]
 }
 
-impl Kind for GoldenArtifact {
+impl Kind for GoldenCharacterization {
     const PAYLOAD: [&'static str; 2] = ["trace 125", "matrix 2 2"];
 
-    fn sample() -> Self {
+    fn sample() -> CharacterizationArtifact<Self> {
         let states = vec![
             ChannelState::pristine(
                 "EM",
@@ -81,20 +78,12 @@ impl Kind for GoldenArtifact {
         };
         GoldenArtifact::new(specs(), charac).unwrap()
     }
-
-    fn reference(&self) -> &dyn Reference {
-        self.characterization()
-    }
-
-    fn specs(&self) -> &[ChannelSpec] {
-        GoldenArtifact::specs(self)
-    }
 }
 
-impl Kind for ReferenceFreeArtifact {
+impl Kind for ReferenceFreeCharacterization {
     const PAYLOAD: [&'static str; 2] = ["reffree-fit 0.15625", "reffree-fit 40.1875"];
 
-    fn sample() -> Self {
+    fn sample() -> CharacterizationArtifact<Self> {
         let state = |channel: &str, calibration, self_scores: Vec<f64>, mean| ReferenceFreeState {
             channel: channel.to_string(),
             calibration,
@@ -123,14 +112,6 @@ impl Kind for ReferenceFreeArtifact {
         };
         ReferenceFreeArtifact::new(specs(), charac).unwrap()
     }
-
-    fn reference(&self) -> &dyn Reference {
-        self.characterization()
-    }
-
-    fn specs(&self) -> &[ChannelSpec] {
-        ReferenceFreeArtifact::specs(self)
-    }
 }
 
 #[test]
@@ -138,13 +119,13 @@ fn pristine_files_salvage_as_not_recovered() {
     fn check<K: Kind>() {
         let artifact = K::sample();
         let text = to_text(&artifact);
-        let s = from_text_salvage::<K>(&text).unwrap();
+        let s = from_text_salvage::<CharacterizationArtifact<K>>(&text).unwrap();
         assert!(!s.recovered, "untouched file must read as pristine");
         assert_eq!(s.dropped_lines, 0);
         assert_eq!(s.artifact, artifact);
     }
-    check::<GoldenArtifact>();
-    check::<ReferenceFreeArtifact>();
+    check::<GoldenCharacterization>();
+    check::<ReferenceFreeCharacterization>();
 }
 
 #[test]
@@ -155,14 +136,14 @@ fn a_parseable_bit_flip_cannot_masquerade_as_pristine() {
         // (re-verified over the kept lines) is stale.
         assert!(text.contains("s 1 2.5 -3 0.125"), "{text}");
         let flipped = text.replace("s 1 2.5 -3 0.125", "s 1 2.5 -3 0.135");
-        assert!(from_text::<K>(&flipped).is_err());
-        let s = from_text_salvage::<K>(&flipped).unwrap();
+        assert!(from_text::<CharacterizationArtifact<K>>(&flipped).is_err());
+        let s = from_text_salvage::<CharacterizationArtifact<K>>(&flipped).unwrap();
         assert!(s.recovered, "stale checksum must demote the read");
         assert_eq!(s.dropped_lines, 0);
-        assert_eq!(s.artifact.reference().channels()[0].scores[3], 0.135);
+        assert_eq!(s.artifact.characterization().channels()[0].scores[3], 0.135);
     }
-    check::<GoldenArtifact>();
-    check::<ReferenceFreeArtifact>();
+    check::<GoldenCharacterization>();
+    check::<ReferenceFreeCharacterization>();
 }
 
 #[test]
@@ -173,17 +154,17 @@ fn a_corrupt_block_is_dropped_and_the_other_channel_survives() {
         let [em_payload, _] = K::PAYLOAD;
         let keyword = em_payload.split(' ').next().unwrap();
         let corrupt = text.replacen(em_payload, &format!("{keyword} #!garbage"), 1);
-        assert!(from_text::<K>(&corrupt).is_err());
-        let s = from_text_salvage::<K>(&corrupt).unwrap();
+        assert!(from_text::<CharacterizationArtifact<K>>(&corrupt).is_err());
+        let s = from_text_salvage::<CharacterizationArtifact<K>>(&corrupt).unwrap();
         assert!(s.recovered);
         assert!(s.dropped_lines > 0);
-        let channels = s.artifact.reference().channels();
+        let channels = s.artifact.characterization().channels();
         assert_eq!(channels.len(), 1, "only the delay channel survives");
         assert_eq!(channels[0].name, "delay");
         assert_eq!(s.artifact.specs(), &[ChannelSpec::Delay]);
     }
-    check::<GoldenArtifact>();
-    check::<ReferenceFreeArtifact>();
+    check::<GoldenCharacterization>();
+    check::<ReferenceFreeCharacterization>();
 }
 
 #[test]
@@ -194,14 +175,14 @@ fn truncation_keeps_the_complete_leading_blocks() {
         // the delay block (and the trailer) are gone.
         let [_, delay_payload] = K::PAYLOAD;
         let cut = text.find(delay_payload).expect("delay payload line");
-        let s = from_text_salvage::<K>(&text[..cut]).unwrap();
+        let s = from_text_salvage::<CharacterizationArtifact<K>>(&text[..cut]).unwrap();
         assert!(s.recovered, "no trailer means no pristine claim");
-        let channels = s.artifact.reference().channels();
+        let channels = s.artifact.characterization().channels();
         assert_eq!(channels.len(), 1);
         assert_eq!(channels[0].name, "EM");
     }
-    check::<GoldenArtifact>();
-    check::<ReferenceFreeArtifact>();
+    check::<GoldenCharacterization>();
+    check::<ReferenceFreeCharacterization>();
 }
 
 #[test]
@@ -210,16 +191,16 @@ fn damaged_headers_and_hopeless_bodies_still_error() {
         let text = to_text(&K::sample());
         // Header damage is unrecoverable (kind/version unknown).
         let bad_header = text.replacen("htdstore", "htdst0re", 1);
-        assert!(from_text_salvage::<K>(&bad_header).is_err());
+        assert!(from_text_salvage::<CharacterizationArtifact<K>>(&bad_header).is_err());
         // A body where no channel block survives is an error, not an
         // empty artifact.
         let no_blocks = text
             .replace("channel em", "chan#el em")
             .replace("channel delay", "chan#el delay");
-        assert!(from_text_salvage::<K>(&no_blocks).is_err());
+        assert!(from_text_salvage::<CharacterizationArtifact<K>>(&no_blocks).is_err());
     }
-    check::<GoldenArtifact>();
-    check::<ReferenceFreeArtifact>();
+    check::<GoldenCharacterization>();
+    check::<ReferenceFreeCharacterization>();
     // Kinds without a salvage override stay fully strict.
     let plan_text = to_text(&plan());
     let s = from_text_salvage::<CampaignPlan>(&plan_text).unwrap();
@@ -272,7 +253,7 @@ fn faultplan_store_site_picks_the_lines_to_corrupt() {
                 continue;
             }
             let damaged = corrupt.join("\n") + "\n";
-            if let Ok(s) = from_text_salvage::<K>(&damaged) {
+            if let Ok(s) = from_text_salvage::<CharacterizationArtifact<K>>(&damaged) {
                 salvaged = Some((n_corrupt, s));
                 break;
             }
@@ -280,8 +261,8 @@ fn faultplan_store_site_picks_the_lines_to_corrupt() {
         let (n_corrupt, s) = salvaged.expect("some seed leaves a salvageable artifact");
         assert!(s.recovered);
         assert!(s.dropped_lines >= n_corrupt);
-        assert!(!s.artifact.reference().channels().is_empty());
+        assert!(!s.artifact.characterization().channels().is_empty());
     }
-    check::<GoldenArtifact>();
-    check::<ReferenceFreeArtifact>();
+    check::<GoldenCharacterization>();
+    check::<ReferenceFreeCharacterization>();
 }

@@ -21,16 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Characterise the golden population on 8 reference boards (the
     // paper's batch) and calibrate for a 5 % false-positive budget.
     println!("characterising golden EM population over 8 reference dies...");
-    let reference_dies = lab.fabricate_batch(8);
-    let model = characterize_em_golden(
-        &lab,
-        &golden,
-        &reference_dies,
-        SideChannel::Em,
-        &pt,
-        &key,
-        1,
-    )?;
+    let model = characterize_em_golden(&lab, 8, SideChannel::Em, &pt, &key, 1)?;
     println!(
         "golden metric: mean {:.0}, sigma {:.0}",
         model.gaussian.mean(),

@@ -82,14 +82,15 @@ fn more_pairs_accumulate_more_evidence() {
     let golden_dev = ProgrammedDevice::new(&lab, &golden, &die);
     let det = detector(&lab, &golden_dev, 12);
     let dut = ProgrammedDevice::new(&lab, &infected, &die);
-    let few = det.examine_pairs(&dut, 4, 2).unwrap();
-    let many = det.examine_pairs(&dut, 4, 12).unwrap();
+    let engine = Engine::default();
+    let few = det.examine_pairs_with(&engine, &dut, 4, 2).unwrap();
+    let many = det.examine_pairs_with(&engine, &dut, 4, 12).unwrap();
     assert!(many.flagged_bits >= few.flagged_bits);
     assert!(many.infected);
     // Asking for more pairs than the golden campaign characterised is an
     // error, not a silent truncation.
     assert!(matches!(
-        det.examine_pairs(&dut, 4, 13),
+        det.examine_pairs_with(&engine, &dut, 4, 13),
         Err(Error::PairCountExceedsCampaign {
             requested: 13,
             available: 12,

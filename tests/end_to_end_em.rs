@@ -57,9 +57,8 @@ fn interdie_detector_classifies_large_trojan_reliably() {
     let lab = Lab::paper();
     let golden = Design::golden(&lab).unwrap();
     let infected = Design::infected(&lab, &TrojanSpec::ht3()).unwrap();
-    let dies = lab.fabricate_batch(8); // the paper's batch size
-    let model =
-        characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 500).unwrap();
+    // The paper's batch size.
+    let model = characterize_em_golden(&lab, 8, SideChannel::Em, &PT, &KEY, 500).unwrap();
     assert_model_bits(
         &model,
         &[
@@ -103,10 +102,7 @@ fn metric_grows_with_trojan_size() {
     // Fig. 6's message: bigger trojans push the deviation statistic
     // further above the golden fluctuation band.
     let lab = Lab::paper();
-    let golden = Design::golden(&lab).unwrap();
-    let dies = lab.fabricate_batch(6);
-    let model =
-        characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 900).unwrap();
+    let model = characterize_em_golden(&lab, 6, SideChannel::Em, &PT, &KEY, 900).unwrap();
     assert_model_bits(
         &model,
         &[

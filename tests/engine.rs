@@ -26,7 +26,8 @@ fn delay_evidence_is_bit_identical_across_worker_counts() {
         let det = DelayDetector::new(
             characterize_golden_with(&Engine::serial(), &gdev, campaign.clone()).unwrap(),
         );
-        det.examine_with(&Engine::serial(), &dut, 7).unwrap()
+        det.examine_pairs_with(&Engine::serial(), &dut, 7, campaign.pairs.len())
+            .unwrap()
     };
 
     // Worker counts beyond the pair count and the machine's core count
@@ -37,7 +38,9 @@ fn delay_evidence_is_bit_identical_across_worker_counts() {
         let dut = ProgrammedDevice::new(&lab, &infected, &die);
         let det =
             DelayDetector::new(characterize_golden_with(&engine, &gdev, campaign.clone()).unwrap());
-        let evidence = det.examine_with(&engine, &dut, 7).unwrap();
+        let evidence = det
+            .examine_pairs_with(&engine, &dut, 7, campaign.pairs.len())
+            .unwrap();
         assert_eq!(
             evidence.diff_ps, reference.diff_ps,
             "diff_ps diverged at {workers} workers"
