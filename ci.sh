@@ -104,6 +104,20 @@ diff "$HTD_SMOKE_DIR/learned.csv" tests/fixtures/learned_smoke.csv
 "$HTD" diff "$HTD_SMOKE_DIR/reffree-degraded.htd" \
     tests/fixtures/reffree_degraded_report.htd
 
+echo "==> htd power-chain smoke"
+# The three-channel campaign (EM, power, delay) characterized in both
+# modes and scored: each report must reproduce its committed fixture
+# byte for byte, so the power chain is pinned through the CLI too.
+for mode in golden reference-free; do
+    "$HTD" characterize --out "$HTD_SMOKE_DIR/power-$mode.htd" --mode "$mode" \
+        --dies 4 --pairs 2 --reps 2 --seed 42 --channels em,power,delay
+    "$HTD" score --golden "$HTD_SMOKE_DIR/power-$mode.htd" --trojans ht2 \
+        --report "$HTD_SMOKE_DIR/power-$mode-report.htd" >/dev/null
+done
+"$HTD" diff "$HTD_SMOKE_DIR/power-golden-report.htd" tests/fixtures/power_report.htd
+"$HTD" diff "$HTD_SMOKE_DIR/power-reference-free-report.htd" \
+    tests/fixtures/reffree_power_report.htd
+
 echo "==> htd serve smoke (BENCH_serve.json)"
 # A real scoring server on an ephemeral port. Two gates: the response
 # `htd bench --dump` captures must be byte-identical to the pinned
