@@ -118,6 +118,19 @@ done
 "$HTD" diff "$HTD_SMOKE_DIR/power-reference-free-report.htd" \
     tests/fixtures/reffree_power_report.htd
 
+echo "==> htd hostile-artifact smoke"
+# tests/fixtures/golden.htd is checksum-valid, but its 4-sample EM trace
+# does not match what the lab acquires. Scoring against it must fail as
+# a usage error (exit 2), never as a panic (exit 101).
+HTD_STATUS=0
+"$HTD" score --golden tests/fixtures/golden.htd --trojans ht2 \
+    2>"$HTD_SMOKE_DIR/hostile.err" || HTD_STATUS=$?
+[ "$HTD_STATUS" -eq 2 ] || {
+    cat "$HTD_SMOKE_DIR/hostile.err"
+    echo "htd score on a mis-shaped golden exited $HTD_STATUS, expected 2"
+    exit 1
+}
+
 echo "==> htd serve smoke (BENCH_serve.json)"
 # A real scoring server on an ephemeral port. Two gates: the response
 # `htd bench --dump` captures must be byte-identical to the pinned

@@ -4,8 +4,8 @@
 
 use htd_bench::{banner, lab, KEY, PT};
 use htd_core::channel::Channel;
-use htd_core::channel::{DelayChannel, EmChannel, PowerChannel};
-use htd_core::em_detect::TraceMetric;
+use htd_core::channel::{DelayChannel, TraceChannel};
+use htd_core::em_detect::{SideChannel, TraceMetric};
 use htd_core::fusion::{
     characterize, fusion_experiment_with, score, Campaign, GoldenCharacterization,
 };
@@ -62,8 +62,8 @@ fn main() {
     println!("adding the power chain: EM + delay + power over {n3} dies...");
     let plan = CampaignPlan::with_random_pairs(n3, 3, 3, PT, KEY, 4242);
     let (em, power) = (
-        EmChannel::paper(),
-        PowerChannel::new(TraceMetric::SumOfLocalMaxima),
+        TraceChannel::paper(),
+        TraceChannel::new(SideChannel::Power, TraceMetric::SumOfLocalMaxima),
     );
     let channels: [&dyn Channel; 3] = [&em, &DelayChannel, &power];
     let campaign = Campaign::default();

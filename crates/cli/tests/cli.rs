@@ -410,3 +410,47 @@ fn diff_compares_characterization_artifacts_of_either_kind_by_plan() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `tests/fixtures/golden.htd` with its EM block removed: a
+/// checksum-valid, delay-only golden whose 2 × 2 reference matrix does
+/// not match the pairs × 128-bit onset matrices the lab acquires.
+fn delay_only_golden() -> String {
+    let text = std::fs::read_to_string(fixture("golden.htd")).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let em = lines.iter().position(|l| *l == "channel em solm").unwrap();
+    let delay = lines.iter().position(|l| *l == "channel delay").unwrap();
+    let mut body: String = lines[..em]
+        .iter()
+        .chain(&lines[delay..lines.len() - 1])
+        .map(|l| match *l {
+            "channels 2" => "channels 1\n".to_string(),
+            l => format!("{l}\n"),
+        })
+        .collect();
+    let sum = htd_store::fnv1a64(body.as_bytes());
+    body.push_str(&format!("checksum fnv1a64 {sum:016x}\n"));
+    body
+}
+
+#[test]
+fn a_mis_shaped_stored_reference_is_rejected_not_a_crash() {
+    let dir = labdir("mis-shaped");
+    std::fs::copy(fixture("golden.htd"), dir.join("golden.htd")).unwrap();
+    std::fs::write(dir.join("delay-only.htd"), delay_only_golden()).unwrap();
+    // The committed golden fixture carries a 4-sample EM trace; the
+    // delay-only variant a 2 × 2 onset matrix. Both are checksum-valid,
+    // and both must be refused as a usage error naming the channel —
+    // never a panic (exit 101), never a score over a partial overlap.
+    for (golden, channel) in [("golden.htd", "EM"), ("delay-only.htd", "delay")] {
+        let out = htd(&dir, &["score", "--golden", golden, "--trojans", "ht2"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{golden}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "{channel} channel received data of the wrong shape"
+            )),
+            "{golden}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -22,11 +22,11 @@
 //! every campaign is bit-identical at every worker count; the fused
 //! decision is the channel-ordered sum of baseline-normalised z-scores.
 //!
-//! Three channels ship today: [`EmChannel`] (Section V),
-//! [`DelayChannel`] (the inter-die generalisation of Section III) and
-//! [`PowerChannel`] (the global power baseline the paper argues EM
-//! beats). A future channel — TVLA, golden-free delay, learning-assisted
-//! — is one more `impl Channel`.
+//! Two channel types ship today: [`TraceChannel`], over either
+//! measurement chain — the near-field EM probe (Section V) or the global
+//! power baseline the paper argues EM beats — and [`DelayChannel`] (the
+//! inter-die generalisation of Section III). A future channel — TVLA,
+//! golden-free delay, learning-assisted — is one more `impl Channel`.
 
 use htd_em::Trace;
 use htd_faults::{FaultPlan, RepHealth};
@@ -200,7 +200,9 @@ pub trait Channel: Sync {
     ///
     /// # Errors
     ///
-    /// Shape errors if fed another channel's acquisition or reference.
+    /// Shape errors if fed another channel's acquisition or reference,
+    /// or a reference (say, a stored one) whose shape does not match
+    /// the acquisition's.
     fn score(
         &self,
         acquisition: &Acquisition,
@@ -209,29 +211,38 @@ pub trait Channel: Sync {
     ) -> Result<f64, Error>;
 }
 
-/// The near-field EM channel (paper Section V): averaged-trace
-/// acquisition, golden mean trace `E_n(G)`, and a [`TraceMetric`] over
-/// the deviation `D = |trace − E_n(G)|`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EmChannel {
+/// A side-channel trace channel: one averaged trace per device through
+/// a measurement chain, the golden mean trace `E_n(G)` as reference, and
+/// a [`TraceMetric`] over the deviation `D = |trace − E_n(G)|`. On
+/// [`SideChannel::Em`] it is the paper's near-field EM channel
+/// (Section V); on [`SideChannel::Power`] it is the global power
+/// baseline (the paper's A4), acquired through [`htd_em::PowerSetup`]'s
+/// RC-filtered, position-blind supply chain.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceChannel {
+    chain: SideChannel,
     metric: TraceMetric,
 }
 
-impl EmChannel {
-    /// An EM channel with an explicit deviation metric.
-    pub fn new(metric: TraceMetric) -> Self {
-        EmChannel { metric }
+impl TraceChannel {
+    /// A trace channel over `chain` with an explicit deviation metric.
+    pub fn new(chain: SideChannel, metric: TraceMetric) -> Self {
+        TraceChannel { chain, metric }
     }
 
-    /// The paper's channel: the sum-of-local-maxima metric.
+    /// The paper's channel: the EM chain with the sum-of-local-maxima
+    /// metric.
     pub fn paper() -> Self {
-        Self::new(TraceMetric::SumOfLocalMaxima)
+        Self::new(SideChannel::Em, TraceMetric::SumOfLocalMaxima)
     }
 }
 
-impl Channel for EmChannel {
+impl Channel for TraceChannel {
     fn name(&self) -> &'static str {
-        "EM"
+        match self.chain {
+            SideChannel::Em => "EM",
+            SideChannel::Power => "power",
+        }
     }
 
     fn acquire(
@@ -244,7 +255,7 @@ impl Channel for EmChannel {
         _faults: &FaultPlan,
         _ctx: &[u64; 4],
     ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
-        let trace = device.acquire_em_trace(&plan.pt, &plan.key, seed)?;
+        let trace = device.acquire_trace(self.chain, &plan.pt, &plan.key, seed)?;
         Ok(Some((Acquisition::Trace(trace), RepHealth::default())))
     }
 
@@ -253,7 +264,16 @@ impl Channel for EmChannel {
         acquisitions: &[Acquisition],
         _calibration: &Calibration,
     ) -> Result<GoldenReference, Error> {
-        mean_trace_reference(self.name(), acquisitions)
+        if acquisitions.is_empty() {
+            return Err(Error::EmptyPopulation {
+                what: "golden trace acquisitions",
+            });
+        }
+        let traces = acquisitions
+            .iter()
+            .map(|a| a.trace(self.name()).cloned())
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(GoldenReference::MeanTrace(Trace::mean_of(&traces)))
     }
 
     fn score(
@@ -262,59 +282,15 @@ impl Channel for EmChannel {
         reference: &GoldenReference,
         _calibration: &Calibration,
     ) -> Result<f64, Error> {
-        score_trace(self.name(), self.metric, acquisition, reference)
-    }
-}
-
-/// The global power channel (the paper's A4 baseline): the same stage
-/// pipeline as [`EmChannel`], acquired through
-/// [`htd_em::PowerSetup`]'s RC-filtered, position-blind supply chain.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PowerChannel {
-    metric: TraceMetric,
-}
-
-impl PowerChannel {
-    /// A power channel with an explicit deviation metric.
-    pub fn new(metric: TraceMetric) -> Self {
-        PowerChannel { metric }
-    }
-}
-
-impl Channel for PowerChannel {
-    fn name(&self) -> &'static str {
-        "power"
-    }
-
-    fn acquire(
-        &self,
-        _engine: &Engine,
-        device: &ProgrammedDevice<'_>,
-        plan: &CampaignPlan,
-        _calibration: &Calibration,
-        seed: u64,
-        _faults: &FaultPlan,
-        _ctx: &[u64; 4],
-    ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
-        let trace = device.acquire_power_trace(&plan.pt, &plan.key, seed)?;
-        Ok(Some((Acquisition::Trace(trace), RepHealth::default())))
-    }
-
-    fn characterize_golden(
-        &self,
-        acquisitions: &[Acquisition],
-        _calibration: &Calibration,
-    ) -> Result<GoldenReference, Error> {
-        mean_trace_reference(self.name(), acquisitions)
-    }
-
-    fn score(
-        &self,
-        acquisition: &Acquisition,
-        reference: &GoldenReference,
-        _calibration: &Calibration,
-    ) -> Result<f64, Error> {
-        score_trace(self.name(), self.metric, acquisition, reference)
+        let trace = acquisition.trace(self.name())?;
+        let mean = reference.mean_trace(self.name())?;
+        if !trace.compatible(mean) {
+            return Err(Error::ChannelShapeMismatch {
+                channel: self.name().to_string(),
+                expected: "a mean trace of the acquisition's length and time base",
+            });
+        }
+        Ok(self.metric.evaluate(trace.abs_diff(mean).samples()))
     }
 }
 
@@ -410,17 +386,14 @@ impl Channel for DelayChannel {
     ) -> Result<f64, Error> {
         let matrix = acquisition.matrix(self.name())?;
         let mean = reference.mean_matrix(self.name())?;
+        if !matrix.same_shape(mean) {
+            return Err(Error::ChannelShapeMismatch {
+                channel: self.name().to_string(),
+                expected: "a mean matrix of the acquisition's pairs × bits shape",
+            });
+        }
         let params = calibration.glitch(self.name())?;
         Ok(delay_metric(matrix, mean, params.step_ps))
-    }
-}
-
-/// The trace channel for a measurement chain — [`EmChannel`] for the
-/// probe, [`PowerChannel`] for the supply baseline.
-pub fn trace_channel(chain: SideChannel, metric: TraceMetric) -> Box<dyn Channel> {
-    match chain {
-        SideChannel::Em => Box::new(EmChannel::new(metric)),
-        SideChannel::Power => Box::new(PowerChannel::new(metric)),
     }
 }
 
@@ -450,8 +423,8 @@ impl ChannelSpec {
     /// Builds the live channel this spec describes.
     pub fn build(&self) -> Box<dyn Channel> {
         match self {
-            ChannelSpec::Em(metric) => Box::new(EmChannel::new(*metric)),
-            ChannelSpec::Power(metric) => Box::new(PowerChannel::new(*metric)),
+            ChannelSpec::Em(metric) => Box::new(TraceChannel::new(SideChannel::Em, *metric)),
+            ChannelSpec::Power(metric) => Box::new(TraceChannel::new(SideChannel::Power, *metric)),
             ChannelSpec::Delay => Box::new(DelayChannel),
         }
     }
@@ -482,36 +455,6 @@ impl ChannelSpec {
             None => Some(spec),
         }
     }
-}
-
-/// Shared stage 3 of the trace channels: the golden mean trace.
-fn mean_trace_reference(
-    channel: &'static str,
-    acquisitions: &[Acquisition],
-) -> Result<GoldenReference, Error> {
-    if acquisitions.is_empty() {
-        return Err(Error::EmptyPopulation {
-            what: "golden trace acquisitions",
-        });
-    }
-    let traces = acquisitions
-        .iter()
-        .map(|a| a.trace(channel).cloned())
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(GoldenReference::MeanTrace(Trace::mean_of(&traces)))
-}
-
-/// Shared stage 4 of the trace channels: the deviation metric against
-/// `E_n(G)`.
-fn score_trace(
-    channel: &'static str,
-    metric: TraceMetric,
-    acquisition: &Acquisition,
-    reference: &GoldenReference,
-) -> Result<f64, Error> {
-    let trace = acquisition.trace(channel)?;
-    let mean = reference.mean_trace(channel)?;
-    Ok(metric.evaluate(trace.abs_diff(mean).samples()))
 }
 
 /// Mean absolute onset deviation (ps) of a matrix against a reference.
@@ -610,14 +553,9 @@ mod tests {
 
     #[test]
     fn trace_channel_picks_the_chain() {
-        assert_eq!(
-            trace_channel(SideChannel::Em, TraceMetric::SumOfLocalMaxima).name(),
-            "EM"
-        );
-        assert_eq!(
-            trace_channel(SideChannel::Power, TraceMetric::SumOfLocalMaxima).name(),
-            "power"
-        );
+        let channel = |chain| TraceChannel::new(chain, TraceMetric::SumOfLocalMaxima);
+        assert_eq!(channel(SideChannel::Em).name(), "EM");
+        assert_eq!(channel(SideChannel::Power).name(), "power");
     }
 
     #[test]
@@ -641,7 +579,7 @@ mod tests {
 
     #[test]
     fn empty_golden_population_is_an_error() {
-        let ch = EmChannel::paper();
+        let ch = TraceChannel::paper();
         assert!(matches!(
             ch.characterize_golden(&[], &Calibration::None),
             Err(Error::EmptyPopulation { .. })

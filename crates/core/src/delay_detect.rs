@@ -82,6 +82,17 @@ impl DelayMatrix {
     pub fn pair_count(&self) -> usize {
         self.mean_onset_steps.len()
     }
+
+    /// Whether `other` has the same pairs × bits shape (the shape every
+    /// element-wise comparison requires).
+    pub(crate) fn same_shape(&self, other: &DelayMatrix) -> bool {
+        self.pair_count() == other.pair_count()
+            && self
+                .mean_onset_steps
+                .iter()
+                .zip(&other.mean_onset_steps)
+                .all(|(a, b)| a.len() == b.len())
+    }
 }
 
 /// The characterised golden reference: sweep parameters (shared with every

@@ -18,6 +18,7 @@ use htd_obs::Obs;
 use htd_timing::{CompiledSimulator, CompiledTiming, DelayAnnotation, EventSimulator, Sta};
 use htd_trojan::{apply_coupling, insert, InsertedTrojan, TrojanSpec};
 
+use crate::em_detect::SideChannel;
 use crate::error::Error;
 use crate::Lab;
 
@@ -143,6 +144,21 @@ struct IndexedActivity {
     nets: Vec<u32>,
 }
 
+/// One measurement chain's per-device state. All of it is a pure
+/// function of (design, die) and, for `clean`, the pair.
+#[derive(Debug, Default)]
+struct ChainCache {
+    /// Per-net `charge × coupling`: the probe coupling for the EM chain,
+    /// 1 for the position-blind power chain.
+    weights: OnceLock<Vec<f64>>,
+    /// Front-end impulse response (probe or supply RC) sampled on the
+    /// chain's scope time base.
+    kernel: OnceLock<Vec<f64>>,
+    /// Noise-free convolved signal per pair: acquisitions replay it
+    /// through [`read_out`], paying only the noise/quantise pass.
+    clean: Mutex<HashMap<PairKey, Arc<Vec<f64>>>>,
+}
+
 /// Occupancy and hit counters of a device's simulation caches (see
 /// [`ProgrammedDevice::cache_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -191,21 +207,10 @@ pub struct ProgrammedDevice<'a> {
     compiled: OnceLock<CompiledTiming>,
     /// Per-net charge/position lookup, built once per (design, die).
     activity_table: OnceLock<ActivityTable>,
-    /// Per-net `charge × probe coupling` for the EM chain.
-    em_weights: OnceLock<Vec<f64>>,
-    /// Per-net charge (weight 1) for the global power chain.
-    power_weights: OnceLock<Vec<f64>>,
-    /// Probe impulse response sampled on the EM scope time base.
-    em_kernel: OnceLock<Vec<f64>>,
-    /// Supply RC impulse response sampled on the power scope time base.
-    power_kernel: OnceLock<Vec<f64>>,
     settle_cache: Mutex<HashMap<PairKey, Arc<Vec<Option<f64>>>>>,
     activity_cache: Mutex<HashMap<PairKey, Arc<IndexedActivity>>>,
-    /// Noise-free convolved EM signal per pair: acquisitions replay it
-    /// through [`read_out`], paying only the noise/quantise pass.
-    em_clean_cache: Mutex<HashMap<PairKey, Arc<Vec<f64>>>>,
-    /// Same for the global power chain.
-    power_clean_cache: Mutex<HashMap<PairKey, Arc<Vec<f64>>>>,
+    /// One cache per measurement chain, indexed by [`SideChannel`].
+    chains: [ChainCache; 2],
     /// Event count of the last simulated activity — a reserve hint so
     /// later pairs on this device stream into pre-sized SoA rows.
     activity_hint: AtomicU64,
@@ -247,14 +252,9 @@ impl<'a> ProgrammedDevice<'a> {
             annotation,
             compiled: OnceLock::new(),
             activity_table: OnceLock::new(),
-            em_weights: OnceLock::new(),
-            power_weights: OnceLock::new(),
-            em_kernel: OnceLock::new(),
-            power_kernel: OnceLock::new(),
             settle_cache: Mutex::new(HashMap::new()),
             activity_cache: Mutex::new(HashMap::new()),
-            em_clean_cache: Mutex::new(HashMap::new()),
-            power_clean_cache: Mutex::new(HashMap::new()),
+            chains: Default::default(),
             activity_hint: AtomicU64::new(0),
             settle_hits: AtomicU64::new(0),
             settle_misses: AtomicU64::new(0),
@@ -308,39 +308,6 @@ impl<'a> ProgrammedDevice<'a> {
                 self.die,
                 &self.lab.tech,
             )
-        })
-    }
-
-    /// Per-net `charge × probe coupling` weights for the EM chain.
-    fn em_weighted_charges(&self) -> &[f64] {
-        self.em_weights.get_or_init(|| {
-            self.table()
-                .weighted_charges(|p| self.lab.em.probe.coupling(p))
-        })
-    }
-
-    /// Per-net charges for the (position-blind) power chain.
-    fn power_weighted_charges(&self) -> &[f64] {
-        self.power_weights
-            .get_or_init(|| self.table().weighted_charges(|_| 1.0))
-    }
-
-    /// Probe impulse response on the EM scope time base.
-    fn em_impulse_kernel(&self) -> &[f64] {
-        self.em_kernel.get_or_init(|| {
-            self.lab
-                .em
-                .probe
-                .impulse_response(self.lab.em.scope.sample_period_ps)
-        })
-    }
-
-    /// Supply RC impulse response on the power scope time base.
-    fn power_impulse_kernel(&self) -> &[f64] {
-        self.power_kernel.get_or_init(|| {
-            self.lab
-                .power
-                .impulse_response(self.lab.power.scope.sample_period_ps)
         })
     }
 
@@ -572,25 +539,33 @@ impl<'a> ProgrammedDevice<'a> {
     }
 
     /// Looks up (or computes) the noise-free convolved signal of one
-    /// chain for one pair. The activity cache is consulted exactly once
-    /// per call — hit or miss of the clean cache — so the
-    /// `cache.activity.*` counter stream is identical to acquiring
-    /// straight from events. `acquire.events.*` counters are recorded
-    /// only when the clean signal is computed, which happens exactly
-    /// once per (pair, chain) per device regardless of worker count.
-    #[allow(clippy::too_many_arguments)]
+    /// chain for one pair, on the chain's scope time base `dt_ps`. The
+    /// activity cache is consulted exactly once per call — hit or miss
+    /// of the clean cache — so the `cache.activity.*` counter stream is
+    /// identical to acquiring straight from events. `acquire.events.*`
+    /// counters are recorded only when the clean signal is computed,
+    /// which happens exactly once per (pair, chain) per device
+    /// regardless of worker count.
     fn clean_signal_cached(
         &self,
+        chain: SideChannel,
         pt: &[u8; 16],
         key: &[u8; 16],
-        cache: &Mutex<HashMap<PairKey, Arc<Vec<f64>>>>,
-        weighted: &[f64],
-        kernel: &[f64],
         dt_ps: f64,
     ) -> Result<Arc<Vec<f64>>, Error> {
+        let (em, power) = (&self.lab.em, &self.lab.power);
+        let cache = &self.chains[chain as usize];
+        let weighted = cache.weights.get_or_init(|| match chain {
+            SideChannel::Em => self.table().weighted_charges(|p| em.probe.coupling(p)),
+            SideChannel::Power => self.table().weighted_charges(|_| 1.0),
+        });
+        let kernel = cache.kernel.get_or_init(|| match chain {
+            SideChannel::Em => em.probe.impulse_response(dt_ps),
+            SideChannel::Power => power.impulse_response(dt_ps),
+        });
         let idx = self.indexed_activity_cached(pt, key)?;
         let key_pair: PairKey = (*pt, *key);
-        if let Some(hit) = self.lock_cache(cache).get(&key_pair) {
+        if let Some(hit) = self.lock_cache(&cache.clean).get(&key_pair) {
             return Ok(Arc::clone(hit));
         }
         let n = self.lab.acquisition.n_samples(dt_ps);
@@ -601,7 +576,7 @@ impl<'a> ProgrammedDevice<'a> {
         self.obs.add("acquire.events.binned", stats.binned);
         self.obs.add("acquire.events.dropped", stats.dropped);
         let clean = Arc::new(clean);
-        self.lock_cache(cache)
+        self.lock_cache(&cache.clean)
             .entry(key_pair)
             .or_insert_with(|| Arc::clone(&clean));
         Ok(clean)
@@ -620,13 +595,55 @@ impl<'a> ProgrammedDevice<'a> {
         }
     }
 
-    /// Acquires one averaged EM trace of one encryption (Section IV).
+    /// Acquires one averaged trace of one encryption (Section IV)
+    /// through `chain`: the near-field EM probe or the global power
+    /// baseline.
     ///
     /// `measure_seed` drives the acquisition noise (scope + installation);
-    /// reusing a seed reproduces the exact trace. The noise-free
-    /// convolved signal comes through the clean-signal cache (fed by the
-    /// activity cache), so repeated acquisitions of the same pair pay
-    /// only the per-rep noise/quantise pass.
+    /// reusing a seed reproduces the exact trace, and each chain salts it
+    /// with its own constant. The noise-free convolved signal comes
+    /// through the chain's clean-signal cache (fed by the activity
+    /// cache), so repeated acquisitions of the same pair pay only the
+    /// per-rep noise/quantise pass.
+    ///
+    /// # Errors
+    ///
+    /// Propagates netlist validation failures.
+    pub fn acquire_trace(
+        &self,
+        chain: SideChannel,
+        pt: &[u8; 16],
+        key: &[u8; 16],
+        measure_seed: u64,
+    ) -> Result<Trace, Error> {
+        let (em, power) = (&self.lab.em, &self.lab.power);
+        let (scope, gain, jitter, salt) = match chain {
+            SideChannel::Em => (
+                &em.scope,
+                em.gain,
+                em.setup_gain_jitter,
+                0xE37A_11CE_55AA_0001,
+            ),
+            SideChannel::Power => (
+                &power.scope,
+                power.gain,
+                power.setup_gain_jitter,
+                0x0F0F_5A5A_3C3C_0002,
+            ),
+        };
+        let clean = self.clean_signal_cached(chain, pt, key, scope.sample_period_ps)?;
+        let mut rng = StdRng::seed_from_u64(measure_seed ^ salt);
+        Ok(read_out(
+            &clean,
+            scope,
+            gain,
+            jitter,
+            self.lab.acquisition.averages,
+            &mut rng,
+        ))
+    }
+
+    /// [`Self::acquire_trace`] on the EM chain.
     ///
     /// # Errors
     ///
@@ -637,55 +654,7 @@ impl<'a> ProgrammedDevice<'a> {
         key: &[u8; 16],
         measure_seed: u64,
     ) -> Result<Trace, Error> {
-        let em = &self.lab.em;
-        let clean = self.clean_signal_cached(
-            pt,
-            key,
-            &self.em_clean_cache,
-            self.em_weighted_charges(),
-            self.em_impulse_kernel(),
-            em.scope.sample_period_ps,
-        )?;
-        let mut rng = StdRng::seed_from_u64(measure_seed ^ 0xE37A_11CE_55AA_0001);
-        Ok(read_out(
-            &clean,
-            &em.scope,
-            em.gain,
-            em.setup_gain_jitter,
-            self.lab.acquisition.averages,
-            &mut rng,
-        ))
-    }
-
-    /// Acquires one averaged global power trace (the baseline chain).
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist validation failures.
-    pub fn acquire_power_trace(
-        &self,
-        pt: &[u8; 16],
-        key: &[u8; 16],
-        measure_seed: u64,
-    ) -> Result<Trace, Error> {
-        let power = &self.lab.power;
-        let clean = self.clean_signal_cached(
-            pt,
-            key,
-            &self.power_clean_cache,
-            self.power_weighted_charges(),
-            self.power_impulse_kernel(),
-            power.scope.sample_period_ps,
-        )?;
-        let mut rng = StdRng::seed_from_u64(measure_seed ^ 0x0F0F_5A5A_3C3C_0002);
-        Ok(read_out(
-            &clean,
-            &power.scope,
-            power.gain,
-            power.setup_gain_jitter,
-            self.lab.acquisition.averages,
-            &mut rng,
-        ))
+        self.acquire_trace(SideChannel::Em, pt, key, measure_seed)
     }
 }
 
@@ -919,7 +888,9 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(12 ^ 0x0F0F_5A5A_3C3C_0002);
         let want_power = lab.power.acquire(&events, &lab.acquisition, &mut rng);
-        let got_power = dev.acquire_power_trace(&pt, &key, 12).unwrap();
+        let got_power = dev
+            .acquire_trace(SideChannel::Power, &pt, &key, 12)
+            .unwrap();
         assert_eq!(want_power, got_power);
     }
 
@@ -970,7 +941,7 @@ mod tests {
         for seed in 0..3 {
             dev.acquire_em_trace(&pt, &key, seed).unwrap();
         }
-        dev.acquire_power_trace(&pt, &key, 0).unwrap();
+        dev.acquire_trace(SideChannel::Power, &pt, &key, 0).unwrap();
         let events = dev.timed_encryption_activity(&pt, &key).unwrap();
         let counters: std::collections::BTreeMap<String, u64> =
             obs.snapshot().unwrap().counters.into_iter().collect();

@@ -17,7 +17,7 @@ use htd_stats::Gaussian;
 use htd_trojan::TrojanSpec;
 
 use crate::campaign::CampaignPlan;
-use crate::channel::{trace_channel, Channel};
+use crate::channel::{Channel, TraceChannel};
 use crate::error::Error;
 use crate::fusion::{characterize, fit_population, score, Campaign, GoldenCharacterization};
 use crate::{Engine, Lab};
@@ -159,9 +159,9 @@ pub fn characterize_em_golden(
     seed: u64,
 ) -> Result<EmGoldenModel, Error> {
     let plan = CampaignPlan::traces(n_dies, *pt, *key, seed);
-    let channel = trace_channel(chain, TraceMetric::SumOfLocalMaxima);
+    let channel = TraceChannel::new(chain, TraceMetric::SumOfLocalMaxima);
     let mut charac: GoldenCharacterization =
-        characterize(&Campaign::default(), lab, &plan, &[&*channel])?;
+        characterize(&Campaign::default(), lab, &plan, &[&channel])?;
     // Under the strict default policy the one channel survives or
     // `characterize` fails.
     let state = charac.states.swap_remove(0);
@@ -314,8 +314,8 @@ pub fn fn_rate_experiment_with_metric(
     seed: u64,
 ) -> Result<FnRateReport, Error> {
     let plan = CampaignPlan::traces(n_dies, *pt, *key, seed);
-    let channel = trace_channel(chain, metric);
-    let channels: [&dyn Channel; 1] = [&*channel];
+    let channel = TraceChannel::new(chain, metric);
+    let channels: [&dyn Channel; 1] = [&channel];
     let campaign = Campaign::with_engine(engine.clone());
     let charac: GoldenCharacterization = characterize(&campaign, lab, &plan, &channels)?;
     let report = score(&campaign, lab, &charac, specs, &channels, None)?.report;

@@ -51,9 +51,10 @@ pub enum Error {
         /// What was empty.
         what: &'static str,
     },
-    /// A channel stage was fed an acquisition or reference of another
-    /// channel's shape (a trace where a matrix was expected, or vice
-    /// versa).
+    /// A channel stage was fed an acquisition or reference of the wrong
+    /// shape: another channel's (a trace where a matrix was expected, or
+    /// vice versa), or a stored reference that does not match what the
+    /// lab acquires.
     ChannelShapeMismatch {
         /// Channel reporting the mismatch.
         channel: String,
@@ -162,8 +163,7 @@ impl fmt::Display for Error {
             Error::EmptyPopulation { what } => write!(f, "empty population: {what}"),
             Error::ChannelShapeMismatch { channel, expected } => write!(
                 f,
-                "{channel} channel received data of another channel's shape \
-                 (expected {expected})"
+                "{channel} channel received data of the wrong shape (expected {expected})"
             ),
             Error::TraceLengthMismatch { expected, got } => write!(
                 f,

@@ -47,7 +47,9 @@ use htd_stats::Gaussian;
 use htd_trojan::TrojanSpec;
 
 use crate::campaign::CampaignPlan;
-use crate::channel::{Acquisition, Calibration, Channel, DelayChannel, EmChannel, GoldenReference};
+use crate::channel::{
+    Acquisition, Calibration, Channel, DelayChannel, GoldenReference, TraceChannel,
+};
 use crate::engine::Attempt;
 use crate::error::Error;
 use crate::resilience::{ChannelHealth, RetryPolicy};
@@ -1249,7 +1251,7 @@ pub fn fusion_experiment_with(
     seed: u64,
 ) -> Result<FusionReport, Error> {
     let plan = CampaignPlan::with_random_pairs(n_dies, campaign_pairs, 3, *pt, *key, seed);
-    let em = EmChannel::paper();
+    let em = TraceChannel::paper();
     let delay = DelayChannel;
     let channels: [&dyn Channel; 2] = [&em, &delay];
     let campaign = Campaign::with_engine(engine.clone());
@@ -1277,8 +1279,7 @@ pub fn fusion_experiment_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::PowerChannel;
-    use crate::em_detect::TraceMetric;
+    use crate::em_detect::{SideChannel, TraceMetric};
 
     /// A golden characterize + score campaign under the default
     /// [`Campaign`].
@@ -1362,9 +1363,9 @@ mod tests {
     fn three_channel_experiment_reports_every_channel_and_fusion() {
         let lab = Lab::paper();
         let plan = CampaignPlan::with_random_pairs(6, 2, 3, [0x11u8; 16], [0x22u8; 16], 42);
-        let em = EmChannel::paper();
+        let em = TraceChannel::paper();
         let delay = DelayChannel;
-        let power = PowerChannel::new(TraceMetric::SumOfLocalMaxima);
+        let power = TraceChannel::new(SideChannel::Power, TraceMetric::SumOfLocalMaxima);
         let report = experiment(&lab, &plan, &[TrojanSpec::ht2()], &[&em, &delay, &power]).unwrap();
         assert_eq!(report.channel_names, vec!["EM", "delay", "power"]);
         let row = &report.rows[0];
@@ -1390,7 +1391,7 @@ mod tests {
             experiment(&lab, &plan, &[], &[]),
             Err(Error::EmptyPopulation { .. })
         ));
-        let em = EmChannel::paper();
+        let em = TraceChannel::paper();
         let tiny = CampaignPlan::traces(1, [0u8; 16], [0u8; 16], 1);
         assert!(matches!(
             experiment(&lab, &tiny, &[], &[&em]),
@@ -1411,7 +1412,7 @@ mod tests {
             lost: vec![],
         };
         let lab = Lab::paper();
-        let em = EmChannel::paper();
+        let em = TraceChannel::paper();
         let delay = DelayChannel;
         let campaign = Campaign::default();
         let score_on =

@@ -21,10 +21,9 @@
 //!   false-negative-rate estimation (Eq. 5, the headline 26 %/17 %/5 %
 //!   table).
 //! * [`channel`] — the pluggable channel architecture: every detection
-//!   channel ([`EmChannel`](channel::EmChannel),
-//!   [`DelayChannel`](channel::DelayChannel),
-//!   [`PowerChannel`](channel::PowerChannel)) implements the same
-//!   acquire → characterize_golden → score stages.
+//!   channel ([`TraceChannel`](channel::TraceChannel) over the EM or
+//!   power chain, [`DelayChannel`](channel::DelayChannel)) implements
+//!   the same acquire → characterize_golden → score stages.
 //! * [`fusion`] — the one scoring pipeline: [`fusion::characterize`]
 //!   drives any set of channels over one shared die population described
 //!   by a [`CampaignPlan`], and [`fusion::score`] scores suspects against
@@ -90,9 +89,9 @@ pub use netlist_io::{load_netlist, save_netlist};
 
 /// Convenient re-exports of the whole suite's primary types.
 pub mod prelude {
-    pub use crate::channel::{Channel, ChannelSpec, DelayChannel, EmChannel, PowerChannel};
+    pub use crate::channel::{Channel, ChannelSpec, DelayChannel, TraceChannel};
     pub use crate::delay_detect::{DelayDetector, DelayEvidence, GoldenDelayModel};
-    pub use crate::em_detect::{EmDetector, EmGoldenModel, FnRateReport};
+    pub use crate::em_detect::{EmDetector, EmGoldenModel, FnRateReport, SideChannel, TraceMetric};
     pub use crate::fusion::{
         masked_feature_rows, Campaign, ChannelResult, ChannelState, GoldenCharacterization,
         MultiChannelReport, MultiChannelRow, Reference, ScoredCampaign, ScoredChannel,

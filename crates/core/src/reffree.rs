@@ -283,7 +283,7 @@ impl Reference for ReferenceFreeCharacterization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{ChannelSpec, DelayChannel, EmChannel};
+    use crate::channel::{ChannelSpec, DelayChannel, TraceChannel};
     use crate::em_detect::TraceMetric;
     use crate::fusion::{characterize, score, Campaign, ScoredCampaign, ScoringSession};
     use crate::{Engine, Lab};
@@ -341,7 +341,7 @@ mod tests {
     fn characterize_then_score_is_deterministic() {
         let lab = Lab::paper();
         let plan = plan();
-        let em = EmChannel::paper();
+        let em = TraceChannel::paper();
         let delay = DelayChannel;
         let channels: [&dyn Channel; 2] = [&em, &delay];
         let charac =
@@ -370,7 +370,7 @@ mod tests {
     fn single_report_matches_campaign_row() {
         let lab = Lab::paper();
         let plan = plan();
-        let em = EmChannel::paper();
+        let em = TraceChannel::paper();
         let channels: [&dyn Channel; 1] = [&em];
         let charac =
             characterize_reference_free(Engine::default(), &lab, &plan, &channels).unwrap();
@@ -425,7 +425,7 @@ mod tests {
     fn too_few_dies_is_rejected() {
         let lab = Lab::paper();
         let plan = CampaignPlan::with_random_pairs(2, 2, 2, [0x13; 16], [0x7f; 16], 42);
-        let em = EmChannel::paper();
+        let em = TraceChannel::paper();
         let channels: [&dyn Channel; 1] = [&em];
         let err =
             characterize_reference_free(Engine::default(), &lab, &plan, &channels).unwrap_err();

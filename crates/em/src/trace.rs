@@ -123,15 +123,30 @@ impl Trace {
         }
     }
 
-    fn check_compatible(&self, other: &Trace) {
-        assert_eq!(self.samples.len(), other.samples.len(), "length mismatch");
+    /// Whether `other` has the same length and time base — the shape
+    /// every point-wise operation ([`Trace::abs_diff`], subtraction,
+    /// [`Trace::mean_of`]) requires.
+    pub fn compatible(&self, other: &Trace) -> bool {
         // Exact-or-relative: an absolute tolerance would reject equal
         // periods that differ by float rounding at large magnitudes and
         // accept genuinely different ones near zero.
         let (a, b) = (self.dt_ps, other.dt_ps);
+        self.len() == other.len() && (a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs()))
+    }
+
+    fn check_compatible(&self, other: &Trace) {
         assert!(
-            a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
-            "time-base mismatch ({a} ps vs {b} ps)"
+            self.compatible(other),
+            "{} mismatch ({} samples at {} ps vs {} samples at {} ps)",
+            if self.len() != other.len() {
+                "length"
+            } else {
+                "time-base"
+            },
+            self.len(),
+            self.dt_ps,
+            other.len(),
+            other.dt_ps
         );
     }
 }
@@ -199,6 +214,14 @@ mod tests {
         let a = Trace::new(vec![1.0], 200.0);
         let b = Trace::new(vec![1.0, 2.0], 200.0);
         let _ = a.abs_diff(&b);
+    }
+
+    #[test]
+    fn compatible_checks_length_and_time_base_without_panicking() {
+        let a = Trace::new(vec![1.0, 2.0], 200.0);
+        assert!(a.compatible(&Trace::new(vec![3.0, 4.0], 200.0)));
+        assert!(!a.compatible(&Trace::new(vec![1.0], 200.0)));
+        assert!(!a.compatible(&Trace::new(vec![1.0, 2.0], 200.1)));
     }
 
     #[test]

@@ -488,6 +488,73 @@ fn malformed_requests_get_error_responses_not_a_dead_server() {
     server.shutdown();
 }
 
+/// Runs `f` on its own thread and returns its result, failing the test
+/// instead of hanging it when no answer arrives within `secs`.
+fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()).ok());
+    rx.recv_timeout(std::time::Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what}: no answer within {secs} s"))
+}
+
+/// A checksum-valid golden whose stored reference does not match what
+/// the lab acquires — the committed `tests/fixtures/golden.htd`, with a
+/// 4-sample EM trace — costs its request an `error` response. The
+/// scheduler lives on: a well-formed request from another client is
+/// answered, and `shutdown` still ends the process promptly.
+#[test]
+fn a_mis_shaped_golden_degrades_one_response_not_the_scheduler() {
+    let dir = scratch("mis-shaped");
+    let golden = characterize(&dir);
+    let mis_shaped = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/golden.htd")
+        .display()
+        .to_string();
+    let mut server = Server::spawn(&[]);
+    let addr = server.addr.clone();
+
+    let response = within(30, "mis-shaped score", {
+        let addr = addr.clone();
+        move || {
+            score(
+                &mut Client::connect(addr.as_str()).unwrap(),
+                &mis_shaped,
+                "ht2",
+            )
+        }
+    });
+    assert!(
+        matches!(&response, Response::Error { reason }
+            if reason.contains("EM channel received data of the wrong shape")),
+        "{response:?}"
+    );
+
+    let response = within(30, "well-formed score after it", {
+        let addr = addr.clone();
+        move || score(&mut Client::connect(addr.as_str()).unwrap(), &golden, "ht2")
+    });
+    assert!(matches!(response, Response::Score { .. }), "{response:?}");
+
+    let response = within(30, "shutdown", move || {
+        Client::connect(addr.as_str())
+            .unwrap()
+            .call(&Request::Shutdown)
+            .expect("shutdown answered")
+    });
+    assert_eq!(response, Response::Done);
+    let status = 'wait: {
+        for _ in 0..100 {
+            if let Some(status) = server.child.try_wait().expect("child pollable") {
+                break 'wait status;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        }
+        panic!("server still running 10 s after shutdown");
+    };
+    assert!(status.success(), "serve exited with {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Appends a valid checksum trailer to `body` so only the *content* is
 /// malformed, never the framing (a bad trailer is its own test case).
 fn frame_of(body: &str) -> String {
