@@ -104,6 +104,18 @@ diff "$HTD_SMOKE_DIR/learned.csv" tests/fixtures/learned_smoke.csv
 "$HTD" diff "$HTD_SMOKE_DIR/reffree-degraded.htd" \
     tests/fixtures/reffree_degraded_report.htd
 
+echo "==> htd high-repetition smoke"
+# The smokes above repeat each sweep twice, so the glitch sweep's noise
+# draws see only a few thousand bits end to end. 256 repetitions push
+# ~260 k draws through the sweep; the report must still reproduce its
+# committed fixture byte for byte.
+"$HTD" characterize --out "$HTD_SMOKE_DIR/reps256.htd" --mode reference-free \
+    --dies 4 --pairs 2 --reps 256 --seed 42 --channels em,delay
+"$HTD" score --golden "$HTD_SMOKE_DIR/reps256.htd" --trojans ht2 \
+    --report "$HTD_SMOKE_DIR/reps256-report.htd" >/dev/null
+"$HTD" diff "$HTD_SMOKE_DIR/reps256-report.htd" \
+    tests/fixtures/reffree_reps256_report.htd
+
 echo "==> htd power-chain smoke"
 # The three-channel campaign (EM, power, delay) characterized in both
 # modes and scored: each report must reproduce its committed fixture
