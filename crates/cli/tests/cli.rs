@@ -454,3 +454,55 @@ fn a_mis_shaped_stored_reference_is_rejected_not_a_crash() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A checksum-valid golden whose glitch calibration performs zero steps:
+/// the strict parser must refuse it as a usage error naming the
+/// calibration. It used to pass, then panic on `steps - 1` in debug
+/// builds (exit 101) and score a silently wrong verdict in release ones.
+#[test]
+fn a_zero_step_glitch_calibration_is_rejected_not_scored() {
+    let dir = labdir("zero-steps");
+    expect_success(&htd(
+        &dir,
+        &[
+            "characterize",
+            "--out",
+            "golden.htd",
+            "--dies",
+            "4",
+            "--pairs",
+            "2",
+            "--reps",
+            "2",
+            "--seed",
+            "42",
+            "--channels",
+            "delay",
+        ],
+    ));
+    let text = std::fs::read_to_string(dir.join("golden.htd")).unwrap();
+    let mut body: String = text
+        .lines()
+        .filter(|l| !l.starts_with("checksum "))
+        .map(|l| match l.strip_prefix("calibration glitch ") {
+            Some(params) => {
+                let mut words: Vec<&str> = params.split_whitespace().collect();
+                words[2] = "0";
+                format!("calibration glitch {}\n", words.join(" "))
+            }
+            None => format!("{l}\n"),
+        })
+        .collect();
+    assert!(body.contains("calibration glitch "), "{body}");
+    let sum = htd_store::fnv1a64(body.as_bytes());
+    body.push_str(&format!("checksum fnv1a64 {sum:016x}\n"));
+    std::fs::write(dir.join("zero-steps.htd"), body).unwrap();
+    let out = htd(
+        &dir,
+        &["score", "--golden", "zero-steps.htd", "--trojans", "ht1"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("glitch calibration"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

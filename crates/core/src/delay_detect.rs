@@ -20,11 +20,13 @@
 //! derived from cell indices, never from scheduling order, so the
 //! results are bit-identical for every worker count.
 
+use std::sync::atomic::{AtomicU16, Ordering};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use htd_faults::{FaultPlan, FaultSite, RepHealth};
-use htd_timing::{GlitchParams, GlitchSweep};
+use htd_timing::{FaultOnset, GlitchParams, GlitchSweep};
 
 use crate::error::Error;
 use crate::{Engine, ProgrammedDevice};
@@ -128,10 +130,10 @@ fn rep_noise_seed(campaign_seed: u64, noise_salt: u64, pair_idx: usize, rep: usi
 ///
 /// The campaign fans in two stages: settle-time simulation per pair
 /// (through the device's settle cache), then one task per
-/// pair × repetition cell. Repetitions are reduced to means in
-/// repetition order for every pair, so floating-point accumulation is
-/// scheduling-independent and the matrix is bit-identical for every
-/// worker count.
+/// pair × repetition cell. Each cell's noise stream is a function of
+/// its indices, and repetitions are reduced to means by exact integer
+/// sums of onset steps, so the matrix is bit-identical for every worker
+/// count.
 ///
 /// # Errors
 ///
@@ -160,8 +162,7 @@ pub fn measure_matrix_with(
 
 /// [`measure_matrix_with`] under a [`FaultPlan`]: each (pair, repetition)
 /// cell may be quarantined at [`FaultSite::Rep`], and the per-pair mean
-/// is taken over the surviving repetitions only (in repetition order, so
-/// the reduction stays scheduling-independent). Returns `Ok(None)` when
+/// is taken over the surviving repetitions only. Returns `Ok(None)` when
 /// some pair loses *every* repetition — the whole acquisition attempt is
 /// unusable and the caller should re-acquire with a fresh seed.
 ///
@@ -184,15 +185,29 @@ pub fn measure_matrix_faulted(
     ctx: &[u64; 4],
 ) -> Result<Option<(DelayMatrix, RepHealth)>, Error> {
     let sweep = GlitchSweep::new(*params);
-    let saturation = params.never_onset_steps();
     let settles = engine
         .map(&campaign.pairs, |_, (pt, key)| {
             device.round10_settle_times_cached(pt, key)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
+    // `settle + setup` per (pair, bit), hoisted out of the repetitions:
+    // the sweep adds `noise · z` to it, the association `fault_onsets`
+    // uses, so every onset is unchanged.
+    let required: Vec<Vec<Option<f64>>> = settles
+        .iter()
+        .map(|row| row.iter().map(|s| s.map(|s| s + params.setup_ps)).collect())
+        .collect();
     let reps = campaign.repetitions.max(1);
-    let cells = engine.map_indexed(campaign.pairs.len() * reps, |cell| {
+    // Every pair observes the same bits. Each (pair, repetition) cell
+    // writes its onset ordinals (`steps` for `Never`, the sentinel's
+    // value) into its own `bits`-wide slice of one buffer. `Relaxed`
+    // suffices: the fan joins its workers before it returns, which orders
+    // every store before the loads that reduce them.
+    let bits = required.first().map_or(0, Vec::len);
+    let cells = campaign.pairs.len() * reps;
+    let onsets: Vec<AtomicU16> = (0..cells * bits).map(|_| AtomicU16::new(0)).collect();
+    let survived = engine.map_indexed(cells, |cell| {
         let pair_idx = cell / reps;
         let rep = cell % reps;
         if faults.fires(
@@ -200,38 +215,40 @@ pub fn measure_matrix_faulted(
             &[ctx[0], ctx[1], ctx[2], ctx[3], pair_idx as u64, rep as u64],
         ) {
             engine.obs().incr("faults.rep.fired");
-            return None;
+            return false;
         }
         let mut rng =
             StdRng::seed_from_u64(rep_noise_seed(campaign.seed, noise_salt, pair_idx, rep));
-        Some(
-            sweep
-                .fault_onsets(&settles[pair_idx], &mut rng)
-                .iter()
-                .map(|o| o.step().map(f64::from).unwrap_or(saturation))
-                .collect::<Vec<f64>>(),
-        )
+        let row = &onsets[cell * bits..(cell + 1) * bits];
+        for (slot, base) in row.iter().zip(&required[pair_idx]) {
+            let onset = base.map_or(FaultOnset::Never, |b| sweep.noisy_onset(b, &mut rng));
+            slot.store(onset.step().unwrap_or(params.steps), Ordering::Relaxed);
+        }
+        true
     });
     let mut health = RepHealth {
-        attempted: cells.len(),
+        attempted: survived.len(),
         dropped: 0,
     };
     let mut mean_onset_steps = Vec::with_capacity(campaign.pairs.len());
     for pair_idx in 0..campaign.pairs.len() {
-        let rows = &cells[pair_idx * reps..(pair_idx + 1) * reps];
-        let survivors = rows.iter().filter(|r| r.is_some()).count();
+        let kept = &survived[pair_idx * reps..(pair_idx + 1) * reps];
+        let survivors = kept.iter().filter(|&&k| k).count();
         health.dropped += reps - survivors;
         if survivors == 0 {
             return Ok(None);
         }
-        let bits = settles[pair_idx].len();
-        let mut acc = vec![0.0f64; bits];
-        for rep_row in rows.iter().flatten() {
-            for (bit, v) in rep_row.iter().enumerate() {
-                acc[bit] += v;
+        // Integer sums are exact in any order, and each equals the f64
+        // running sum of the same integers in repetition order, so the
+        // mean is bit-identical to accumulating floats rep by rep.
+        let mut acc = vec![0u64; bits];
+        for rep in (0..reps).filter(|&rep| kept[rep]) {
+            let cell = pair_idx * reps + rep;
+            for (a, slot) in acc.iter_mut().zip(&onsets[cell * bits..(cell + 1) * bits]) {
+                *a += u64::from(slot.load(Ordering::Relaxed));
             }
         }
-        mean_onset_steps.push(acc.iter().map(|a| a / survivors as f64).collect());
+        mean_onset_steps.push(acc.iter().map(|&a| a as f64 / survivors as f64).collect());
     }
     Ok(Some((DelayMatrix { mean_onset_steps }, health)))
 }
@@ -469,5 +486,36 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 80);
+    }
+
+    #[test]
+    fn the_sweep_keeps_the_pinned_fan_task_and_settle_counters() {
+        // Aim + measure a 3-pair × 5-rep golden, then examine 2 pairs of
+        // a second device: one settle fan and one pairs × reps fan per
+        // matrix, one settle simulation per (device, pair).
+        use crate::{Design, Lab};
+        use htd_obs::Obs;
+        let lab = Lab::paper();
+        let golden = Design::golden(&lab).unwrap();
+        let (die_a, die_b) = (lab.fabricate_die(0), lab.fabricate_die(1));
+        let obs = Obs::recording();
+        let engine = Engine::with_workers(2).with_obs(obs.clone());
+        let dev_a = ProgrammedDevice::with_obs(&lab, &golden, &die_a, obs.clone());
+        let dev_b = ProgrammedDevice::with_obs(&lab, &golden, &die_b, obs.clone());
+        let model =
+            characterize_golden_with(&engine, &dev_a, DelayCampaign::random(3, 5, 11)).unwrap();
+        DelayDetector::new(model)
+            .examine_pairs_with(&engine, &dev_b, 1, 2)
+            .unwrap();
+        let counters: std::collections::BTreeMap<String, u64> =
+            obs.snapshot().unwrap().counters.into_iter().collect();
+        for (name, want) in [
+            ("engine.fans", 5),
+            ("engine.tasks", 33),
+            ("cache.settle.hit", 3),
+            ("cache.settle.miss", 5),
+        ] {
+            assert_eq!(counters.get(name), Some(&want), "{name}");
+        }
     }
 }

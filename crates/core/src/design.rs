@@ -38,6 +38,7 @@ pub struct Design {
     aes: AesNetlist,
     placement: Placement,
     trojan: Option<InsertedTrojan>,
+    prefixes: Prefixes,
 }
 
 impl Design {
@@ -53,6 +54,7 @@ impl Design {
             aes,
             placement,
             trojan: None,
+            prefixes: Prefixes::default(),
         })
     }
 
@@ -103,6 +105,7 @@ impl Design {
             aes,
             placement,
             trojan: Some(trojan),
+            prefixes: Prefixes::default(),
         })
     }
 
@@ -125,6 +128,93 @@ impl Design {
     pub fn used_slices(&self) -> usize {
         self.placement.used_slices()
     }
+
+    /// Net values after the stimulus is loaded and 8 functional rounds
+    /// have run: the state the round-10 settle cycle starts from.
+    fn round9_snapshot(&self, pt: &[u8; 16], key: &[u8; 16]) -> Result<Arc<Vec<bool>>, Error> {
+        memoised(&self.prefixes.round9, (*pt, *key), || {
+            let mut sim = AesSim::new(&self.aes)?;
+            sim.start(pt, key);
+            for _ in 0..8 {
+                sim.step_round();
+            }
+            Ok(sim.simulator().snapshot())
+        })
+    }
+
+    /// Net values with the stimulus applied and the load strobe high,
+    /// settled: the state the full-encryption activity replay starts from.
+    fn loaded_snapshot(&self, pt: &[u8; 16], key: &[u8; 16]) -> Result<Arc<Vec<bool>>, Error> {
+        memoised(&self.prefixes.loaded, (*pt, *key), || {
+            let aes = &self.aes;
+            let mut fsim = aes.netlist().simulator()?;
+            fsim.set_bus_bytes(aes.plaintext(), pt);
+            fsim.set_bus_bytes(aes.key(), key);
+            fsim.set(aes.load(), true);
+            fsim.settle();
+            Ok(fsim.snapshot())
+        })
+    }
+
+    /// Per net: the first ciphertext bit whose state register `D` pin it
+    /// is, or `u32::MAX`.
+    fn d_bit_of_net(&self) -> &[u32] {
+        self.prefixes.d_bit_of_net.get_or_init(|| {
+            let mut of_net = vec![u32::MAX; self.aes.netlist().net_count()];
+            for (bit, d) in self.aes.state_d().iter().enumerate().rev() {
+                of_net[d.index()] = bit as u32;
+            }
+            of_net
+        })
+    }
+}
+
+/// A memo of net-value snapshots per (plaintext, key) pair.
+type SnapshotMemo = Mutex<HashMap<PairKey, Arc<Vec<bool>>>>;
+
+/// The die-independent functional prefixes of a design's simulations.
+/// Process variation changes delays, never logic values, so every device
+/// programmed with the design starts its timed replays from the same
+/// snapshots; they are computed once per (design, pair) instead of once
+/// per die.
+#[derive(Default)]
+struct Prefixes {
+    round9: SnapshotMemo,
+    loaded: SnapshotMemo,
+    d_bit_of_net: OnceLock<Vec<u32>>,
+}
+
+impl Clone for Prefixes {
+    /// A clone starts empty and refills on demand (the memos are pure).
+    fn clone(&self) -> Self {
+        Prefixes::default()
+    }
+}
+
+impl std::fmt::Debug for Prefixes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Prefixes")
+            .field("round9", &lock_unpoisoned(&self.round9).len())
+            .field("loaded", &lock_unpoisoned(&self.loaded).len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Looks `key` up in `memo`, computing and storing it on a miss. The
+/// computation runs outside the lock; a concurrent duplicate computes the
+/// same pure value, and the first stored one wins.
+fn memoised(
+    memo: &SnapshotMemo,
+    key: PairKey,
+    compute: impl FnOnce() -> Result<Vec<bool>, Error>,
+) -> Result<Arc<Vec<bool>>, Error> {
+    if let Some(hit) = lock_unpoisoned(memo).get(&key) {
+        return Ok(Arc::clone(hit));
+    }
+    let value = Arc::new(compute()?);
+    Ok(Arc::clone(
+        lock_unpoisoned(memo).entry(key).or_insert(value),
+    ))
 }
 
 /// Cache key for per-stimulus simulation results: the (plaintext, key)
@@ -337,22 +427,27 @@ impl<'a> ProgrammedDevice<'a> {
         pt: &[u8; 16],
         key: &[u8; 16],
     ) -> Result<Vec<Option<f64>>, Error> {
-        let aes = &self.design.aes;
-        let mut sim = AesSim::new(aes)?;
-        sim.start(pt, key);
-        for _ in 0..8 {
-            sim.step_round();
-        }
+        let snapshot = self.design.round9_snapshot(pt, key)?;
         // The next edge launches round 9's result; during that cycle the
         // round-10 logic settles at the state D pins (see the timing-crate
-        // integration tests for the cycle accounting).
-        let mut esim =
-            CompiledSimulator::from_snapshot(self.compiled_timing(), sim.simulator().snapshot());
-        let run = esim.clock_cycle();
-        Ok(aes
-            .state_d()
+        // integration tests for the cycle accounting). Only their last
+        // transitions are kept — `TimedRun::arrival_at_sinks_ps` without
+        // the run.
+        let mut esim = CompiledSimulator::from_snapshot(self.compiled_timing(), snapshot.to_vec());
+        let d_bit = self.design.d_bit_of_net();
+        let state_d = self.design.aes.state_d();
+        let mut last = vec![f64::NEG_INFINITY; state_d.len()];
+        esim.clock_cycle_visit(|time_ps, net, _| {
+            if let Some(t) = last.get_mut(d_bit[net.index()] as usize) {
+                *t = time_ps;
+            }
+        });
+        Ok(state_d
             .iter()
-            .map(|&d| run.arrival_at_sinks_ps(d, &self.annotation))
+            .map(|d| {
+                let t = last[d_bit[d.index()] as usize];
+                (t != f64::NEG_INFINITY).then_some(t)
+            })
             .collect())
     }
 
@@ -405,16 +500,11 @@ impl<'a> ProgrammedDevice<'a> {
     /// returns the switching activity in SoA form (the representation
     /// the acquisition kernels consume).
     fn indexed_activity(&self, pt: &[u8; 16], key: &[u8; 16]) -> Result<IndexedActivity, Error> {
-        let aes = &self.design.aes;
-        let mut fsim = aes.netlist().simulator()?;
-        fsim.set_bus_bytes(aes.plaintext(), pt);
-        fsim.set_bus_bytes(aes.key(), key);
-        fsim.set(aes.load(), true);
-        fsim.settle();
-        let mut esim = CompiledSimulator::from_snapshot(self.compiled_timing(), fsim.snapshot());
+        let snapshot = self.design.loaded_snapshot(pt, key)?;
+        let mut esim = CompiledSimulator::from_snapshot(self.compiled_timing(), snapshot.to_vec());
         // The load strobe drops during cycle 0, so edge 1 already captures
         // round 1 (synchronous testbench behaviour).
-        esim.set_input(aes.load(), false);
+        esim.set_input(self.design.aes.load(), false);
         let period = self.lab.acquisition.clock_period_ps;
         let table = self.table();
         let mut idx = IndexedActivity::default();

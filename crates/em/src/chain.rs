@@ -97,10 +97,14 @@ impl BinStats {
 /// Events before the window, past it, or with NaN times are counted in
 /// [`BinStats::dropped`] and skipped — never smeared into bin 0.
 ///
-/// Internally the bin indices are computed chunk-at-a-time so the
-/// divide/floor pass autovectorizes; the scatter-accumulate stays scalar
+/// Internally the bin positions `t / dt` are computed chunk-at-a-time so
+/// the divide pass autovectorizes; the scatter-accumulate stays scalar
 /// and in event order, so the result is bit-identical to the obvious
-/// one-pass loop.
+/// one-pass loop. The bin is `x as usize` behind `x >= 0.0`, not
+/// `x.floor()`: truncation equals `floor` on every non-negative `x`, the
+/// guard rejects NaN and negative fractions that `floor` would send to
+/// −1, and `-0.0` passes both forms into bin 0. Baseline x86-64 has no
+/// SSE4.1 `roundsd`, so `floor` was a libm call per event.
 pub fn bin_events(
     times_ps: &[f64],
     charges: &[f64],
@@ -117,11 +121,11 @@ pub fn bin_events(
     while start < times_ps.len() {
         let m = CHUNK.min(times_ps.len() - start);
         for (b, &t) in bins[..m].iter_mut().zip(&times_ps[start..start + m]) {
-            *b = (t / dt_ps).floor();
+            *b = t / dt_ps;
         }
-        for (&bin, &c) in bins[..m].iter().zip(&charges[start..start + m]) {
-            if bin >= 0.0 && (bin as usize) < n_samples {
-                impulses[bin as usize] += c;
+        for (&x, &c) in bins[..m].iter().zip(&charges[start..start + m]) {
+            if x >= 0.0 && (x as usize) < n_samples {
+                impulses[x as usize] += c;
                 stats.binned += 1;
             } else {
                 stats.dropped += 1;
@@ -156,11 +160,11 @@ pub fn bin_events_indexed(
     while start < times_ps.len() {
         let m = CHUNK.min(times_ps.len() - start);
         for (b, &t) in bins[..m].iter_mut().zip(&times_ps[start..start + m]) {
-            *b = (t / dt_ps).floor();
+            *b = t / dt_ps;
         }
-        for (&bin, &net) in bins[..m].iter().zip(&nets[start..start + m]) {
-            if bin >= 0.0 && (bin as usize) < n_samples {
-                impulses[bin as usize] += weighted[net as usize];
+        for (&x, &net) in bins[..m].iter().zip(&nets[start..start + m]) {
+            if x >= 0.0 && (x as usize) < n_samples {
+                impulses[x as usize] += weighted[net as usize];
                 stats.binned += 1;
             } else {
                 stats.dropped += 1;
@@ -403,6 +407,65 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn truncating_binning_matches_floor_binning_on_every_edge() {
+        // The kernels bin with `x as usize` behind `x >= 0.0`; the
+        // historical rule is `x.floor()` behind `floor >= 0.0`. Both must
+        // agree on NaN, ±0, negative fractions, ±inf and both window
+        // edges, in the bins and in the drop accounting.
+        let (dt, n) = (200.0, 50usize);
+        let end = dt * n as f64;
+        let times = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            -1.0e-300,
+            -0.5 * dt,
+            -dt,
+            -1.5 * dt,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            0.5 * dt,
+            dt,
+            end - dt,
+            end - 1.0e-9,
+            end,
+            end + 1.0e-9,
+            1.0e300,
+        ];
+        let charges: Vec<f64> = (0..times.len()).map(|i| 1.0 + i as f64).collect();
+        let mut want = vec![0.0f64; n];
+        let mut want_stats = BinStats::default();
+        for (&t, &c) in times.iter().zip(&charges) {
+            let bin = (t / dt).floor();
+            if bin >= 0.0 && (bin as usize) < n {
+                want[bin as usize] += c;
+                want_stats.binned += 1;
+            } else {
+                want_stats.dropped += 1;
+            }
+        }
+        assert_eq!(
+            want_stats,
+            BinStats {
+                binned: 7,
+                dropped: 10
+            }
+        );
+        let nets: Vec<u32> = (0..times.len() as u32).collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert_eq!(bin_events(&times, &charges, dt, n, &mut a), want_stats);
+        assert_eq!(
+            bin_events_indexed(&times, &nets, &charges, dt, n, &mut b),
+            want_stats
+        );
+        for got in [&a, &b] {
+            let bits: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(bits, want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
         }
     }
 

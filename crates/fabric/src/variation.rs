@@ -27,6 +27,14 @@ pub fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by nudging u1 away from zero.
     let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.gen();
+    box_muller(u1, u2)
+}
+
+/// The Box–Muller transform [`standard_normal`] applies to its two
+/// uniform draws: `u1` in `(0, 1)` (already nudged away from zero) and
+/// `u2` in `[0, 1)`. Exposed so a consumer that draws the uniforms
+/// itself reproduces the sample bit for bit.
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 

@@ -650,6 +650,25 @@ mod tests {
     }
 
     #[test]
+    fn a_glitch_calibration_without_steps_is_unphysical() {
+        // Checksum-valid text: only the strict value check can refuse it.
+        let zero = Calibration::Glitch(GlitchParams {
+            steps: 0,
+            ..sample_glitch()
+        });
+        let err = from_text::<Calibration>(&to_text(&zero)).unwrap_err();
+        assert!(
+            err.to_string().contains("unphysical glitch calibration"),
+            "{err}"
+        );
+        let one = Calibration::Glitch(GlitchParams {
+            steps: 1,
+            ..sample_glitch()
+        });
+        roundtrip(&one);
+    }
+
+    #[test]
     fn truncation_never_panics() {
         let plan = sample_plan();
         let text = to_text(&plan);

@@ -11,9 +11,11 @@
 //! times. It is deliberately independent of AES — any set of observed
 //! endpoints works.
 
-use rand::RngCore;
+use std::sync::OnceLock;
 
-use htd_fabric::variation::standard_normal;
+use rand::{Rng, RngCore};
+
+use htd_fabric::variation::box_muller;
 
 /// Sweep parameters. The paper used 51 steps of 35 ps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,13 +47,14 @@ impl GlitchParams {
         }
     }
 
-    /// Whether the parameters describe a realisable sweep: finite,
-    /// strictly positive start period and step, and a positive, finite
-    /// setup time and noise level (zero noise allowed). Strict
-    /// deserializers use this to reject corrupted calibration artifacts
-    /// before they reach the measurement code.
+    /// Whether the parameters describe a realisable sweep: at least one
+    /// step, finite, strictly positive start period and step, and a
+    /// positive, finite setup time and noise level (zero noise allowed).
+    /// Strict deserializers use this to reject corrupted calibration
+    /// artifacts before they reach the measurement code.
     pub fn is_physical(&self) -> bool {
-        self.start_period_ps.is_finite()
+        self.steps >= 1
+            && self.start_period_ps.is_finite()
             && self.start_period_ps > 0.0
             && self.step_ps.is_finite()
             && self.step_ps > 0.0
@@ -107,15 +110,54 @@ impl FaultOnset {
 }
 
 /// One glitch sweep: maps settling times to fault onsets.
-#[derive(Debug, Clone, Copy)]
+///
+/// Each noisy onset is decided from the same two uniform draws as
+/// [`standard_normal`](htd_fabric::variation::standard_normal), but
+/// without evaluating `ln` and `cos` to full precision: the sweep keeps
+/// only an integer step per draw, so a table-interpolated normal sample
+/// with a proven error bound decides it whenever the bound places the
+/// required period clear of every step boundary. The rare draws it cannot
+/// place (about one in 10⁴ at the paper's 12 ps noise) take the exact
+/// Box–Muller expression. Every onset, and the RNG stream, is therefore
+/// bit-identical to evaluating `settle + setup + noise · z` exactly and
+/// calling [`Self::onset_for_required`].
+#[derive(Debug, Clone)]
 pub struct GlitchSweep {
     params: GlitchParams,
+    /// `1 / step_ps`, for the step guess (a guess only: `edges` decides).
+    inv_step: f64,
+    /// The draw-independent part of the certification margin, for
+    /// `√x ≥ 1` and `√x < 1` (see [`NormalTables`]).
+    margin_fixed: [f64; 2],
+    /// The margin per unit of the table sample's `√x`.
+    margin_per_s: f64,
+    /// Exact class boundaries of [`Self::onset_for_required`]: a required
+    /// period `x` has onset ordinal `k` (`Step(k)`, or `steps` for
+    /// `Never`) exactly when `edges[k + 1] <= x < edges[k]`. `steps + 2`
+    /// entries, from `+inf` down to `-inf`.
+    edges: Vec<f64>,
+    tables: &'static NormalTables,
 }
 
 impl GlitchSweep {
     /// Creates a sweep with the given parameters.
     pub fn new(params: GlitchParams) -> Self {
-        GlitchSweep { params }
+        let tables = NormalTables::get();
+        let noise = params.noise_ps.abs();
+        // |required + noise·z − (required + noise·z_exact)| is at most
+        // noise·|z − z_exact| plus a few half-ulps of |required| and of
+        // noise·(|z| + 1); MARGIN_REL covers those many times over, with
+        // |z| + 1 ≤ Z_MAX + 1 (see NormalTables).
+        let rounding = MARGIN_REL * noise * (Z_MAX + 1.0);
+        let fixed = |sqrt_err: f64| noise * (sqrt_err + Z_LIB_ERR) + rounding;
+        GlitchSweep {
+            params,
+            inv_step: 1.0 / params.step_ps,
+            margin_fixed: [fixed(tables.sqrt_err_large), fixed(tables.sqrt_err_small)],
+            margin_per_s: noise * COS_ERR,
+            edges: class_edges(&params),
+            tables,
+        }
     }
 
     /// The sweep parameters.
@@ -137,31 +179,255 @@ impl GlitchSweep {
     ) -> Vec<FaultOnset> {
         settle_at_sink_ps
             .iter()
-            .map(|&settle| {
-                let Some(settle) = settle else {
-                    return FaultOnset::Never;
-                };
-                let required =
-                    settle + self.params.setup_ps + self.params.noise_ps * standard_normal(rng);
-                self.onset_for_required(required)
+            .map(|&settle| match settle {
+                Some(settle) => self.noisy_onset(settle + self.params.setup_ps, rng),
+                None => FaultOnset::Never,
             })
             .collect()
+    }
+
+    /// The onset of one toggling bit in one repetition: draws the bit's
+    /// `dM` noise from `rng` (two uniforms, as
+    /// [`standard_normal`](htd_fabric::variation::standard_normal)) and
+    /// returns the onset for `required_ps + noise_ps · z`, where
+    /// `required_ps` is the bit's noise-free `settle + setup`.
+    /// [`Self::fault_onsets`] calls this per bit; a caller that repeats a
+    /// sweep many times can add `setup_ps` once and call it directly.
+    pub fn noisy_onset<R: RngCore + ?Sized>(&self, required_ps: f64, rng: &mut R) -> FaultOnset {
+        let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+        let u2: f64 = rng.gen();
+        match self.certified_onset(required_ps, u1, u2) {
+            Some(onset) => onset,
+            None => self.exact_onset(required_ps, u1, u2),
+        }
+    }
+
+    /// The onset from the exact Box–Muller sample: the reference the
+    /// certified path reproduces, taken when it cannot decide. Kept out
+    /// of line so the libm calls do not crowd the hot loop's registers.
+    #[cold]
+    #[inline(never)]
+    fn exact_onset(&self, required_ps: f64, u1: f64, u2: f64) -> FaultOnset {
+        self.onset_for_required(required_ps + self.params.noise_ps * box_muller(u1, u2))
+    }
+
+    /// The onset for `required_ps + noise_ps · box_muller(u1, u2)` from
+    /// the table sample, or `None` when its error bound cannot place the
+    /// required period inside one onset class.
+    #[inline]
+    fn certified_onset(&self, required_ps: f64, u1: f64, u2: f64) -> Option<FaultOnset> {
+        let (z, s) = self.tables.normal(u1, u2);
+        let noisy = required_ps + self.params.noise_ps * z;
+        // The exact `required_ps + noise_ps * box_muller(u1, u2)` lies
+        // within `margin` of `noisy` (the terms are set up in `new`).
+        let margin = self.margin_fixed[usize::from(s < 1.0)]
+            + s * self.margin_per_s
+            + MARGIN_REL * required_ps.abs();
+        let (lo, hi) = (noisy - margin, noisy + margin);
+        let steps = usize::from(self.params.steps);
+        let guess = ((self.params.start_period_ps - noisy) * self.inv_step + 1.0) as i64;
+        let k = guess.clamp(0, steps as i64) as usize;
+        // `onset_for_required` is monotone in the required period, so if
+        // both ends of the interval fall in class `k`, so does the exact
+        // value. NaN anywhere fails the comparison.
+        let onset = if k == steps {
+            FaultOnset::Never
+        } else {
+            FaultOnset::Step(k as u16)
+        };
+        (self.edges[k + 1] <= lo && hi < self.edges[k]).then_some(onset)
     }
 
     /// The onset step for a given required period (no noise) — the
     /// smallest step whose period undercuts the requirement.
     pub fn onset_for_required(&self, required_ps: f64) -> FaultOnset {
-        if self.params.period_at(0) < required_ps {
-            return FaultOnset::Step(0);
+        onset_for_required(&self.params, required_ps)
+    }
+}
+
+/// [`GlitchSweep::onset_for_required`] on bare parameters.
+fn onset_for_required(params: &GlitchParams, required_ps: f64) -> FaultOnset {
+    if params.period_at(0) < required_ps {
+        return FaultOnset::Step(0);
+    }
+    let floor = params.period_at(params.steps - 1);
+    if floor >= required_ps {
+        return FaultOnset::Never;
+    }
+    // period_at(k) < required  ⇔  k > (start - required) / step.
+    let k = ((params.start_period_ps - required_ps) / params.step_ps).floor() as u16 + 1;
+    FaultOnset::Step(k.min(params.steps - 1))
+}
+
+/// Relative slack in the certification margin: 2⁻⁴⁰ of the magnitudes
+/// involved, thousands of times the few half-ulps of rounding in
+/// `required + noise · z`, in the margin arithmetic and in `lo`/`hi`.
+const MARGIN_REL: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The exact class boundaries of `onset_for_required` (see
+/// [`GlitchSweep::edges`]), found by bisection on the function itself, so
+/// no reasoning about its rounding is needed — only that it is monotone
+/// (non-increasing) in the required period, which holds for every
+/// parameter set with `steps >= 1`: each branch compares against a fixed
+/// value, and the middle branch composes `start - x`, a division by the
+/// step, `floor`, a saturating cast and a `min`, all monotone for a
+/// positive step (for any other step that branch is unreachable or
+/// constant). A sweep with no steps gets an empty class for every guess,
+/// so every draw takes the exact path.
+fn class_edges(params: &GlitchParams) -> Vec<f64> {
+    if params.steps == 0 {
+        return vec![f64::NEG_INFINITY, f64::INFINITY];
+    }
+    let steps = usize::from(params.steps);
+    let ordinal = |x: f64| match onset_for_required(params, x) {
+        FaultOnset::Step(s) => usize::from(s),
+        FaultOnset::Never => steps,
+    };
+    let mut edges = Vec::with_capacity(steps + 2);
+    edges.push(f64::INFINITY);
+    for k in 0..steps {
+        // Class k's lower edge sits at period_at(k) up to rounding.
+        let guess = params.period_at(k as u16);
+        edges.push(least_satisfying(guess, |x| ordinal(x) <= k));
+    }
+    edges.push(f64::NEG_INFINITY);
+    edges
+}
+
+/// The least `x` (in the total order of non-NaN `f64`s, infinities
+/// included) for which the monotone predicate `holds` is true: `-inf` if
+/// it holds everywhere, NaN — which fails every later comparison — if it
+/// holds nowhere. Bisects within 64 ulps of `guess` when that brackets
+/// the answer, else over the whole line.
+fn least_satisfying(guess: f64, holds: impl Fn(f64) -> bool) -> f64 {
+    let (min, max) = (order_key(f64::NEG_INFINITY), order_key(f64::INFINITY));
+    if holds(f64::NEG_INFINITY) {
+        return f64::NEG_INFINITY;
+    }
+    if !holds(f64::INFINITY) {
+        return f64::NAN;
+    }
+    // Invariant: !holds(key lo) && holds(key hi).
+    let (mut lo, mut hi) = (min, max);
+    if !guess.is_nan() {
+        let g = order_key(guess);
+        let (a, b) = (g.saturating_sub(64).max(min), g.saturating_add(64).min(max));
+        if !holds(from_order_key(a)) && holds(from_order_key(b)) {
+            (lo, hi) = (a, b);
         }
-        let floor = self.params.period_at(self.params.steps - 1);
-        if floor >= required_ps {
-            return FaultOnset::Never;
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if holds(from_order_key(mid)) {
+            hi = mid;
+        } else {
+            lo = mid;
         }
-        // period_at(k) < required  ⇔  k > (start - required) / step.
-        let k =
-            ((self.params.start_period_ps - required_ps) / self.params.step_ps).floor() as u16 + 1;
-        FaultOnset::Step(k.min(self.params.steps - 1))
+    }
+    from_order_key(hi)
+}
+
+/// Maps a non-NaN `f64` to a `u64` with the same order.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// log2 of the number of linear-interpolation intervals per table.
+const TABLE_BITS: u32 = 10;
+const TABLE_LEN: usize = 1 << TABLE_BITS;
+
+/// Bound on |ln(u1) − table ln(u1)|: linear interpolation of ln on
+/// `[1, 2)` with step h = 2⁻¹⁰ errs by at most h²/8 · max|ln''| = 2⁻²³,
+/// plus 10⁻¹² for the rounding of the table entries, the interpolation
+/// and `e · ln 2` (all below 10⁻¹³).
+const LN_ERR: f64 = 1.0 / (8.0 * (TABLE_LEN * TABLE_LEN) as f64) + 1e-12;
+
+/// Bound on |cos(2πu2) − table cos(2πu2)|: h²/8 · max|d²/du² cos(2πu)|
+/// = (2π/2¹⁰)²/8 ≈ 4.7·10⁻⁶, plus 10⁻¹² for rounding.
+const COS_ERR: f64 = {
+    let h = 2.0 * std::f64::consts::PI / TABLE_LEN as f64;
+    h * h / 8.0 + 1e-12
+};
+
+/// Allowance for the exact path's own libm rounding (ln, cos, sqrt and
+/// the products: a few ulps of |z| ≤ Z_MAX, below 10⁻¹³).
+const Z_LIB_ERR: f64 = 1e-9;
+
+/// A bound on |z| for every `u1` ≥ the smallest normal `f64`:
+/// √(2 · 1022 · ln 2) ≈ 37.7, for the exact sample and the table one.
+const Z_MAX: f64 = 39.0;
+
+/// Linear-interpolation tables for a fast Box–Muller sample with a
+/// certified absolute error (see [`NormalTables::normal`]).
+#[derive(Debug)]
+struct NormalTables {
+    /// `ln(1 + i / TABLE_LEN)` for `i` in `0..=TABLE_LEN`.
+    ln: [f64; TABLE_LEN + 1],
+    /// `cos(2π i / TABLE_LEN)` for `i` in `0..=TABLE_LEN`.
+    cos: [f64; TABLE_LEN + 1],
+    /// Bound on |√x_a − √x| when x_a ≥ 1 (x = −2 ln u1, x_a its table
+    /// value, |x_a − x| ≤ δ = 2·LN_ERR): δ / (√x_a + √x) ≤ δ, widened
+    /// by `(1 + 2·COS_ERR)` for the product with the cosine.
+    sqrt_err_large: f64,
+    /// The same when x_a < 1 (u1 near 1, where √ is steep): √δ.
+    sqrt_err_small: f64,
+}
+
+impl NormalTables {
+    fn get() -> &'static NormalTables {
+        static TABLES: OnceLock<NormalTables> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let n = TABLE_LEN as f64;
+            let widen = 1.0 + 2.0 * COS_ERR;
+            let delta = 2.0 * LN_ERR;
+            NormalTables {
+                ln: std::array::from_fn(|i| (1.0 + i as f64 / n).ln()),
+                cos: std::array::from_fn(|i| (2.0 * std::f64::consts::PI * i as f64 / n).cos()),
+                sqrt_err_large: (delta + 1e-12) * widen,
+                sqrt_err_small: (delta.sqrt() + 1e-12) * widen,
+            }
+        })
+    }
+
+    /// An approximation `z` of `box_muller(u1, u2)`, and its `√x`: `u1`
+    /// must be a positive normal number (every nudged `gen::<f64>()` draw
+    /// is) and `u2` in `[0, 1)`.
+    ///
+    /// ln(u1) = e·ln 2 + ln(m) with `m` in `[1, 2)` read off the bits.
+    /// With √ exact to rounding, |z − z_exact| ≤ δ√·(1 + 2·COS_ERR) +
+    /// √x·COS_ERR + Z_LIB_ERR, where δ√ is `sqrt_err_large` when
+    /// `√x ≥ 1` and `sqrt_err_small` otherwise.
+    #[inline]
+    fn normal(&self, u1: f64, u2: f64) -> (f64, f64) {
+        const FRAC_BITS: u32 = 52 - TABLE_BITS;
+        let bits = u1.to_bits();
+        let exponent = (bits >> 52) as i64 - 1023;
+        let mantissa = bits & ((1 << 52) - 1);
+        let i = (mantissa >> FRAC_BITS) as usize;
+        let f = (mantissa & ((1 << FRAC_BITS) - 1)) as f64 / (1u64 << FRAC_BITS) as f64;
+        let ln_m = self.ln[i] + (self.ln[i + 1] - self.ln[i]) * f;
+        let x = (-2.0 * (exponent as f64 * std::f64::consts::LN_2 + ln_m)).max(0.0);
+        let s = x.sqrt();
+        // `p` is in [0, TABLE_LEN), so the cast is exact truncation.
+        let p = u2 * TABLE_LEN as f64;
+        let j = (p as i64 as usize) & (TABLE_LEN - 1);
+        let g = p - j as f64;
+        let c = self.cos[j] + (self.cos[j + 1] - self.cos[j]) * g;
+        (s * c, s)
     }
 }
 
@@ -276,6 +542,31 @@ mod tests {
         for k in 0..p.steps {
             assert!(f64::from(k) < p.never_onset_steps());
         }
+    }
+
+    #[test]
+    fn the_table_sample_decides_almost_every_paper_draw() {
+        // The paper's sweep at its 12 ps noise over 2²⁰ draws with the
+        // requirement spread across the sweep: the certified path must
+        // decide all but a sliver of them (each fallback costs a full
+        // Box–Muller draw), and agree with the exact path where it does.
+        let sweep = GlitchSweep::new(GlitchParams::paper_sweep(9_000.0, 180.0, 12.0));
+        let mut rng = StdRng::seed_from_u64(2015);
+        let draws = 1u32 << 20;
+        let mut fallbacks = 0u32;
+        for _ in 0..draws {
+            let required = 7_300.0 + 2_000.0 * rng.gen::<f64>();
+            let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+            let u2: f64 = rng.gen();
+            let exact = sweep.onset_for_required(required + 12.0 * box_muller(u1, u2));
+            match sweep.certified_onset(required, u1, u2) {
+                Some(onset) => assert_eq!(onset, exact, "required {required}, u1 {u1}, u2 {u2}"),
+                None => fallbacks += 1,
+            }
+        }
+        let rate = f64::from(fallbacks) / f64::from(draws);
+        eprintln!("fallback rate {rate:.2e} ({fallbacks} of {draws})");
+        assert!(rate < 1e-3, "fallback rate {rate}");
     }
 
     #[test]
