@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate for the workspace, runnable locally and in CI:
 #   1. release build of every target,
-#   2. the full test suite,
+#   2. the full test suite, then the heavy ignored replay differential,
 #   3. every runnable example,
 #   4. an `htd` CLI smoke run (characterize -> score -> report -> diff),
 #   5. the standalone benchmark package's build and tests,
@@ -17,6 +17,13 @@ cargo build --release --all-targets
 
 echo "==> cargo test"
 cargo test -q
+
+echo "==> heavy replay differential (ignored test, release)"
+# 32 dies x {golden, HT-comb, HT-seq} x 2 pairs: the compiled replay's
+# toggle streams and the acquisitions binned inside it, against the
+# reference simulator and chains. Scoped to its own test target: the
+# workspace's other ignored tests regenerate committed fixtures.
+cargo test --release --test replay_differential -- --ignored
 
 for ex in quickstart delay_audit fab_audit trojan_zoo eda_flow; do
     echo "==> cargo run --release --example $ex"

@@ -1,6 +1,7 @@
 //! Per-stage benchmarks of the acquisition hot path: compiled event
-//! simulation, SoA activity collection, event binning, dense
-//! convolution, and the per-rep noise/quantise replay. Together with
+//! replay, event binning, dense convolution, the per-rep
+//! noise/quantise replay, and a whole cold acquisition on a fresh
+//! device. Together with
 //! `perf.rs` these pin where the time goes inside one `acquire.EM`
 //! span (see EXPERIMENTS.md, "Where the time goes").
 
@@ -37,15 +38,32 @@ fn bench_compiled_full_encryption(c: &mut Criterion) {
     fsim.settle();
     let snapshot = fsim.snapshot();
     let n_cycles = lab.acquisition.n_cycles;
+    // The streaming replay the acquisition path runs: toggles go to a
+    // visitor, no `TimedRun` is built.
     c.bench_function("compiled_sim_full_encryption", |b| {
         b.iter(|| {
             let mut esim = CompiledSimulator::from_snapshot(&ct, snapshot.clone());
             esim.set_input(aes.load(), false);
             let mut toggles = 0usize;
             for _ in 0..n_cycles {
-                toggles += esim.clock_cycle().toggles.len();
+                esim.clock_cycle_visit(|_, _, _| toggles += 1);
             }
             toggles
+        })
+    });
+}
+
+fn bench_cold_acquire(c: &mut Criterion) {
+    // One whole cold acquisition, as a lot-cold score pays it per (die,
+    // pair): compile the timing tables, replay the encryption binning
+    // every toggle, convolve and read out — on a fresh device each time.
+    let lab = lab();
+    let golden = Design::golden(&lab).expect("builds");
+    let die = lab.fabricate_die(0);
+    c.bench_function("acquire_em_trace_cold", |b| {
+        b.iter(|| {
+            let dev = ProgrammedDevice::new(&lab, &golden, &die);
+            dev.acquire_em_trace(&PT, &KEY, 0)
         })
     });
 }
@@ -134,6 +152,6 @@ fn bench_settle_times(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_compile_timing, bench_compiled_full_encryption, bench_kernel_stages, bench_warm_acquire_rep, bench_settle_times
+    targets = bench_compile_timing, bench_compiled_full_encryption, bench_cold_acquire, bench_kernel_stages, bench_warm_acquire_rep, bench_settle_times
 }
 criterion_main!(benches);

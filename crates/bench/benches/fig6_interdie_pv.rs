@@ -21,7 +21,7 @@ fn main() {
     let lab = lab();
     let golden = Design::golden(&lab).expect("golden design builds");
     let infected = Design::infected(&lab, &TrojanSpec::ht2()).expect("insertion succeeds");
-    let dies = lab.fabricate_batch(8);
+    let dies = lab.fabricate_batch(8, 0);
     let model = characterize_em_golden(&lab, dies.len(), SideChannel::Em, &PT, &KEY, 6000)
         .expect("golden characterisation succeeds");
 

@@ -27,7 +27,7 @@ fn main() {
     let n_dies = 64;
     println!("\nmeasuring both populations over {n_dies} virtual dies (HT 2)...");
     let infected = Design::infected(&lab, &TrojanSpec::ht2()).expect("insertion succeeds");
-    let dies = lab.fabricate_batch(n_dies);
+    let dies = lab.fabricate_batch(n_dies, 0);
     let model = characterize_em_golden(&lab, n_dies, SideChannel::Em, &PT, &KEY, 777)
         .expect("golden characterisation succeeds");
     let infected_metrics: Vec<f64> = dies

@@ -139,7 +139,7 @@ pub struct EmGoldenModel {
 }
 
 /// Characterises the golden population over a batch of `n_dies` dies
-/// (`lab.fabricate_batch(n_dies)`): one averaged acquisition per die with
+/// (`lab.fabricate_batch(n_dies, _)`): one averaged acquisition per die with
 /// a fixed (but arbitrary) plaintext, as in Section V-A. This is
 /// [`characterize`] with the chain's sum-of-local-maxima trace channel
 /// under the default [`Campaign`], so the model is bit-identical for

@@ -645,7 +645,7 @@ pub fn characterize<R: Reference>(
     }
     let _span = engine.obs().span("characterize");
     let golden = Design::golden(lab)?;
-    let dies = lab.fabricate_batch(plan.n_dies);
+    let dies = lab.fabricate_batch(plan.n_dies, engine.workers());
     let devs: Vec<ProgrammedDevice<'_>> = {
         let _span = engine.obs().span("program");
         engine.map(&dies, |_, die| {
@@ -1017,7 +1017,7 @@ impl<'a> ScoringSession<'a> {
         let plan = reference.plan();
         let golden = Design::golden(lab)?;
         let golden_slices = golden.used_slices();
-        let dies = lab.fabricate_batch(plan.n_dies);
+        let dies = lab.fabricate_batch(plan.n_dies, campaign.engine.workers());
         let baselines: Vec<Cow<'a, [f64]>> =
             (0..stored.len()).map(|c| reference.baseline(c)).collect();
 

@@ -50,13 +50,15 @@ impl Lab {
         DieVariation::generate(&self.variation, &self.device, seed)
     }
 
-    /// Fabricates the paper's 8-FPGA batch (seeds `0..8`).
+    /// Fabricates a batch of `n` dies (seeds `0..n`; the paper's batch
+    /// is 8 FPGAs) on `workers` threads (`0` = auto, as in
+    /// [`crate::Engine::with_workers`]).
     ///
-    /// Dies are generated in parallel (each is a pure function of its
-    /// seed, so the batch is identical for every worker count) — the
-    /// large-`n` extension studies fabricate hundreds.
-    pub fn fabricate_batch(&self, n: usize) -> Vec<DieVariation> {
-        htd_par::parallel_map_indexed(0, n, |s| self.fabricate_die(s as u64))
+    /// Each die is a pure function of its seed, so the batch is
+    /// identical for every worker count — the large-`n` extension
+    /// studies fabricate hundreds.
+    pub fn fabricate_batch(&self, n: usize, workers: usize) -> Vec<DieVariation> {
+        htd_par::parallel_map_indexed(workers, n, |s| self.fabricate_die(s as u64))
     }
 }
 
@@ -77,9 +79,17 @@ mod tests {
     #[test]
     fn batch_has_distinct_dies() {
         let lab = Lab::paper();
-        let batch = lab.fabricate_batch(8);
+        let batch = lab.fabricate_batch(8, 0);
         assert_eq!(batch.len(), 8);
         let g0 = batch[0].global_current_factor();
         assert!(batch[1..].iter().any(|d| d.global_current_factor() != g0));
+    }
+
+    #[test]
+    fn batch_is_identical_at_every_worker_count() {
+        let lab = Lab::paper();
+        let serial = lab.fabricate_batch(8, 1);
+        assert_eq!(serial, lab.fabricate_batch(8, 3));
+        assert_eq!(serial[5], lab.fabricate_die(5));
     }
 }

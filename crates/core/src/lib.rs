@@ -9,7 +9,10 @@
 //! * [`Design`] — a placed golden or trojan-infected AES-128
 //!   (Section II), and [`ProgrammedDevice`] — a design loaded onto one
 //!   seeded virtual die, ready for timed simulation and side-channel
-//!   acquisition.
+//!   acquisition. A cold acquisition streams: one compiled replay per
+//!   (device, pair) bins every emitting toggle straight into each
+//!   measurement chain's impulse train, so the device caches a few
+//!   thousand samples per chain and pair, never the ~86 k toggles.
 //! * [`delay_detect`] — Section III: the clock-glitch delay fingerprint.
 //!   A [`GoldenDelayModel`](delay_detect::GoldenDelayModel) characterises
 //!   the golden device per (plaintext, key) pair; the
@@ -35,8 +38,9 @@
 //!   repetitions and dies across a worker pool. Results are
 //!   **bit-identical for every worker count** (noise streams derive from
 //!   item indices, never from scheduling), and each
-//!   [`ProgrammedDevice`]'s settle-time/activity caches remove duplicate
-//!   simulation between characterisation and measurement.
+//!   [`ProgrammedDevice`]'s settle-time and binned-activity caches
+//!   remove duplicate simulation between characterisation and
+//!   measurement.
 //! * [`report`] — plain-text table rendering shared by the benches.
 //!
 //! Every fallible API returns the unified [`Error`]; library code never

@@ -143,41 +143,6 @@ impl ActivityTable {
             .map(|(&c, &p)| if c.is_nan() { f64::NAN } else { c * weight(p) })
             .collect()
     }
-
-    /// Appends `(absolute time, driver-net index)` rows for every emitting
-    /// toggle of one timed cycle — the chain-independent half of a batch
-    /// collection (pair with a [`Self::weighted_charges`] array per chain).
-    pub fn extend_indexed(
-        &self,
-        run: &TimedRun,
-        cycle_start_ps: f64,
-        times_ps: &mut Vec<f64>,
-        nets: &mut Vec<u32>,
-    ) {
-        times_ps.reserve(run.toggles.len());
-        nets.reserve(run.toggles.len());
-        for toggle in &run.toggles {
-            let i = toggle.net.index();
-            if self.emits(i) {
-                times_ps.push(cycle_start_ps + toggle.time_ps);
-                nets.push(i as u32);
-            }
-        }
-    }
-
-    /// Reconstructs the AoS [`CurrentEvent`] form from indexed rows —
-    /// bit-identical to what [`collect_activity`] would have produced for
-    /// the same toggles.
-    pub fn append_events(&self, times_ps: &[f64], nets: &[u32], out: &mut Vec<CurrentEvent>) {
-        out.reserve(times_ps.len());
-        for (&t, &n) in times_ps.iter().zip(nets) {
-            out.push(CurrentEvent {
-                time_ps: t,
-                charge: self.charge[n as usize],
-                position: self.position[n as usize],
-            });
-        }
-    }
 }
 
 /// A flat SoA event stream for one acquisition chain: times and
@@ -209,8 +174,9 @@ impl EventBatch {
         batch
     }
 
-    /// Builds a batch from indexed rows and a per-net weighted-charge
-    /// array (see [`ActivityTable::extend_indexed`]).
+    /// Builds a batch from indexed rows (`times_ps[i]` toggles net
+    /// `nets[i]`) and a per-net weighted-charge array
+    /// ([`ActivityTable::weighted_charges`]).
     pub fn from_indexed(times_ps: &[f64], nets: &[u32], weighted: &[f64]) -> Self {
         EventBatch {
             times_ps: times_ps.to_vec(),
@@ -306,11 +272,26 @@ mod tests {
         };
         let want = collect_activity(&run, 1_000.0, &nl, &placement, &die, &tech);
 
+        // The per-toggle lookup the acquisition replay does: emitting
+        // toggles only, charge and position read per driver net.
         let table = ActivityTable::build(&nl, &placement, &die, &tech);
         let (mut times, mut nets) = (Vec::new(), Vec::new());
-        table.extend_indexed(&run, 1_000.0, &mut times, &mut nets);
-        let mut got = Vec::new();
-        table.append_events(&times, &nets, &mut got);
+        for toggle in &run.toggles {
+            let i = toggle.net.index();
+            if table.emits(i) {
+                times.push(1_000.0 + toggle.time_ps);
+                nets.push(i as u32);
+            }
+        }
+        let got: Vec<CurrentEvent> = times
+            .iter()
+            .zip(&nets)
+            .map(|(&time_ps, &n)| CurrentEvent {
+                time_ps,
+                charge: table.charges()[n as usize],
+                position: table.positions()[n as usize],
+            })
+            .collect();
         assert_eq!(got.len(), want.len());
         for (a, b) in want.iter().zip(&got) {
             assert_eq!(a.time_ps.to_bits(), b.time_ps.to_bits());

@@ -175,6 +175,56 @@ pub fn bin_events_indexed(
     stats
 }
 
+/// An impulse train filled one event at a time: the streaming form of
+/// [`bin_events_indexed`], for a producer that sees each event once and
+/// never stores it (`htd-core` bins straight from the event replay).
+///
+/// [`Self::add`] does exactly what [`bin_events_indexed`] does for one
+/// event — `x = time / dt`, kept only if `x >= 0.0 && (x as usize) < n`,
+/// then one add into bin `x as usize` — so feeding the same events in
+/// the same order yields the same bits and the same [`BinStats`]
+/// (pinned in `tests`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ImpulseTrain {
+    dt_ps: f64,
+    impulses: Vec<f64>,
+    stats: BinStats,
+}
+
+impl ImpulseTrain {
+    /// An all-zero train of `n_samples` bins of width `dt_ps`.
+    pub fn new(dt_ps: f64, n_samples: usize) -> Self {
+        ImpulseTrain {
+            dt_ps,
+            impulses: vec![0.0; n_samples],
+            stats: BinStats::default(),
+        }
+    }
+
+    /// Bins one already-weighted impulse at absolute time `time_ps`, or
+    /// counts it as dropped when it falls outside the window.
+    #[inline]
+    pub fn add(&mut self, time_ps: f64, weighted_charge: f64) {
+        let x = time_ps / self.dt_ps;
+        if x >= 0.0 && (x as usize) < self.impulses.len() {
+            self.impulses[x as usize] += weighted_charge;
+            self.stats.binned += 1;
+        } else {
+            self.stats.dropped += 1;
+        }
+    }
+
+    /// The accumulated bins.
+    pub fn impulses(&self) -> &[f64] {
+        &self.impulses
+    }
+
+    /// How many impulses were binned and dropped so far.
+    pub fn stats(&self) -> BinStats {
+        self.stats
+    }
+}
+
 /// Causal convolution of the binned impulse train with the front-end
 /// impulse response, over dense slices that autovectorize. `signal` is
 /// cleared and resized to the impulse length. Zero bins are skipped —
@@ -412,7 +462,8 @@ mod tests {
 
     #[test]
     fn truncating_binning_matches_floor_binning_on_every_edge() {
-        // The kernels bin with `x as usize` behind `x >= 0.0`; the
+        // The kernels (and the streaming `ImpulseTrain`) bin with
+        // `x as usize` behind `x >= 0.0`; the
         // historical rule is `x.floor()` behind `floor >= 0.0`. Both must
         // agree on NaN, ±0, negative fractions, ±inf and both window
         // edges, in the bins and in the drop accounting.
@@ -463,7 +514,13 @@ mod tests {
             bin_events_indexed(&times, &nets, &charges, dt, n, &mut b),
             want_stats
         );
-        for got in [&a, &b] {
+        // The streaming train, fed the same events one at a time.
+        let mut train = ImpulseTrain::new(dt, n);
+        for (&t, &c) in times.iter().zip(&charges) {
+            train.add(t, c);
+        }
+        assert_eq!(train.stats(), want_stats);
+        for got in [&a, &b, &train.impulses().to_vec()] {
             let bits: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
             assert_eq!(bits, want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
         }

@@ -37,7 +37,7 @@ mod trace;
 pub use activity::{collect_activity, ActivityTable, CurrentEvent, EventBatch};
 pub use chain::{
     acquire_with_reference, bin_events, bin_events_indexed, convolve_kernel, read_out,
-    AcquisitionParams, BinStats, EmSetup, Scope,
+    AcquisitionParams, BinStats, EmSetup, ImpulseTrain, Scope,
 };
 pub use power::PowerSetup;
 pub use probe::Probe;

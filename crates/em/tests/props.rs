@@ -139,7 +139,7 @@ proptest! {
 /// and past-window times), acquisition params and quantisation steps.
 mod kernel_pinning {
     use super::*;
-    use htd_em::{acquire_with_reference, EventBatch};
+    use htd_em::{acquire_with_reference, bin_events, EventBatch, ImpulseTrain};
 
     /// Event streams that exercise every binning edge: in-window,
     /// negative, far-future, and NaN times, with signed charges.
@@ -197,6 +197,28 @@ mod kernel_pinning {
             for (i, (a, b)) in want.samples().iter().zip(got.samples()).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "sample {} differs: {} vs {}", i, a, b);
             }
+        }
+
+        /// The streaming train, fed one event at a time, bins exactly
+        /// like the batch kernel: same bits, same accounting.
+        #[test]
+        fn streaming_train_matches_batch_binning(
+            events in adversarial_events(),
+            scope_dt in any::<bool>(),
+            dt in 1.0f64..1_000.0,
+            n in 0usize..400,
+        ) {
+            let dt = if scope_dt { 200.0 } else { dt };
+            let batch = EventBatch::from_events(&events, |e| e.position.0);
+            let mut want = Vec::new();
+            let want_stats = bin_events(batch.times_ps(), batch.charges(), dt, n, &mut want);
+            let mut train = ImpulseTrain::new(dt, n);
+            for (&t, &c) in batch.times_ps().iter().zip(batch.charges()) {
+                train.add(t, c);
+            }
+            prop_assert_eq!(train.stats(), want_stats);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(train.impulses()), bits(&want));
         }
 
         /// Power chain: batched == reference, bit for bit.

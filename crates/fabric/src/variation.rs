@@ -92,7 +92,7 @@ impl Default for VariationModel {
 }
 
 /// The realised process variation of one fabricated (virtual) die.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DieVariation {
     seed: u64,
     global_delay: f64,

@@ -35,17 +35,25 @@
 //!   yields the same toggle stream.
 //!
 //! The event queue is a calendar of time buckets of width
-//! `min_sink_latency / 16` (a sixteenth of the smallest
-//! `cell + output-net` delay in the design — any width at most the
-//! minimum latency works). An event scheduled while draining bucket `b`
-//! lands at `t + latency ≥ t + 16·width`, i.e. in a strictly later bucket — except
+//! `min_sink_latency / 4` (a quarter of the smallest `cell + output-net`
+//! delay in the design — any width at most the minimum latency works).
+//! An event scheduled while draining bucket `b` lands at
+//! `t + latency ≥ t + 4·width`, i.e. in a strictly later bucket — except
 //! when float rounding of the bucket index says otherwise, in which case
 //! the event goes through a (nearly always empty) overflow heap that is
-//! merged during the drain. Each bucket is sorted once; events carry a
-//! precomputed `u64` key that maps `f64::total_cmp` order onto `u64`
-//! ordering, so the sort comparator never touches a float. The narrow
-//! width keeps buckets small (a handful of events, not hundreds), which
-//! keeps those sorts out of the profile.
+//! merged during the drain. Events carry a precomputed `u64` key that
+//! maps `f64::total_cmp` order onto `u64` ordering, so no sort or heap
+//! comparison ever touches a float.
+//!
+//! Each bucket is sorted once, by `(key, seq)`. Events enter a bucket in
+//! push order, which is `seq` order, so a bucket position stands in for
+//! `seq`: a bucket of more than `PACKED_SORT_MIN` (8) events is sorted as
+//! packed words `(key − kmin) << 16 | position` with one unstable sort of
+//! plain `u64`s (equal packed words cannot occur, so stability is moot).
+//! A large bucket whose key span or length does not fit the packing takes
+//! the stable library sort by key, and a small bucket an insertion sort
+//! that never moves an event past an equal key. All three give exactly
+//! the reference `(time, seq)` order.
 //!
 //! `tests` pin compiled-vs-reference equality on every toy topology of the
 //! reference test suite; `htd-core` pins it again on the full AES design.
@@ -121,6 +129,65 @@ impl Ord for Event {
     }
 }
 
+/// Calendar buckets per smallest sink latency (the bucket width is
+/// `min_sink_latency / BUCKETS_PER_MIN_LATENCY`).
+const BUCKETS_PER_MIN_LATENCY: f64 = 4.0;
+
+/// Buckets of at most this many events take the insertion sort.
+const PACKED_SORT_MIN: usize = 8;
+
+/// Bits of a packed sort word that hold the bucket position.
+const POSITION_BITS: u32 = 16;
+
+/// Sorts one calendar bucket into `(key, seq)` order.
+///
+/// The bucket holds its events in push order, which is ascending `seq`,
+/// so `(key, position)` order *is* `(key, seq)` order, and any sort by
+/// key that keeps equal keys in place is exact. A large bucket is sorted
+/// as packed words `(key − kmin) << 16 | position` (all distinct, so an
+/// unstable sort is exact) and gathered through `spare`; a large bucket
+/// whose key span or length does not fit the packing (early in a cycle,
+/// where float keys are dense) takes the stable library sort; a small
+/// one takes an insertion sort that never moves an event past an equal
+/// key.
+fn sort_bucket(events: &mut Vec<Event>, packed: &mut Vec<u64>, spare: &mut Vec<Event>) {
+    let n = events.len();
+    if n > PACKED_SORT_MIN {
+        let (kmin, kmax) = events
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), e| (lo.min(e.key), hi.max(e.key)));
+        if n < 1 << POSITION_BITS && kmax - kmin < 1 << (64 - POSITION_BITS) {
+            packed.clear();
+            packed.extend(
+                events
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (e.key - kmin) << POSITION_BITS | i as u64),
+            );
+            packed.sort_unstable();
+            spare.clear();
+            spare.extend(
+                packed
+                    .iter()
+                    .map(|&w| events[(w & ((1 << POSITION_BITS) - 1)) as usize]),
+            );
+            std::mem::swap(events, spare);
+        } else {
+            events.sort_by_key(|e| e.key);
+        }
+        return;
+    }
+    for i in 1..n {
+        let e = events[i];
+        let mut j = i;
+        while j > 0 && events[j - 1].key > e.key {
+            events[j] = events[j - 1];
+            j -= 1;
+        }
+        events[j] = e;
+    }
+}
+
 /// One flip-flop capture edge: `q` takes `d`'s sampled value, visible to
 /// `q`'s sinks at `q_arrival_ps` (= `clk2q + net_delay(q)`).
 #[derive(Debug, Clone, Copy)]
@@ -137,7 +204,11 @@ struct DffEdge {
 struct SinkRec {
     cell: u32,
     out_net: u32,
-    pin: u8,
+    /// The LUT input pins the net drives, as a row mask. A net wired to
+    /// several pins of one LUT gets a single record: the reference
+    /// evaluates that LUT on its full new input row, so every such pin
+    /// must flip before the evaluation, never one at a time.
+    pins: u8,
     cell_delay_ps: f64,
     out_delay_ps: f64,
 }
@@ -188,8 +259,11 @@ impl CompiledTiming {
             match cell.kind() {
                 CellKind::Lut(mask) => {
                     lut_mask[id.index()] = mask.raw();
-                    for &inp in cell.inputs() {
-                        sink_start[inp.index() + 1] += 1;
+                    let inputs = cell.inputs();
+                    for (pin, &inp) in inputs.iter().enumerate() {
+                        if !inputs[..pin].contains(&inp) {
+                            sink_start[inp.index() + 1] += 1;
+                        }
                     }
                 }
                 CellKind::Dff => {
@@ -212,7 +286,7 @@ impl CompiledTiming {
             SinkRec {
                 cell: 0,
                 out_net: 0,
-                pin: 0,
+                pins: 0,
                 cell_delay_ps: 0.0,
                 out_delay_ps: 0.0,
             };
@@ -226,17 +300,26 @@ impl CompiledTiming {
             if let CellKind::Lut(_) = cell.kind() {
                 let out = cell.output().expect("lut drives a net");
                 lut_cells.push(id.index() as u32);
-                for (pin, &inp) in cell.inputs().iter().enumerate() {
+                let inputs = cell.inputs();
+                // Record slot per pin; a repeated input net extends the
+                // record of its first pin.
+                let mut slot_of_pin = [0usize; 8];
+                for (pin, &inp) in inputs.iter().enumerate() {
+                    lut_in_net.push(inp.index() as u32);
+                    if let Some(first) = inputs[..pin].iter().position(|&p| p == inp) {
+                        sinks[slot_of_pin[first]].pins |= 1 << pin;
+                        continue;
+                    }
                     let slot = cursor[inp.index()] as usize;
                     cursor[inp.index()] += 1;
+                    slot_of_pin[pin] = slot;
                     sinks[slot] = SinkRec {
                         cell: id.index() as u32,
                         out_net: out.index() as u32,
-                        pin: pin as u8,
+                        pins: 1 << pin,
                         cell_delay_ps: delays.cell_delay_ps(id),
                         out_delay_ps: delays.net_delay_ps(out),
                     };
-                    lut_in_net.push(inp.index() as u32);
                 }
                 lut_in_start.push(lut_in_net.len() as u32);
             }
@@ -295,6 +378,10 @@ pub struct CompiledSimulator<'a> {
     pending_inputs: Vec<(NetId, bool)>,
     buckets: Vec<Vec<Event>>,
     drain: Vec<Event>,
+    /// Scratch of the packed bucket sort: sort words, and the reordered
+    /// bucket (swapped with `drain`).
+    packed: Vec<u64>,
+    spare: Vec<Event>,
     overflow: BinaryHeap<std::cmp::Reverse<Event>>,
     /// Toggle count of the previous cycle — the capacity hint that keeps
     /// steady-state cycles from re-growing the toggle vector.
@@ -331,6 +418,8 @@ impl<'a> CompiledSimulator<'a> {
             pending_inputs: Vec::new(),
             buckets: Vec::new(),
             drain: Vec::new(),
+            packed: Vec::new(),
+            spare: Vec::new(),
             overflow: BinaryHeap::new(),
             toggle_hint: 0,
         }
@@ -386,17 +475,17 @@ impl<'a> CompiledSimulator<'a> {
     fn cycle_core(&mut self, mut visit: impl FnMut(f64, NetId, bool)) -> f64 {
         let ct = self.ct;
         let mut seq = 0u32;
-        // Bucket width is a sixteenth of the smallest sink latency: any
+        // Bucket width is a quarter of the smallest sink latency: any
         // width ≤ that latency keeps the "new events land in a strictly
-        // later bucket" invariant, and narrower buckets mean the per-bucket
-        // sorts run on a couple dozen events instead of hundreds (the
-        // sorts dominate the replay otherwise; 1/16 measured best on the
-        // AES design against 1/4, 1/8 and 1/32). Degenerate widths (no LUT sinks,
-        // or a zero-latency annotation) fall back to inv_w = 0: everything
-        // lands in bucket 0 and drains through the overflow heap, i.e.
-        // plain heap order.
+        // later bucket" invariant. With the packed sort, 1/4 and 1/8 ran
+        // equally fast on the AES design and 1/16 a few percent slower;
+        // the insertion sort alone at 1/4 was 1.4x slower (buckets there
+        // hold ~100 events in nearly random order).
+        // Degenerate widths (no LUT sinks, or a zero-latency annotation)
+        // fall back to inv_w = 0: everything lands in bucket 0 and drains
+        // through the overflow heap, i.e. plain heap order.
         let inv_w = if ct.min_sink_latency_ps.is_finite() && ct.min_sink_latency_ps > 0.0 {
-            16.0 / ct.min_sink_latency_ps
+            BUCKETS_PER_MIN_LATENCY / ct.min_sink_latency_ps
         } else {
             0.0
         };
@@ -450,21 +539,7 @@ impl<'a> CompiledSimulator<'a> {
         while b < self.buckets.len() || !self.overflow.is_empty() {
             if b < self.buckets.len() {
                 std::mem::swap(&mut self.drain, &mut self.buckets[b]);
-                // Buckets are tiny (a couple dozen events) and arrive in
-                // `seq` order, so a plain insertion sort beats the
-                // general-purpose sorter: ties (equal keys) never shift
-                // because `seq` is already ascending, preserving the
-                // reference (time, seq) order.
-                let drain = &mut self.drain[..];
-                for i in 1..drain.len() {
-                    let e = drain[i];
-                    let mut j = i;
-                    while j > 0 && drain[j - 1].key > e.key {
-                        drain[j] = drain[j - 1];
-                        j -= 1;
-                    }
-                    drain[j] = e;
-                }
+                sort_bucket(&mut self.drain, &mut self.packed, &mut self.spare);
             }
             let mut di = 0usize;
             loop {
@@ -525,7 +600,8 @@ impl<'a> CompiledSimulator<'a> {
                 let hi = ct.sink_start[net + 1] as usize;
                 for rec in &ct.sinks[lo..hi] {
                     let cell = &mut self.cells[rec.cell as usize];
-                    let row = (cell.row & !(1u64 << rec.pin)) | ((value as u64) << rec.pin);
+                    let pins = u64::from(rec.pins);
+                    let row = (cell.row & !pins) | (pins & (value as u64).wrapping_neg());
                     cell.row = row;
                     let out = rec.out_net as usize;
                     let out_val = (cell.mask >> row) & 1 == 1;
@@ -709,6 +785,48 @@ mod tests {
         let ann = DelayAnnotation::uniform(&nl, 0.0, 0.0, 0.0, 0.0);
         let snap = settled(&nl, &[(d, true)]);
         assert_bit_identical(&nl, &ann, snap, &[], 2);
+    }
+
+    #[test]
+    fn every_bucket_sort_path_gives_key_then_seq_order() {
+        // Buckets in push (= seq) order, dense in equal keys, through each
+        // path: insertion (≤ 8 events), packed (narrow span), stable
+        // fallback (span ≥ 2^48, and ≥ 2^16 events).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let cases: [(usize, u64); 6] = [
+            (1, 4),
+            (8, 3),
+            (9, 5),
+            (300, 40),
+            (300, 1 << 50),
+            (1 << 16, 1 << 20),
+        ];
+        let (mut packed, mut spare) = (Vec::new(), Vec::new());
+        for (n, span) in cases {
+            let base = time_key(350.0);
+            let mut events: Vec<Event> = (0..n as u32)
+                .map(|seq| Event {
+                    key: base + next() % span,
+                    seq,
+                    net_val: next() as u32,
+                })
+                .collect();
+            let mut want = events.clone();
+            want.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
+            sort_bucket(&mut events, &mut packed, &mut spare);
+            let order = |v: &[Event]| {
+                v.iter()
+                    .map(|e| (e.key, e.seq, e.net_val))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(order(&events), order(&want), "n {n}, span {span}");
+        }
     }
 
     #[test]

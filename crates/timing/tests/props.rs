@@ -1,9 +1,10 @@
 //! Property-based tests: on arbitrary random netlists, the timed event
-//! simulator must agree with the zero-delay functional simulator, and STA
-//! must upper-bound every observed settling time.
+//! simulator must agree with the zero-delay functional simulator, STA
+//! must upper-bound every observed settling time, and the compiled replay
+//! must reproduce the event simulator bit for bit.
 
 use htd_netlist::{LutMask, NetId, Netlist};
-use htd_timing::{DelayAnnotation, EventSimulator, Sta};
+use htd_timing::{CompiledSimulator, CompiledTiming, DelayAnnotation, EventSimulator, Sta};
 use proptest::prelude::*;
 
 /// Recipe for one random synchronous netlist.
@@ -17,10 +18,15 @@ struct Recipe {
 }
 
 fn recipe() -> impl Strategy<Value = Recipe> {
-    (1usize..=4, 0usize..=3).prop_flat_map(|(n_inputs, n_dffs)| {
+    recipe_of(14)
+}
+
+/// [`recipe`] with up to `max_luts` LUTs.
+fn recipe_of(max_luts: usize) -> impl Strategy<Value = Recipe> {
+    (1usize..=4, 0usize..=3).prop_flat_map(move |(n_inputs, n_dffs)| {
         let luts = proptest::collection::vec(
             (any::<u64>(), proptest::collection::vec(0usize..64, 1..=4)),
-            1..=14,
+            1..=max_luts,
         );
         let dff_d = proptest::collection::vec(0usize..64, n_dffs);
         let stim = proptest::collection::vec(any::<u64>(), 1..=5);
@@ -69,8 +75,135 @@ fn build(recipe: &Recipe) -> (Netlist, Vec<NetId>, Vec<NetId>) {
     (nl, inputs, observable)
 }
 
+/// The annotation a compiled-vs-reference case runs under.
+#[derive(Debug, Clone)]
+enum Delays {
+    /// One delay per kind: many events share an exact time.
+    Uniform {
+        lut_ps: f64,
+        net_ps: f64,
+        clk2q: f64,
+    },
+    /// All zero: the calendar degenerates to the overflow heap.
+    Zero,
+    /// Uniform plus a per-net routed extra: few exact ties.
+    Perturbed {
+        lut_ps: f64,
+        net_ps: f64,
+        clk2q: f64,
+        extra_ps: Vec<f64>,
+    },
+}
+
+fn delays() -> impl Strategy<Value = Delays> {
+    // Small integer delays make sums collide exactly, so the uniform
+    // cases are dense in equal-key ties.
+    let ps = || (1u32..=4).prop_map(|k| 25.0 * f64::from(k));
+    (
+        0u8..3,
+        ps(),
+        ps(),
+        ps(),
+        proptest::collection::vec(0.0f64..300.0, 64),
+    )
+        .prop_map(|(kind, lut_ps, net_ps, clk2q, extra_ps)| match kind {
+            0 => Delays::Uniform {
+                lut_ps,
+                net_ps,
+                clk2q,
+            },
+            1 => Delays::Zero,
+            _ => Delays::Perturbed {
+                lut_ps,
+                net_ps,
+                clk2q,
+                extra_ps,
+            },
+        })
+}
+
+fn annotate(nl: &Netlist, delays: &Delays) -> DelayAnnotation {
+    match delays {
+        Delays::Uniform {
+            lut_ps,
+            net_ps,
+            clk2q,
+        } => DelayAnnotation::uniform(nl, *lut_ps, *net_ps, *clk2q, 50.0),
+        Delays::Zero => DelayAnnotation::uniform(nl, 0.0, 0.0, 0.0, 0.0),
+        Delays::Perturbed {
+            lut_ps,
+            net_ps,
+            clk2q,
+            extra_ps,
+        } => {
+            let mut ann = DelayAnnotation::uniform(nl, *lut_ps, *net_ps, *clk2q, 50.0);
+            for i in 0..nl.net_count() {
+                ann.add_net_delay_ps(NetId::from_index(i), extra_ps[i % extra_ps.len()]);
+            }
+            ann
+        }
+    }
+}
+
+/// Replays `r`'s stimulus on the event simulator and on the compiled
+/// replay from the same settled state and compares every cycle bit for
+/// bit: toggles (time bits, net, value, order), settle time, last
+/// transitions, and the final net values.
+fn compiled_equals_reference(r: &Recipe, delays: &Delays) -> Result<(), TestCaseError> {
+    let (nl, inputs, _) = build(r);
+    let ann = annotate(&nl, delays);
+    let ct = CompiledTiming::compile(&nl, &ann);
+    let mut fsim = nl.simulator().expect("valid netlist");
+    fsim.settle();
+    let mut reference = EventSimulator::from_snapshot(&nl, fsim.snapshot());
+    let mut compiled = CompiledSimulator::from_snapshot(&ct, fsim.snapshot());
+    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    for (cycle, &pattern) in r.stimulus.iter().enumerate() {
+        for (i, &inp) in inputs.iter().enumerate() {
+            reference.set_input(inp, (pattern >> i) & 1 == 1);
+            compiled.set_input(inp, (pattern >> i) & 1 == 1);
+        }
+        let want = reference.clock_cycle(&ann);
+        let got = compiled.clock_cycle();
+        prop_assert_eq!(want.toggles.len(), got.toggles.len(), "cycle {}", cycle);
+        for (k, (a, b)) in want.toggles.iter().zip(&got.toggles).enumerate() {
+            prop_assert_eq!(
+                (a.time_ps.to_bits(), a.net, a.new_value),
+                (b.time_ps.to_bits(), b.net, b.new_value),
+                "cycle {} toggle {}",
+                cycle,
+                k
+            );
+        }
+        prop_assert_eq!(want.settle_ps.to_bits(), got.settle_ps.to_bits());
+        prop_assert_eq!(
+            bits(&want.last_transition_ps),
+            bits(&got.last_transition_ps)
+        );
+    }
+    for i in 0..nl.net_count() {
+        let net = NetId::from_index(i);
+        prop_assert_eq!(reference.get(net), compiled.get(net), "net {}", net);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The compiled replay equals the event simulator bit for bit on the
+    /// random netlists, under uniform, zero and perturbed annotations.
+    #[test]
+    fn compiled_replay_matches_event_sim(r in recipe(), d in delays()) {
+        compiled_equals_reference(&r, &d)?;
+    }
+
+    /// The same on wider netlists, whose uniform-delay cycles fill
+    /// calendar buckets with dozens of tied events.
+    #[test]
+    fn compiled_replay_matches_event_sim_on_wide_netlists(r in recipe_of(64), d in delays()) {
+        compiled_equals_reference(&r, &d)?;
+    }
 
     /// After each clock cycle, every net value in the event simulator
     /// matches the functional simulator, for arbitrary circuits, delays
