@@ -50,10 +50,10 @@
 //! `seq`: a bucket of more than `PACKED_SORT_MIN` (8) events is sorted as
 //! packed words `(key − kmin) << 16 | position` with one unstable sort of
 //! plain `u64`s (equal packed words cannot occur, so stability is moot).
-//! A large bucket whose key span or length does not fit the packing takes
-//! the stable library sort by key, and a small bucket an insertion sort
-//! that never moves an event past an equal key. All three give exactly
-//! the reference `(time, seq)` order.
+//! A small bucket, or one whose key span or length does not fit the
+//! packing, takes the stable library sort by key, which never moves an
+//! event past an equal key. Both give exactly the reference
+//! `(time, seq)` order.
 //!
 //! `tests` pin compiled-vs-reference equality on every toy topology of the
 //! reference test suite; `htd-core` pins it again on the full AES design.
@@ -133,7 +133,7 @@ impl Ord for Event {
 /// `min_sink_latency / BUCKETS_PER_MIN_LATENCY`).
 const BUCKETS_PER_MIN_LATENCY: f64 = 4.0;
 
-/// Buckets of at most this many events take the insertion sort.
+/// Buckets of at most this many events skip the packed sort.
 const PACKED_SORT_MIN: usize = 8;
 
 /// Bits of a packed sort word that hold the bucket position.
@@ -143,20 +143,19 @@ const POSITION_BITS: u32 = 16;
 ///
 /// The bucket holds its events in push order, which is ascending `seq`,
 /// so `(key, position)` order *is* `(key, seq)` order, and any sort by
-/// key that keeps equal keys in place is exact. A large bucket is sorted
-/// as packed words `(key − kmin) << 16 | position` (all distinct, so an
-/// unstable sort is exact) and gathered through `spare`; a large bucket
-/// whose key span or length does not fit the packing (early in a cycle,
-/// where float keys are dense) takes the stable library sort; a small
-/// one takes an insertion sort that never moves an event past an equal
-/// key.
+/// key that keeps equal keys in place is exact. A bucket of more than
+/// [`PACKED_SORT_MIN`] events is sorted as packed words
+/// `(key − kmin) << 16 | position` (all distinct, so an unstable sort is
+/// exact) and gathered through `spare`. A small bucket, or one whose key
+/// span or length does not fit the packing (early in a cycle, where
+/// float keys are dense), takes the stable library sort by key.
 fn sort_bucket(events: &mut Vec<Event>, packed: &mut Vec<u64>, spare: &mut Vec<Event>) {
     let n = events.len();
-    if n > PACKED_SORT_MIN {
+    if n > PACKED_SORT_MIN && n < 1 << POSITION_BITS {
         let (kmin, kmax) = events
             .iter()
             .fold((u64::MAX, 0), |(lo, hi), e| (lo.min(e.key), hi.max(e.key)));
-        if n < 1 << POSITION_BITS && kmax - kmin < 1 << (64 - POSITION_BITS) {
+        if kmax - kmin < 1 << (64 - POSITION_BITS) {
             packed.clear();
             packed.extend(
                 events
@@ -172,20 +171,10 @@ fn sort_bucket(events: &mut Vec<Event>, packed: &mut Vec<u64>, spare: &mut Vec<E
                     .map(|&w| events[(w & ((1 << POSITION_BITS) - 1)) as usize]),
             );
             std::mem::swap(events, spare);
-        } else {
-            events.sort_by_key(|e| e.key);
+            return;
         }
-        return;
     }
-    for i in 1..n {
-        let e = events[i];
-        let mut j = i;
-        while j > 0 && events[j - 1].key > e.key {
-            events[j] = events[j - 1];
-            j -= 1;
-        }
-        events[j] = e;
-    }
+    events.sort_by_key(|e| e.key);
 }
 
 /// One flip-flop capture edge: `q` takes `d`'s sampled value, visible to
@@ -255,13 +244,16 @@ impl CompiledTiming {
         let mut sink_start = vec![0u32; n_nets + 1];
         let mut lut_mask = vec![0u64; n_cells];
         let mut dffs = Vec::new();
+        // Per net, the last LUT that read it: a net on several pins of one
+        // LUT gets one sink record (see `SinkRec::pins`).
+        let mut last_reader = vec![u32::MAX; n_nets];
         for (id, cell) in netlist.cells() {
             match cell.kind() {
                 CellKind::Lut(mask) => {
                     lut_mask[id.index()] = mask.raw();
-                    let inputs = cell.inputs();
-                    for (pin, &inp) in inputs.iter().enumerate() {
-                        if !inputs[..pin].contains(&inp) {
+                    for &inp in cell.inputs() {
+                        if last_reader[inp.index()] != id.index() as u32 {
+                            last_reader[inp.index()] = id.index() as u32;
                             sink_start[inp.index() + 1] += 1;
                         }
                     }
@@ -293,6 +285,7 @@ impl CompiledTiming {
             total
         ];
         let mut cursor: Vec<u32> = sink_start[..n_nets].to_vec();
+        last_reader.fill(u32::MAX);
         let mut lut_cells = Vec::new();
         let mut lut_in_start = vec![0u32];
         let mut lut_in_net = Vec::new();
@@ -300,19 +293,18 @@ impl CompiledTiming {
             if let CellKind::Lut(_) = cell.kind() {
                 let out = cell.output().expect("lut drives a net");
                 lut_cells.push(id.index() as u32);
-                let inputs = cell.inputs();
-                // Record slot per pin; a repeated input net extends the
-                // record of its first pin.
-                let mut slot_of_pin = [0usize; 8];
-                for (pin, &inp) in inputs.iter().enumerate() {
+                for (pin, &inp) in cell.inputs().iter().enumerate() {
                     lut_in_net.push(inp.index() as u32);
-                    if let Some(first) = inputs[..pin].iter().position(|&p| p == inp) {
-                        sinks[slot_of_pin[first]].pins |= 1 << pin;
+                    let i = inp.index();
+                    if last_reader[i] == id.index() as u32 {
+                        // A repeated input: this LUT wrote the net's
+                        // latest record, one slot back.
+                        sinks[cursor[i] as usize - 1].pins |= 1 << pin;
                         continue;
                     }
-                    let slot = cursor[inp.index()] as usize;
-                    cursor[inp.index()] += 1;
-                    slot_of_pin[pin] = slot;
+                    last_reader[i] = id.index() as u32;
+                    let slot = cursor[i] as usize;
+                    cursor[i] += 1;
                     sinks[slot] = SinkRec {
                         cell: id.index() as u32,
                         out_net: out.index() as u32,
@@ -479,8 +471,8 @@ impl<'a> CompiledSimulator<'a> {
         // width ≤ that latency keeps the "new events land in a strictly
         // later bucket" invariant. With the packed sort, 1/4 and 1/8 ran
         // equally fast on the AES design and 1/16 a few percent slower;
-        // the insertion sort alone at 1/4 was 1.4x slower (buckets there
-        // hold ~100 events in nearly random order).
+        // an insertion sort at 1/4 was 1.3x slower (buckets there hold
+        // ~100 events in nearly random order).
         // Degenerate widths (no LUT sinks, or a zero-latency annotation)
         // fall back to inv_w = 0: everything lands in bucket 0 and drains
         // through the overflow heap, i.e. plain heap order.
@@ -790,8 +782,8 @@ mod tests {
     #[test]
     fn every_bucket_sort_path_gives_key_then_seq_order() {
         // Buckets in push (= seq) order, dense in equal keys, through each
-        // path: insertion (≤ 8 events), packed (narrow span), stable
-        // fallback (span ≥ 2^48, and ≥ 2^16 events).
+        // path: stable sort (≤ 8 events, span ≥ 2^48, ≥ 2^16 events) and
+        // packed (narrow span).
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
