@@ -471,8 +471,8 @@ impl<'a> CompiledSimulator<'a> {
         // width ≤ that latency keeps the "new events land in a strictly
         // later bucket" invariant. With the packed sort, 1/4 and 1/8 ran
         // equally fast on the AES design and 1/16 a few percent slower;
-        // an insertion sort at 1/4 was 1.3x slower (buckets there hold
-        // ~100 events in nearly random order).
+        // an insertion sort at 1/4 was 1.4x slower (buckets there hold
+        // ~70 events in nearly random order).
         // Degenerate widths (no LUT sinks, or a zero-latency annotation)
         // fall back to inv_w = 0: everything lands in bucket 0 and drains
         // through the overflow heap, i.e. plain heap order.
