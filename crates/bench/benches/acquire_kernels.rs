@@ -1,9 +1,8 @@
 //! Per-stage benchmarks of the acquisition hot path: compiled event
 //! replay, event binning, dense convolution, the per-rep
 //! noise/quantise replay, and a whole cold acquisition on a fresh
-//! device. Together with
-//! `perf.rs` these pin where the time goes inside one `acquire.EM`
-//! span (see EXPERIMENTS.md, "Where the time goes").
+//! device. Together with `perf.rs` these pin where the time goes inside
+//! one `acquire.EM` span (see EXPERIMENTS.md, "Where the time goes").
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use htd_aes::structural::AesSim;
