@@ -1,5 +1,5 @@
 //! Per-stage benchmarks of the acquisition hot path: compiled event
-//! replay, event binning, dense convolution, the per-rep
+//! replay, impulse-train binning, dense convolution, the per-rep
 //! noise/quantise replay, and a whole cold acquisition on a fresh
 //! device. Together with `perf.rs` these pin where the time goes inside
 //! one `acquire.EM` span (see EXPERIMENTS.md, "Where the time goes").
@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use htd_aes::structural::AesSim;
 use htd_bench::{lab, KEY, PT};
 use htd_core::{Design, ProgrammedDevice};
-use htd_em::{bin_events, convolve_kernel, read_out, EventBatch};
+use htd_em::{convolve_kernel, read_out, ImpulseTrain};
 use htd_timing::{CompiledSimulator, CompiledTiming};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,15 +76,26 @@ fn bench_kernel_stages(c: &mut Criterion) {
         .timed_encryption_activity(&PT, &KEY)
         .expect("activity simulates");
     let em = &lab.em;
-    let batch = EventBatch::from_events(&events, |e| em.probe.coupling(e.position));
+    let weighted: Vec<(f64, f64)> = events
+        .iter()
+        .map(|e| (e.time_ps, e.charge * em.probe.coupling(e.position)))
+        .collect();
     let dt = em.scope.sample_period_ps;
     let kernel = em.probe.impulse_response(dt);
     let n = lab.acquisition.n_samples(dt);
 
-    let mut impulses = Vec::new();
-    c.bench_function("bin_events_full_encryption", |b| {
-        b.iter(|| bin_events(batch.times_ps(), batch.charges(), dt, n, &mut impulses))
-    });
+    // The binning the cold acquisition ships: one `ImpulseTrain::add` per
+    // weighted event, as the compiled replay delivers them. The id is
+    // kept so existing stage-to-ledger mappings still name it.
+    let bin = || {
+        let mut train = ImpulseTrain::new(dt, n);
+        for &(t, q) in &weighted {
+            train.add(t, q);
+        }
+        train
+    };
+    c.bench_function("bin_events_full_encryption", |b| b.iter(bin));
+    let impulses = bin().into_impulses();
 
     let mut clean = Vec::new();
     c.bench_function("convolve_probe_kernel", |b| {

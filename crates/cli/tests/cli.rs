@@ -506,3 +506,75 @@ fn a_zero_step_glitch_calibration_is_rejected_not_scored() {
     assert!(stderr.contains("glitch calibration"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A delay campaign with no pairs or no repetitions is refused as a
+/// usage error, when characterizing and when scoring a stored plan. It
+/// used to pass: zero repetitions were measured as one while the
+/// artifact recorded zero, and zero pairs characterized an empty matrix
+/// under a meaningless calibration.
+#[test]
+fn an_empty_delay_campaign_is_rejected_not_characterized() {
+    let dir = labdir("empty-delay");
+    let characterize = |out: &str, pairs: &str, reps: &str| {
+        htd(
+            &dir,
+            &[
+                "characterize",
+                "--out",
+                out,
+                "--dies",
+                "3",
+                "--pairs",
+                pairs,
+                "--reps",
+                reps,
+                "--seed",
+                "42",
+                "--channels",
+                "delay",
+            ],
+        )
+    };
+    for (pairs, reps, what) in [("2", "0", "repetitions"), ("0", "2", "pairs")] {
+        let out = characterize("empty.htd", pairs, reps);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--pairs {pairs} --reps {reps}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("empty population: delay campaign {what}")),
+            "{stderr}"
+        );
+        assert!(!dir.join("empty.htd").exists());
+    }
+
+    // A checksum-valid golden whose stored plan records zero repetitions
+    // cannot be scored either.
+    expect_success(&characterize("golden.htd", "2", "2"));
+    let text = std::fs::read_to_string(dir.join("golden.htd")).unwrap();
+    let mut body: String = text
+        .lines()
+        .filter(|l| !l.starts_with("checksum "))
+        .map(|l| match l {
+            "repetitions 2" => "repetitions 0\n".to_string(),
+            l => format!("{l}\n"),
+        })
+        .collect();
+    assert!(body.contains("repetitions 0\n"), "{body}");
+    let sum = htd_store::fnv1a64(body.as_bytes());
+    body.push_str(&format!("checksum fnv1a64 {sum:016x}\n"));
+    std::fs::write(dir.join("zero-reps.htd"), body).unwrap();
+    let out = htd(
+        &dir,
+        &["score", "--golden", "zero-reps.htd", "--trojans", "ht1"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("empty population: delay campaign repetitions"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -302,6 +302,23 @@ impl Channel for TraceChannel {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DelayChannel;
 
+/// Rejects a delay campaign with no pairs or no repetitions: the former
+/// yields an empty matrix and a meaningless calibration, the latter
+/// would be measured as one repetition while the plan records zero.
+fn check_delay_plan(plan: &CampaignPlan) -> Result<(), Error> {
+    if plan.pairs.is_empty() {
+        return Err(Error::EmptyPopulation {
+            what: "delay campaign pairs",
+        });
+    }
+    if plan.repetitions == 0 {
+        return Err(Error::EmptyPopulation {
+            what: "delay campaign repetitions",
+        });
+    }
+    Ok(())
+}
+
 impl Channel for DelayChannel {
     fn name(&self) -> &'static str {
         "delay"
@@ -313,6 +330,7 @@ impl Channel for DelayChannel {
         plan: &CampaignPlan,
         golden_devices: &[ProgrammedDevice<'_>],
     ) -> Result<Calibration, Error> {
+        check_delay_plan(plan)?;
         // Aim the glitch sweep so even the slowest die's slowest path
         // faults. Setup and measurement noise are technology constants,
         // identical on every die. The settles land in the device caches
@@ -353,6 +371,7 @@ impl Channel for DelayChannel {
         faults: &FaultPlan,
         ctx: &[u64; 4],
     ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
+        check_delay_plan(plan)?;
         let params = calibration.glitch(self.name())?;
         let campaign = plan.delay_campaign();
         Ok(

@@ -551,11 +551,10 @@ impl<'a> ProgrammedDevice<'a> {
     }
 
     /// Replays one full timed encryption and bins every emitting toggle
-    /// into every chain's impulse train as it is delivered. The bins
-    /// receive the same values in the same order as
-    /// [`htd_em::bin_events_indexed`] over the stored activity rows, so
-    /// the trains are bit-identical to binning
-    /// [`Self::timed_encryption_activity`].
+    /// into every chain's impulse train as it is delivered. Each toggle
+    /// goes through [`htd_em::ImpulseTrain::add`], the workspace's one
+    /// binning rule, in replay order, so the trains are bit-identical to
+    /// binning [`Self::timed_encryption_activity`] event by event.
     fn binned_activity(&self, pt: &[u8; 16], key: &[u8; 16]) -> Result<PairActivity, Error> {
         let mut trains = CHAINS.map(|chain| {
             let dt_ps = self.scope(chain).sample_period_ps;

@@ -5,11 +5,11 @@
 //! * [`CurrentEvent`] / [`collect_activity`] — the original AoS form, one
 //!   struct per toggle. Kept as the reference semantics and the public
 //!   container other crates consume.
-//! * [`ActivityTable`] / [`EventBatch`] — the hot-path SoA form. The
-//!   table precomputes, per net, everything about a toggle's charge
-//!   injection that does not depend on *when* it toggles (charge × local
-//!   process variation, die position); a batch is then just two flat
-//!   `(time, charge·weight)` arrays the acquisition kernels stream over.
+//! * [`ActivityTable`] — the hot-path per-net form. The table
+//!   precomputes, per net, everything about a toggle's charge injection
+//!   that does not depend on *when* it toggles (charge × local process
+//!   variation, die position), so each toggle costs one lookup of its
+//!   net's weighted charge before it is binned.
 //!
 //! Both produce bit-identical charges: the table stores the same
 //! `base_charge × current_factor` product `collect_activity` computes per
@@ -145,72 +145,6 @@ impl ActivityTable {
     }
 }
 
-/// A flat SoA event stream for one acquisition chain: times and
-/// already-weighted charges, ready for [`crate::bin_events`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EventBatch {
-    times_ps: Vec<f64>,
-    charges: Vec<f64>,
-}
-
-impl EventBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Splits an AoS event slice into `(time, charge·weight)` arrays,
-    /// applying the chain's per-position weight (the same multiply, in
-    /// the same order, as the scalar reference).
-    pub fn from_events(events: &[CurrentEvent], weight: impl Fn(&CurrentEvent) -> f64) -> Self {
-        let mut batch = EventBatch {
-            times_ps: Vec::with_capacity(events.len()),
-            charges: Vec::with_capacity(events.len()),
-        };
-        for e in events {
-            batch.times_ps.push(e.time_ps);
-            batch.charges.push(e.charge * weight(e));
-        }
-        batch
-    }
-
-    /// Builds a batch from indexed rows (`times_ps[i]` toggles net
-    /// `nets[i]`) and a per-net weighted-charge array
-    /// ([`ActivityTable::weighted_charges`]).
-    pub fn from_indexed(times_ps: &[f64], nets: &[u32], weighted: &[f64]) -> Self {
-        EventBatch {
-            times_ps: times_ps.to_vec(),
-            charges: nets.iter().map(|&n| weighted[n as usize]).collect(),
-        }
-    }
-
-    /// Appends one weighted event.
-    pub fn push(&mut self, time_ps: f64, weighted_charge: f64) {
-        self.times_ps.push(time_ps);
-        self.charges.push(weighted_charge);
-    }
-
-    /// Event times, ps.
-    pub fn times_ps(&self) -> &[f64] {
-        &self.times_ps
-    }
-
-    /// Weighted charges, one per time.
-    pub fn charges(&self) -> &[f64] {
-        &self.charges
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.times_ps.len()
-    }
-
-    /// Whether the batch holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.times_ps.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,13 +233,15 @@ mod tests {
             assert_eq!(a.position, b.position);
         }
 
-        // The weighted SoA batch carries the same products as weighting
-        // the AoS events per toggle.
+        // The per-net weighted charges carry the same products as
+        // weighting the AoS events per toggle.
         let weight = |p: (f64, f64)| 1.0 / (1.0 + p.0 * p.0 + p.1 * p.1);
         let weighted = table.weighted_charges(weight);
-        let batch = EventBatch::from_indexed(&times, &nets, &weighted);
-        let direct = EventBatch::from_events(&want, |e| weight(e.position));
-        assert_eq!(batch, direct);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(nets.iter().map(|&n| weighted[n as usize]).collect()),
+            bits(want.iter().map(|e| e.charge * weight(e.position)).collect())
+        );
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! The acquisition chain: amplifier, oscilloscope, averaging.
 //!
-//! The digitiser back-end is split into three batched kernels over flat
-//! buffers — [`bin_events`] (charge impulses onto the scope time base),
-//! [`convolve_kernel`] (dense causal convolution with the front-end
-//! response) and [`read_out`] (installation gain, averaged noise,
-//! quantisation) — so callers can cache the noise-free intermediate and
-//! pay only the read-out per repetition. [`acquire_with_reference`] keeps
-//! the original scalar per-event pipeline as the semantic reference; the
-//! test suite pins the batched path against it bit for bit.
+//! The digitiser back-end is split into three stages — [`ImpulseTrain`]
+//! (charge impulses binned onto the scope time base, one event at a
+//! time), [`convolve_kernel`] (dense causal convolution with the
+//! front-end response) and [`read_out`] (installation gain, averaged
+//! noise, quantisation) — so callers can cache the noise-free
+//! intermediate and pay only the read-out per repetition.
+//! [`acquire_with_reference`] keeps the original scalar per-event
+//! pipeline as the semantic reference; the test suite pins the staged
+//! path against it bit for bit.
 
 use rand::RngCore;
 
 use htd_fabric::variation::standard_normal;
 
-use crate::{CurrentEvent, EventBatch, Probe, Trace};
+use crate::{CurrentEvent, Probe, Trace};
 
 /// Oscilloscope front-end parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,69 +81,12 @@ pub struct BinStats {
     pub dropped: u64,
 }
 
-impl BinStats {
-    /// Component-wise sum (for accumulating per-cycle or per-chain stats).
-    pub fn merge(self, other: BinStats) -> BinStats {
-        BinStats {
-            binned: self.binned + other.binned,
-            dropped: self.dropped + other.dropped,
-        }
-    }
-}
-
-/// Bins already-weighted charge impulses onto the scope time base:
-/// `impulses` is cleared, resized to `n_samples` and accumulated in event
-/// order (determinism: f64 accumulation order is part of the contract).
-///
-/// Events before the window, past it, or with NaN times are counted in
-/// [`BinStats::dropped`] and skipped — never smeared into bin 0.
-///
-/// Internally the bin positions `t / dt` are computed chunk-at-a-time so
-/// the divide pass autovectorizes; the scatter-accumulate stays scalar
-/// and in event order, so the result is bit-identical to the obvious
-/// one-pass loop. The bin is `x as usize` behind `x >= 0.0`, not
-/// `x.floor()`: truncation equals `floor` on every non-negative `x`, the
-/// guard rejects NaN and negative fractions that `floor` would send to
-/// −1, and `-0.0` passes both forms into bin 0. Baseline x86-64 has no
-/// SSE4.1 `roundsd`, so `floor` was a libm call per event.
-pub fn bin_events(
-    times_ps: &[f64],
-    charges: &[f64],
-    dt_ps: f64,
-    n_samples: usize,
-    impulses: &mut Vec<f64>,
-) -> BinStats {
-    impulses.clear();
-    impulses.resize(n_samples, 0.0);
-    let mut stats = BinStats::default();
-    const CHUNK: usize = 64;
-    let mut bins = [0.0f64; CHUNK];
-    let mut start = 0usize;
-    while start < times_ps.len() {
-        let m = CHUNK.min(times_ps.len() - start);
-        for (b, &t) in bins[..m].iter_mut().zip(&times_ps[start..start + m]) {
-            *b = t / dt_ps;
-        }
-        for (&x, &c) in bins[..m].iter().zip(&charges[start..start + m]) {
-            if x >= 0.0 && (x as usize) < n_samples {
-                impulses[x as usize] += c;
-                stats.binned += 1;
-            } else {
-                stats.dropped += 1;
-            }
-        }
-        start += m;
-    }
-    stats
-}
-
-/// [`bin_events`] fused with the per-net weight gather: bins indexed
-/// activity rows (`times_ps[i]` toggles net `nets[i]`) directly against a
-/// per-net weighted-charge table, skipping the intermediate
-/// [`crate::EventBatch`] materialisation. The accumulated value per event
-/// is the *same* precomputed f64 the batch would have copied, added in
-/// the same event order, so the result is bit-identical to
-/// `bin_events(&EventBatch::from_indexed(..))` — pinned in `tests`.
+/// Bins indexed activity rows (`times_ps[i]` toggles net `nets[i]`)
+/// against a per-net weighted-charge table
+/// ([`crate::ActivityTable::weighted_charges`]): `impulses` is replaced
+/// by `n_samples` bins, accumulated in event order through
+/// [`ImpulseTrain::add`], so the result is bit-identical to streaming
+/// the same events into a train.
 pub fn bin_events_indexed(
     times_ps: &[f64],
     nets: &[u32],
@@ -151,39 +95,28 @@ pub fn bin_events_indexed(
     n_samples: usize,
     impulses: &mut Vec<f64>,
 ) -> BinStats {
-    impulses.clear();
-    impulses.resize(n_samples, 0.0);
-    let mut stats = BinStats::default();
-    const CHUNK: usize = 64;
-    let mut bins = [0.0f64; CHUNK];
-    let mut start = 0usize;
-    while start < times_ps.len() {
-        let m = CHUNK.min(times_ps.len() - start);
-        for (b, &t) in bins[..m].iter_mut().zip(&times_ps[start..start + m]) {
-            *b = t / dt_ps;
-        }
-        for (&x, &net) in bins[..m].iter().zip(&nets[start..start + m]) {
-            if x >= 0.0 && (x as usize) < n_samples {
-                impulses[x as usize] += weighted[net as usize];
-                stats.binned += 1;
-            } else {
-                stats.dropped += 1;
-            }
-        }
-        start += m;
+    let mut train = ImpulseTrain::new(dt_ps, n_samples);
+    for (&t, &net) in times_ps.iter().zip(nets) {
+        train.add(t, weighted[net as usize]);
     }
+    let stats = train.stats();
+    *impulses = train.into_impulses();
     stats
 }
 
-/// An impulse train filled one event at a time: the streaming form of
-/// [`bin_events_indexed`], for a producer that sees each event once and
-/// never stores it (`htd-core` bins straight from the event replay).
+/// An impulse train filled one event at a time, for a producer that
+/// sees each event once and never stores it (`htd-core` bins straight
+/// from the event replay).
 ///
-/// [`Self::add`] does exactly what [`bin_events_indexed`] does for one
-/// event — `x = time / dt`, kept only if `x >= 0.0 && (x as usize) < n`,
-/// then one add into bin `x as usize` — so feeding the same events in
-/// the same order yields the same bits and the same [`BinStats`]
-/// (pinned in `tests`).
+/// [`Self::add`] is the crate's one binning rule: `x = time / dt`, kept
+/// only if `x >= 0.0 && (x as usize) < n`, then one add into bin
+/// `x as usize`, in event order (f64 accumulation order is part of the
+/// contract). Truncation equals `floor` on every non-negative `x`; the
+/// guard rejects NaN and negative fractions that `floor` would send to
+/// −1, and `-0.0` passes both forms into bin 0 — so the train matches
+/// the `floor` rule of [`acquire_with_reference`] bit for bit (pinned in
+/// `tests`). Baseline x86-64 has no SSE4.1 `roundsd`, so `floor` would
+/// be a libm call per event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImpulseTrain {
     dt_ps: f64,
@@ -217,6 +150,11 @@ impl ImpulseTrain {
     /// The accumulated bins.
     pub fn impulses(&self) -> &[f64] {
         &self.impulses
+    }
+
+    /// Consumes the train, handing back its bins.
+    pub fn into_impulses(self) -> Vec<f64> {
+        self.impulses
     }
 
     /// How many impulses were binned and dropped so far.
@@ -310,48 +248,48 @@ impl EmSetup {
         params: &AcquisitionParams,
         rng: &mut R,
     ) -> Trace {
-        let batch = EventBatch::from_events(events, |e| self.probe.coupling(e.position));
         let kernel = self.probe.impulse_response(self.scope.sample_period_ps);
-        self.acquire_batch(&batch, &kernel, params, rng).0
-    }
-
-    /// The batched acquisition: a pre-weighted SoA event stream and a
-    /// pre-sampled probe kernel in, one averaged trace plus binning
-    /// accounting out. Callers that acquire repeatedly should cache the
-    /// kernel ([`Probe::impulse_response`]) and the batch.
-    pub fn acquire_batch<R: RngCore + ?Sized>(
-        &self,
-        batch: &EventBatch,
-        kernel: &[f64],
-        params: &AcquisitionParams,
-        rng: &mut R,
-    ) -> (Trace, BinStats) {
-        let dt = self.scope.sample_period_ps;
-        let mut impulses = Vec::new();
-        let mut clean = Vec::new();
-        let stats = bin_events(
-            batch.times_ps(),
-            batch.charges(),
-            dt,
-            params.n_samples(dt),
-            &mut impulses,
-        );
-        convolve_kernel(&impulses, kernel, &mut clean);
-        let trace = read_out(
-            &clean,
+        acquire_events(
+            events,
+            params,
             &self.scope,
             self.gain,
             self.setup_gain_jitter,
-            params.averages,
+            &kernel,
+            |e| self.probe.coupling(e.position),
             rng,
-        );
-        (trace, stats)
+        )
     }
 }
 
+/// The staged acquisition both chains share (arguments as in
+/// [`acquire_with_reference`]): each event's charge times its chain
+/// weight binned into an [`ImpulseTrain`], convolved with the chain's
+/// sampled front-end `kernel`, then one [`read_out`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn acquire_events<R: RngCore + ?Sized>(
+    events: &[CurrentEvent],
+    params: &AcquisitionParams,
+    scope: &Scope,
+    gain: f64,
+    setup_gain_jitter: f64,
+    kernel: &[f64],
+    weight: impl Fn(&CurrentEvent) -> f64,
+    rng: &mut R,
+) -> Trace {
+    let dt = scope.sample_period_ps;
+    let mut train = ImpulseTrain::new(dt, params.n_samples(dt));
+    for e in events {
+        train.add(e.time_ps, e.charge * weight(e));
+    }
+    let mut clean = Vec::new();
+    convolve_kernel(train.impulses(), kernel, &mut clean);
+    read_out(&clean, scope, gain, setup_gain_jitter, params.averages, rng)
+}
+
 /// The original scalar digitiser back-end, retained as the semantic
-/// reference for the batched kernels: per-event sparse bin + convolve,
-/// then the noise/quantise pass. The batched path ([`bin_events`] →
+/// reference for the staged kernels: per-event sparse bin + convolve,
+/// then the noise/quantise pass. The staged path ([`ImpulseTrain`] →
 /// [`convolve_kernel`] → [`read_out`]) must stay bit-for-bit identical to
 /// this function — `tests` and the property suite pin that equality.
 #[allow(clippy::too_many_arguments)]
@@ -431,40 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn indexed_binning_matches_batch_binning_bit_exactly() {
-        // Mixed stream: in-window times, a negative time, a NaN time and
-        // a past-the-window time, across enough events to exercise the
-        // chunked path. The fused kernel must reproduce the
-        // materialise-then-bin result to the bit, including drop stats.
-        let weighted = [0.25, 1.5, -0.75, 3.125];
-        let mut times = Vec::new();
-        let mut nets = Vec::new();
-        for i in 0..300usize {
-            times.push(match i % 50 {
-                7 => -12.0,
-                23 => f64::NAN,
-                41 => 1.0e9,
-                _ => i as f64 * 131.0,
-            });
-            nets.push((i % weighted.len()) as u32);
-        }
-        let batch = crate::EventBatch::from_indexed(&times, &nets, &weighted);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let sa = bin_events(batch.times_ps(), batch.charges(), 200.0, 200, &mut a);
-        let sb = bin_events_indexed(&times, &nets, &weighted, 200.0, 200, &mut b);
-        assert_eq!(sa, sb);
-        assert!(sb.dropped > 0, "mixed stream must exercise drops");
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn truncating_binning_matches_floor_binning_on_every_edge() {
-        // The kernels (and the streaming `ImpulseTrain`) bin with
-        // `x as usize` behind `x >= 0.0`; the
-        // historical rule is `x.floor()` behind `floor >= 0.0`. Both must
+        // `ImpulseTrain` (and `bin_events_indexed`, which feeds one) bins
+        // with `x as usize` behind `x >= 0.0`; the historical rule is `x.floor()` behind `floor >= 0.0`. Both must
         // agree on NaN, ±0, negative fractions, ±inf and both window
         // edges, in the bins and in the drop accounting.
         let (dt, n) = (200.0, 50usize);
@@ -508,8 +415,7 @@ mod tests {
             }
         );
         let nets: Vec<u32> = (0..times.len() as u32).collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        assert_eq!(bin_events(&times, &charges, dt, n, &mut a), want_stats);
+        let mut b = Vec::new();
         assert_eq!(
             bin_events_indexed(&times, &nets, &charges, dt, n, &mut b),
             want_stats
@@ -520,7 +426,7 @@ mod tests {
             train.add(t, c);
         }
         assert_eq!(train.stats(), want_stats);
-        for got in [&a, &b, &train.impulses().to_vec()] {
+        for got in [&b, &train.impulses().to_vec()] {
             let bits: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
             assert_eq!(bits, want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
         }
@@ -668,12 +574,16 @@ mod tests {
         );
         assert_eq!(clean_trace, polluted_trace, "dropped events leaked charge");
 
-        // The batched kernel agrees on both counts.
-        let batch = EventBatch::from_events(&polluted, weight);
+        // The staged path agrees on both counts.
+        let dt = setup.scope.sample_period_ps;
+        let mut train = ImpulseTrain::new(dt, p.n_samples(dt));
+        for e in &polluted {
+            train.add(e.time_ps, e.charge * weight(e));
+        }
+        assert_eq!(train.stats(), polluted_stats);
         let mut rng = StdRng::seed_from_u64(11);
-        let (batched_trace, batched_stats) = setup.acquire_batch(&batch, &kernel, &p, &mut rng);
-        assert_eq!(batched_stats, polluted_stats);
-        assert_eq!(batched_trace, clean_trace);
+        let staged_trace = setup.acquire(&polluted, &p, &mut rng);
+        assert_eq!(staged_trace, clean_trace);
     }
 
     #[test]
@@ -685,17 +595,13 @@ mod tests {
         let p = params();
         let events = burst(2_000.0, 30, 5.0);
         let kernel = setup.probe.impulse_response(setup.scope.sample_period_ps);
-        let batch = EventBatch::from_events(&events, |e| setup.probe.coupling(e.position));
-        let mut impulses = Vec::new();
+        let dt = setup.scope.sample_period_ps;
+        let mut train = ImpulseTrain::new(dt, p.n_samples(dt));
+        for e in &events {
+            train.add(e.time_ps, e.charge * setup.probe.coupling(e.position));
+        }
         let mut clean = Vec::new();
-        bin_events(
-            batch.times_ps(),
-            batch.charges(),
-            setup.scope.sample_period_ps,
-            p.n_samples(setup.scope.sample_period_ps),
-            &mut impulses,
-        );
-        convolve_kernel(&impulses, &kernel, &mut clean);
+        convolve_kernel(train.impulses(), &kernel, &mut clean);
         for seed in [0u64, 1, 99] {
             let mut rng = StdRng::seed_from_u64(seed);
             let full = setup.acquire(&events, &p, &mut rng);

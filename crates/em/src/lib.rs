@@ -11,11 +11,14 @@
 //!    current factors (this is where inter-die EM personality comes from).
 //! 2. [`Probe`] weights each event by its position coupling and rings with
 //!    a damped-sinusoid impulse response.
-//! 3. [`EmSetup::acquire`] applies amplifier gain, samples at the scope
-//!    rate, adds acquisition noise (scaled by `1/√N` for N-fold trace
-//!    averaging, exact for the additive-Gaussian noise model) plus a small
-//!    per-installation gain error (the "setup noise" the paper cancels by
-//!    averaging in Fig. 5), and quantises like an 8-bit scope front-end.
+//! 3. [`EmSetup::acquire`] bins the weighted events onto the scope time
+//!    base through [`ImpulseTrain`] (the crate's one binning kernel,
+//!    which `htd-core` also feeds straight from its event replay),
+//!    convolves, applies amplifier gain, adds acquisition noise (scaled
+//!    by `1/√N` for N-fold trace averaging, exact for the
+//!    additive-Gaussian noise model) plus a small per-installation gain
+//!    error (the "setup noise" the paper cancels by averaging in Fig. 5),
+//!    and quantises like an 8-bit scope front-end.
 //! 4. [`PowerSetup`] is the global power-measurement baseline: no spatial
 //!    selectivity and a lower measurement bandwidth — the comparison point
 //!    for the paper's claim that EM gives better spatial and temporal
@@ -34,10 +37,10 @@ mod probe;
 pub mod scan;
 mod trace;
 
-pub use activity::{collect_activity, ActivityTable, CurrentEvent, EventBatch};
+pub use activity::{collect_activity, ActivityTable, CurrentEvent};
 pub use chain::{
-    acquire_with_reference, bin_events, bin_events_indexed, convolve_kernel, read_out,
-    AcquisitionParams, BinStats, EmSetup, ImpulseTrain, Scope,
+    acquire_with_reference, bin_events_indexed, convolve_kernel, read_out, AcquisitionParams,
+    BinStats, EmSetup, ImpulseTrain, Scope,
 };
 pub use power::PowerSetup;
 pub use probe::Probe;

@@ -9,8 +9,8 @@
 
 use rand::RngCore;
 
-use crate::chain::{bin_events, convolve_kernel, read_out, AcquisitionParams, BinStats, Scope};
-use crate::{CurrentEvent, EventBatch, Trace};
+use crate::chain::{acquire_events, AcquisitionParams, Scope};
+use crate::{CurrentEvent, Trace};
 
 /// A global power-consumption measurement chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,39 +52,17 @@ impl PowerSetup {
         params: &AcquisitionParams,
         rng: &mut R,
     ) -> Trace {
-        let batch = EventBatch::from_events(events, |_| 1.0);
         let kernel = self.impulse_response(self.scope.sample_period_ps);
-        self.acquire_batch(&batch, &kernel, params, rng).0
-    }
-
-    /// The batched power acquisition (see [`crate::EmSetup::acquire_batch`]).
-    pub fn acquire_batch<R: RngCore + ?Sized>(
-        &self,
-        batch: &EventBatch,
-        kernel: &[f64],
-        params: &AcquisitionParams,
-        rng: &mut R,
-    ) -> (Trace, BinStats) {
-        let dt = self.scope.sample_period_ps;
-        let mut impulses = Vec::new();
-        let mut clean = Vec::new();
-        let stats = bin_events(
-            batch.times_ps(),
-            batch.charges(),
-            dt,
-            params.n_samples(dt),
-            &mut impulses,
-        );
-        convolve_kernel(&impulses, kernel, &mut clean);
-        let trace = read_out(
-            &clean,
+        acquire_events(
+            events,
+            params,
             &self.scope,
             self.gain,
             self.setup_gain_jitter,
-            params.averages,
+            &kernel,
+            |_| 1.0,
             rng,
-        );
-        (trace, stats)
+        )
     }
 }
 

@@ -134,12 +134,27 @@ proptest! {
     }
 }
 
-/// The batched SoA kernels are pinned bit-for-bit against the retained
-/// scalar reference across random event streams (including negative, NaN
-/// and past-window times), acquisition params and quantisation steps.
+/// The staged kernels (`ImpulseTrain` → `convolve_kernel` → `read_out`)
+/// are pinned bit-for-bit against the retained scalar reference across
+/// random event streams (including negative, NaN and past-window times),
+/// acquisition params and quantisation steps.
 mod kernel_pinning {
     use super::*;
-    use htd_em::{acquire_with_reference, bin_events, EventBatch, ImpulseTrain};
+    use htd_em::{acquire_with_reference, BinStats, ImpulseTrain};
+
+    /// Bins `events` (charge × `weight`) through a streaming train.
+    fn train_of(
+        events: &[CurrentEvent],
+        weight: impl Fn(&CurrentEvent) -> f64,
+        dt: f64,
+        n: usize,
+    ) -> ImpulseTrain {
+        let mut train = ImpulseTrain::new(dt, n);
+        for e in events {
+            train.add(e.time_ps, e.charge * weight(e));
+        }
+        train
+    }
 
     /// Event streams that exercise every binning edge: in-window,
     /// negative, far-future, and NaN times, with signed charges.
@@ -162,7 +177,7 @@ mod kernel_pinning {
     }
 
     proptest! {
-        /// EM chain: batched == reference, bit for bit, trace and stats.
+        /// EM chain: staged == reference, bit for bit, trace and stats.
         #[test]
         fn em_batched_matches_reference(
             events in adversarial_events(),
@@ -184,9 +199,11 @@ mod kernel_pinning {
                 &events, &p, &setup.scope, setup.gain, setup.setup_gain_jitter,
                 &kernel, |e| setup.probe.coupling(e.position), &mut rng,
             );
-            let batch = EventBatch::from_events(&events, |e| setup.probe.coupling(e.position));
+            let dt = setup.scope.sample_period_ps;
+            let got_stats =
+                train_of(&events, |e| setup.probe.coupling(e.position), dt, p.n_samples(dt)).stats();
             let mut rng = StdRng::seed_from_u64(seed);
-            let (got, got_stats) = setup.acquire_batch(&batch, &kernel, &p, &mut rng);
+            let got = setup.acquire(&events, &p, &mut rng);
 
             prop_assert_eq!(got_stats, want_stats);
             prop_assert_eq!(
@@ -200,7 +217,8 @@ mod kernel_pinning {
         }
 
         /// The streaming train, fed one event at a time, bins exactly
-        /// like the batch kernel: same bits, same accounting.
+        /// like the scalar reference's `floor` rule: same bits, same
+        /// accounting.
         #[test]
         fn streaming_train_matches_batch_binning(
             events in adversarial_events(),
@@ -209,19 +227,24 @@ mod kernel_pinning {
             n in 0usize..400,
         ) {
             let dt = if scope_dt { 200.0 } else { dt };
-            let batch = EventBatch::from_events(&events, |e| e.position.0);
-            let mut want = Vec::new();
-            let want_stats = bin_events(batch.times_ps(), batch.charges(), dt, n, &mut want);
-            let mut train = ImpulseTrain::new(dt, n);
-            for (&t, &c) in batch.times_ps().iter().zip(batch.charges()) {
-                train.add(t, c);
+            let mut want = vec![0.0f64; n];
+            let mut want_stats = BinStats::default();
+            for e in &events {
+                let bin = (e.time_ps / dt).floor();
+                if bin >= 0.0 && (bin as usize) < n {
+                    want[bin as usize] += e.charge * e.position.0;
+                    want_stats.binned += 1;
+                } else {
+                    want_stats.dropped += 1;
+                }
             }
+            let train = train_of(&events, |e| e.position.0, dt, n);
             prop_assert_eq!(train.stats(), want_stats);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(train.impulses()), bits(&want));
         }
 
-        /// Power chain: batched == reference, bit for bit.
+        /// Power chain: staged == reference, bit for bit.
         #[test]
         fn power_batched_matches_reference(
             events in adversarial_events(),
@@ -237,9 +260,10 @@ mod kernel_pinning {
                 &events, &p, &setup.scope, setup.gain, setup.setup_gain_jitter,
                 &kernel, |_| 1.0, &mut rng,
             );
-            let batch = EventBatch::from_events(&events, |_| 1.0);
+            let dt = setup.scope.sample_period_ps;
+            let got_stats = train_of(&events, |_| 1.0, dt, p.n_samples(dt)).stats();
             let mut rng = StdRng::seed_from_u64(seed);
-            let (got, got_stats) = setup.acquire_batch(&batch, &kernel, &p, &mut rng);
+            let got = setup.acquire(&events, &p, &mut rng);
 
             prop_assert_eq!(got_stats, want_stats);
             for (a, b) in want.samples().iter().zip(got.samples()) {

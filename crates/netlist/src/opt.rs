@@ -16,7 +16,7 @@
 //! full AES netlist and a property-based corpus.
 
 use crate::cell::{CellKind, LutMask};
-use crate::passes::kernel::{self, RewriteOptions};
+use crate::passes::kernel;
 use crate::passes::PassManager;
 use crate::{CellId, NetId, Netlist, NetlistError};
 
@@ -67,14 +67,13 @@ impl Netlist {
     }
 
     /// One optimization pass (see [`Netlist::optimize`], which iterates
-    /// this to fixpoint): the fused rewrite kernel with every
-    /// transformation enabled.
+    /// this to fixpoint): one sweep of the fused rewrite kernel.
     ///
     /// # Errors
     ///
     /// Propagates [`NetlistError`] from reconstruction.
     pub fn optimize_once(&self) -> Result<Optimized, NetlistError> {
-        kernel::rewrite(self, &RewriteOptions::FULL)
+        kernel::rewrite(self)
     }
 
     /// Frozen copy of the pre-pass-framework `optimize`, kept verbatim as

@@ -1,85 +1,30 @@
-//! The shared rewrite kernel behind every structural optimization pass.
+//! The rewrite kernel behind [`FullOptimize`](super::FullOptimize).
 //!
-//! All rewrite passes are projections of one algorithm: analyse the
-//! netlist on its original ids, then rebuild a fresh netlist emitting
-//! only what survives. [`RewriteOptions`] selects which transformations
-//! the rebuild applies; with every option enabled the kernel executes
-//! the exact statement sequence of the legacy monolithic optimizer, which
-//! is what pins [`Netlist::optimize`](crate::Netlist::optimize) (the
-//! canned pipeline) bit-identical to its historical output.
+//! One algorithm: analyse the netlist on its original ids (constant
+//! dataflow, liveness), then rebuild a fresh netlist emitting only what
+//! survives — constants folded, dead logic dropped, ignored pins and
+//! buffers swept, duplicate functions merged. It executes the exact
+//! statement sequence of the legacy monolithic optimizer, which is what
+//! pins [`Netlist::optimize`](crate::Netlist::optimize) (the canned
+//! pipeline) bit-identical to its historical output.
 
 use crate::cell::{CellKind, LutMask};
 use crate::opt::Optimized;
 use crate::{CellId, NetId, Netlist, NetlistError};
 
-/// Which constant information the rebuild may exploit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ConstantMode {
-    /// Constants are preserved as cells and never folded into logic.
-    Off,
-    /// Only literal constant cells fold into their immediate readers
-    /// (one level, no transitive dataflow).
-    Local,
-    /// Full forward dataflow: any net provably constant over every
-    /// input/state assignment folds.
-    Full,
-}
-
-/// Transformation selection for [`rewrite`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RewriteOptions {
-    /// Constant folding depth.
-    pub constants: ConstantMode,
-    /// Drop LUTs whose output never reaches a port or flip-flop D pin.
-    pub eliminate_dead: bool,
-    /// Alias 1-input identity LUTs to their source net.
-    pub sweep_buffers: bool,
-    /// Drop input pins the (restricted) function does not depend on.
-    pub drop_ignored_pins: bool,
-    /// Group equal-signal pins, canonicalise input order and merge
-    /// duplicate functions (CSE).
-    pub merge_duplicates: bool,
-}
-
-impl RewriteOptions {
-    /// Every transformation enabled: the legacy `optimize_once` algorithm.
-    pub(crate) const FULL: RewriteOptions = RewriteOptions {
-        constants: ConstantMode::Full,
-        eliminate_dead: true,
-        sweep_buffers: true,
-        drop_ignored_pins: true,
-        merge_duplicates: true,
-    };
-}
-
-/// One analysis + rebuild sweep under the given options.
-///
-/// With [`RewriteOptions::FULL`] this is the legacy `optimize_once`,
-/// statement for statement; narrower option sets skip transformations
-/// but keep the same emission order, so every projection stays
-/// deterministic.
-pub(crate) fn rewrite(nl: &Netlist, opts: &RewriteOptions) -> Result<Optimized, NetlistError> {
-    // `fold` gates whether constant values may be folded into LUT masks;
-    // when off, constant cells must be materialised up front so LUT
-    // inputs can reference their nets.
-    let fold = opts.constants != ConstantMode::Off;
-    let known = match opts.constants {
-        ConstantMode::Full => constant_analysis(nl),
-        _ => const_cells_only(nl),
-    };
-    let live = if opts.eliminate_dead {
-        liveness(nl, &known)
-    } else {
-        vec![true; nl.cell_count()]
-    };
+/// One analysis + rebuild sweep: the legacy `optimize_once`, statement
+/// for statement.
+pub(crate) fn rewrite(nl: &Netlist) -> Result<Optimized, NetlistError> {
+    let known = constant_analysis(nl);
+    let live = liveness(nl, &known);
 
     let mut out = Netlist::new(nl.name().to_string());
     let mut cell_map: Vec<Option<CellId>> = vec![None; nl.cell_count()];
     let mut net_map: Vec<Option<NetId>> = vec![None; nl.net_count()];
 
-    // Pass 1: ports, flip-flops (uninit) and — only when folding is off —
-    // constant cells. When folding is on, constants are created on demand
-    // during LUT emission, preserving the legacy net-id assignment order.
+    // Pass 1: ports and flip-flops (uninit). Constants are created on
+    // demand during LUT emission, preserving the legacy net-id
+    // assignment order.
     for (id, cell) in nl.cells() {
         match cell.kind() {
             CellKind::Input => {
@@ -93,10 +38,6 @@ pub(crate) fn rewrite(nl: &Netlist, opts: &RewriteOptions) -> Result<Optimized, 
                 let old_q = cell.output().expect("dff drives q");
                 net_map[old_q.index()] = Some(new_q);
                 cell_map[id.index()] = Some(new_cell);
-            }
-            CellKind::Const(v) if !fold => {
-                let old_net = cell.output().expect("const drives a net");
-                net_map[old_net.index()] = Some(out.const_net(v));
             }
             _ => {}
         }
@@ -117,8 +58,7 @@ pub(crate) fn rewrite(nl: &Netlist, opts: &RewriteOptions) -> Result<Optimized, 
         if let Some(v) = known[out_net.index()] {
             // Constant-folded away: route users to the constant net (even
             // if the cone is otherwise dead — ports may observe the
-            // constant). Unreachable when folding is off: `known` then
-            // only covers constant-cell outputs, which LUTs never drive.
+            // constant).
             net_map[out_net.index()] = Some(out.const_net(v));
             continue;
         }
@@ -131,21 +71,18 @@ pub(crate) fn rewrite(nl: &Netlist, opts: &RewriteOptions) -> Result<Optimized, 
         // rule out — judging on the restriction makes one pass a
         // fixpoint).
         let mut base_row = 0u64;
-        if fold {
-            for (pin, &inp) in cell.inputs().iter().enumerate() {
-                if let Some(v) = known[inp.index()] {
-                    base_row |= (v as u64) << pin;
-                }
+        for (pin, &inp) in cell.inputs().iter().enumerate() {
+            if let Some(v) = known[inp.index()] {
+                base_row |= (v as u64) << pin;
             }
         }
         // Group the unknown pins by their *mapped* source net: pins tied
         // to the same signal (directly, or through swept buffers) always
         // carry equal values, so the function is analysed over distinct
-        // signals, not raw pins. Without `merge_duplicates` every pin
-        // keeps its own group (conservative but correct).
+        // signals, not raw pins.
         let mut groups: Vec<(NetId, Vec<usize>)> = Vec::new();
         for (pin, &inp) in cell.inputs().iter().enumerate() {
-            if fold && known[inp.index()].is_some() {
+            if known[inp.index()].is_some() {
                 continue;
             }
             // An unmapped input means its driver was proven dead, which
@@ -154,11 +91,7 @@ pub(crate) fn rewrite(nl: &Netlist, opts: &RewriteOptions) -> Result<Optimized, 
             let Some(mapped) = net_map[inp.index()] else {
                 continue;
             };
-            let merged = opts
-                .merge_duplicates
-                .then(|| groups.iter_mut().find(|(n, _)| *n == mapped))
-                .flatten();
-            match merged {
+            match groups.iter_mut().find(|(n, _)| *n == mapped) {
                 Some((_, pins)) => pins.push(pin),
                 None => groups.push((mapped, vec![pin])),
             }
@@ -174,13 +107,9 @@ pub(crate) fn rewrite(nl: &Netlist, opts: &RewriteOptions) -> Result<Optimized, 
             }
             mask.eval_row(full_row)
         });
-        let kept: Vec<usize> = if opts.drop_ignored_pins {
-            (0..groups.len())
-                .filter(|&i| restricted.depends_on(groups.len(), i))
-                .collect()
-        } else {
-            (0..groups.len()).collect()
-        };
+        let kept: Vec<usize> = (0..groups.len())
+            .filter(|&i| restricted.depends_on(groups.len(), i))
+            .collect();
         if kept.is_empty() {
             // Constant over the reachable input space (constant analysis
             // should have caught this, but stay defensive).
@@ -193,45 +122,34 @@ pub(crate) fn rewrite(nl: &Netlist, opts: &RewriteOptions) -> Result<Optimized, 
         // `groups` already carries new-netlist ids.
         let new_inputs: Vec<NetId> = kept.iter().map(|&i| groups[i].0).collect();
         // Buffer sweep: a 1-input identity LUT forwards its input.
-        if opts.sweep_buffers && new_inputs.len() == 1 && folded_mask.raw() == 0b10 {
+        if new_inputs.len() == 1 && folded_mask.raw() == 0b10 {
             net_map[out_net.index()] = Some(new_inputs[0]);
             continue;
         }
         // Canonicalise: sort inputs by net id, permuting the mask rows to
         // match, so commutative duplicates collide in CSE.
-        let (sorted_inputs, canon_mask) = if opts.merge_duplicates {
-            let mut order: Vec<usize> = (0..new_inputs.len()).collect();
-            order.sort_by_key(|&i| new_inputs[i]);
-            let sorted_inputs: Vec<NetId> = order.iter().map(|&i| new_inputs[i]).collect();
-            let canon_mask = LutMask::from_fn(sorted_inputs.len(), |row| {
-                // row indexes the sorted pins; rebuild the original row.
-                let mut orig = 0u64;
-                for (new_pin, &old_pin) in order.iter().enumerate() {
-                    orig |= ((row >> new_pin) & 1) << old_pin;
-                }
-                folded_mask.eval_row(orig)
-            });
-            (sorted_inputs, canon_mask)
-        } else {
-            (new_inputs, folded_mask)
-        };
+        let mut order: Vec<usize> = (0..new_inputs.len()).collect();
+        order.sort_by_key(|&i| new_inputs[i]);
+        let sorted_inputs: Vec<NetId> = order.iter().map(|&i| new_inputs[i]).collect();
+        let canon_mask = LutMask::from_fn(sorted_inputs.len(), |row| {
+            // row indexes the sorted pins; rebuild the original row.
+            let mut orig = 0u64;
+            for (new_pin, &old_pin) in order.iter().enumerate() {
+                orig |= ((row >> new_pin) & 1) << old_pin;
+            }
+            folded_mask.eval_row(orig)
+        });
         // Common-subexpression elimination: an identical function of
         // identical signals already exists → reuse its net.
-        if opts.merge_duplicates {
-            let key = (canon_mask.raw(), sorted_inputs.clone());
-            if let Some(&existing) = cse.get(&key) {
-                net_map[out_net.index()] = Some(existing);
-                continue;
-            }
-            let new_net = out.add_lut_named(&sorted_inputs, canon_mask, cell.name().to_string())?;
-            cse.insert(key, new_net);
-            net_map[out_net.index()] = Some(new_net);
-            cell_map[cell_id.index()] = out.net(new_net).driver();
-        } else {
-            let new_net = out.add_lut_named(&sorted_inputs, canon_mask, cell.name().to_string())?;
-            net_map[out_net.index()] = Some(new_net);
-            cell_map[cell_id.index()] = out.net(new_net).driver();
+        let key = (canon_mask.raw(), sorted_inputs.clone());
+        if let Some(&existing) = cse.get(&key) {
+            net_map[out_net.index()] = Some(existing);
+            continue;
         }
+        let new_net = out.add_lut_named(&sorted_inputs, canon_mask, cell.name().to_string())?;
+        cse.insert(key, new_net);
+        net_map[out_net.index()] = Some(new_net);
+        cell_map[cell_id.index()] = out.net(new_net).driver();
     }
 
     // Map constant-driver nets that anything might still reference.
@@ -286,7 +204,7 @@ pub(crate) fn rewrite(nl: &Netlist, opts: &RewriteOptions) -> Result<Optimized, 
 
 /// Per-net constant analysis: `Some(v)` if the net provably always
 /// carries `v` regardless of inputs and state.
-pub(crate) fn constant_analysis(nl: &Netlist) -> Vec<Option<bool>> {
+fn constant_analysis(nl: &Netlist) -> Vec<Option<bool>> {
     let mut known = const_cells_only(nl);
     let Ok(levels) = nl.levelize() else {
         return known;
@@ -323,7 +241,7 @@ pub(crate) fn constant_analysis(nl: &Netlist) -> Vec<Option<bool>> {
 }
 
 /// The trivial constant map: only literal constant cells are known.
-pub(crate) fn const_cells_only(nl: &Netlist) -> Vec<Option<bool>> {
+fn const_cells_only(nl: &Netlist) -> Vec<Option<bool>> {
     let mut known: Vec<Option<bool>> = vec![None; nl.net_count()];
     for (_, cell) in nl.cells() {
         if let CellKind::Const(v) = cell.kind() {
@@ -335,7 +253,7 @@ pub(crate) fn const_cells_only(nl: &Netlist) -> Vec<Option<bool>> {
 
 /// Liveness: a LUT is live if its output transitively reaches an output
 /// port or a flip-flop `D` pin through non-constant logic.
-pub(crate) fn liveness(nl: &Netlist, known: &[Option<bool>]) -> Vec<bool> {
+fn liveness(nl: &Netlist, known: &[Option<bool>]) -> Vec<bool> {
     let mut live = vec![false; nl.cell_count()];
     let mut stack: Vec<NetId> = Vec::new();
     for (_, cell) in nl.cells() {
@@ -375,7 +293,7 @@ pub(crate) fn liveness(nl: &Netlist, known: &[Option<bool>]) -> Vec<bool> {
 }
 
 /// Spreads the low bits of `value` onto the given pin positions.
-pub(crate) fn spread(value: u64, pins: &[usize]) -> u64 {
+fn spread(value: u64, pins: &[usize]) -> u64 {
     let mut row = 0u64;
     for (i, &pin) in pins.iter().enumerate() {
         row |= ((value >> i) & 1) << pin;

@@ -3,9 +3,9 @@
 //! A [`Pass`] is a named analysis or transformation over a [`Netlist`];
 //! a [`PassManager`] runs an ordered pipeline of passes to a fixed point
 //! and aggregates their [`Diagnostics`]. The framework follows the style
-//! of rhdl's flow-graph passes: small, individually testable rewrites
-//! (constant propagation, constant-buffer elimination, dead-net
-//! elimination, unused-buffer removal) plus pure *lint* passes that
+//! of rhdl's flow-graph passes: one fused structural rewrite
+//! ([`FullOptimize`]: constant propagation, dead-logic elimination,
+//! buffer sweeping, duplicate merging) plus pure *lint* passes that
 //! report structural problems without touching the netlist.
 //!
 //! Because [`Netlist`] ids are stable-by-construction (cells are never
@@ -21,8 +21,8 @@
 //! * A pass's output is a pure function of its input netlist — no
 //!   randomness, no ordering dependence on hash-map iteration, no clocks.
 //! * Passes run in pipeline order; the manager re-sweeps until the
-//!   netlist size (LUTs + nets) stabilises, capped by
-//!   [`PassManager::max_iterations`], mirroring the legacy fixpoint loop.
+//!   netlist size (LUTs + nets) stabilises, capped at 32 re-sweeps,
+//!   mirroring the legacy fixpoint loop.
 //! * Diagnostics counters are keyed by pass name in sorted order, so the
 //!   `pass.<name>.*` counter section is worker-invariant and
 //!   byte-reproducible.
@@ -54,10 +54,10 @@ use crate::opt::Optimized;
 use crate::{CellId, NetId, Netlist, NetlistError};
 
 pub use lint::{CheckCombLoops, CheckFanout, CheckUnconnected};
-pub use rewrite::{
-    ConstantBufferElimination, ConstantPropagation, DeadNetElimination, FullOptimize,
-    UnusedBufferRemoval,
-};
+pub use rewrite::FullOptimize;
+
+/// Cap on the re-sweeps after the first, like the legacy optimizer.
+const MAX_ITERATIONS: usize = 32;
 
 /// What a pass did to the netlist.
 #[derive(Debug, Clone)]
@@ -201,7 +201,6 @@ pub struct PassReport {
 /// iteration.
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    max_iterations: usize,
 }
 
 impl Default for PassManager {
@@ -211,12 +210,9 @@ impl Default for PassManager {
 }
 
 impl PassManager {
-    /// An empty pipeline (iteration cap 32, like the legacy optimizer).
+    /// An empty pipeline.
     pub fn new() -> Self {
-        PassManager {
-            passes: Vec::new(),
-            max_iterations: 32,
-        }
+        PassManager { passes: Vec::new() }
     }
 
     /// The canned optimization pipeline behind
@@ -224,23 +220,9 @@ impl PassManager {
     /// [`FullOptimize`] rewrite, which applies every structural
     /// transformation jointly in one rebuild per sweep. The fusion is
     /// load-bearing: it is what keeps the pipeline bit-identical to the
-    /// historical monolithic optimizer (sequencing the granular passes
-    /// would assign different ids and never merge duplicates the same
-    /// way).
+    /// historical monolithic optimizer.
     pub fn standard() -> Self {
         Self::new().with_pass(FullOptimize)
-    }
-
-    /// The granular rewrite passes in a deterministic order, for callers
-    /// composing custom pipelines. Functionally equivalent to
-    /// [`PassManager::standard`] on every input/state, but *not*
-    /// byte-identical (no cross-pass duplicate merging).
-    pub fn rewrites() -> Self {
-        Self::new()
-            .with_pass(ConstantPropagation)
-            .with_pass(ConstantBufferElimination)
-            .with_pass(DeadNetElimination)
-            .with_pass(UnusedBufferRemoval)
     }
 
     /// The structural lint pipeline: unconnected-pin, combinational-loop
@@ -256,12 +238,6 @@ impl PassManager {
     /// Appends a pass to the pipeline.
     pub fn with_pass(mut self, pass: impl Pass + 'static) -> Self {
         self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Caps the number of re-sweeps after the first (default 32).
-    pub fn max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
         self
     }
 
@@ -293,7 +269,7 @@ impl PassManager {
             // Rewrites discovered *during* a rebuild only reach their
             // readers on the next sweep; iterate until the size
             // stabilises.
-            for _ in 0..self.max_iterations {
+            for _ in 0..MAX_ITERATIONS {
                 let before = acc.netlist.stats();
                 self.sweep(&mut acc, &mut diags)?;
                 let after = acc.netlist.stats();
@@ -361,24 +337,6 @@ mod tests {
         assert_eq!(legacy.netlist.to_text(), report.optimized.netlist.to_text());
         assert_eq!(legacy.cell_map, report.optimized.cell_map);
         assert_eq!(legacy.net_map, report.optimized.net_map);
-    }
-
-    #[test]
-    fn granular_pipeline_is_functionally_equivalent() {
-        let (nl, z) = const_heavy();
-        let report = PassManager::rewrites().run(&nl).unwrap();
-        let opt = &report.optimized;
-        let a_old = nl.input_nets()[0];
-        for va in [false, true] {
-            let mut s0 = nl.simulator().unwrap();
-            s0.set(a_old, va);
-            s0.settle();
-            let want = s0.get(z);
-            let mut s1 = opt.netlist.simulator().unwrap();
-            s1.set(opt.net(a_old).unwrap(), va);
-            s1.settle();
-            assert_eq!(s1.get(opt.net(z).unwrap()), want, "a = {va}");
-        }
     }
 
     #[test]

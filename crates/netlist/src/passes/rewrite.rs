@@ -1,29 +1,14 @@
-//! The structural rewrite passes.
+//! The structural rewrite pass.
 //!
-//! Each pass is a projection of the shared rebuild kernel
-//! ([`kernel::rewrite`](super::kernel)): same analysis and emission
-//! order, different transformation selection. [`FullOptimize`] enables
-//! everything at once and is the canned pipeline behind
-//! [`Netlist::optimize`](crate::Netlist::optimize); the granular passes
-//! exist for composition and for detection-side structural analysis,
-//! where running one transformation at a time keeps cause and effect
-//! attributable.
+//! [`FullOptimize`] runs the rebuild kernel
+//! ([`kernel::rewrite`](super::kernel)) and is the canned pipeline behind
+//! [`Netlist::optimize`](crate::Netlist::optimize): constant propagation,
+//! dead-logic elimination, pin dropping, buffer sweeping and duplicate
+//! merging, applied jointly in one rebuild per sweep.
 
-use super::kernel::{self, ConstantMode, RewriteOptions};
+use super::kernel;
 use super::{Diagnostics, Pass, PassOutcome};
 use crate::{Netlist, NetlistError};
-
-fn run_kernel(
-    name: &'static str,
-    opts: &RewriteOptions,
-    nl: &Netlist,
-    diags: &mut Diagnostics,
-) -> Result<PassOutcome, NetlistError> {
-    diags.record_run(name);
-    let opt = kernel::rewrite(nl, opts)?;
-    diags.record_rewrite(name, nl, &opt.netlist);
-    Ok(PassOutcome::Rewritten(opt))
-}
 
 /// The fused optimizer: constant propagation, constant-buffer
 /// elimination, dead/undriven-net elimination, unused-pin dropping,
@@ -38,199 +23,9 @@ impl Pass for FullOptimize {
     }
 
     fn run(&self, netlist: &Netlist, diags: &mut Diagnostics) -> Result<PassOutcome, NetlistError> {
-        run_kernel(self.name(), &RewriteOptions::FULL, netlist, diags)
-    }
-}
-
-/// Full forward constant dataflow: any net provably constant over every
-/// input/state assignment folds to a constant, and surviving LUTs are
-/// re-expressed over their non-constant inputs only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConstantPropagation;
-
-impl Pass for ConstantPropagation {
-    fn name(&self) -> &'static str {
-        "constant_propagation"
-    }
-
-    fn run(&self, netlist: &Netlist, diags: &mut Diagnostics) -> Result<PassOutcome, NetlistError> {
-        let opts = RewriteOptions {
-            constants: ConstantMode::Full,
-            eliminate_dead: false,
-            sweep_buffers: false,
-            drop_ignored_pins: false,
-            merge_duplicates: false,
-        };
-        run_kernel(self.name(), &opts, netlist, diags)
-    }
-}
-
-/// One-level constant folding: LUTs buffering literal constant cells
-/// (wholly or per-pin) are simplified or eliminated, without the
-/// transitive dataflow of [`ConstantPropagation`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConstantBufferElimination;
-
-impl Pass for ConstantBufferElimination {
-    fn name(&self) -> &'static str {
-        "constant_buffer_elimination"
-    }
-
-    fn run(&self, netlist: &Netlist, diags: &mut Diagnostics) -> Result<PassOutcome, NetlistError> {
-        let opts = RewriteOptions {
-            constants: ConstantMode::Local,
-            eliminate_dead: false,
-            sweep_buffers: false,
-            drop_ignored_pins: false,
-            merge_duplicates: false,
-        };
-        run_kernel(self.name(), &opts, netlist, diags)
-    }
-}
-
-/// Dead and undriven-net elimination: LUTs whose output never reaches an
-/// output port or a flip-flop D pin are dropped, and nets without any
-/// surviving reader vanish in the rebuild.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeadNetElimination;
-
-impl Pass for DeadNetElimination {
-    fn name(&self) -> &'static str {
-        "dead_net_elimination"
-    }
-
-    fn run(&self, netlist: &Netlist, diags: &mut Diagnostics) -> Result<PassOutcome, NetlistError> {
-        let opts = RewriteOptions {
-            constants: ConstantMode::Off,
-            eliminate_dead: true,
-            sweep_buffers: false,
-            drop_ignored_pins: false,
-            merge_duplicates: false,
-        };
-        run_kernel(self.name(), &opts, netlist, diags)
-    }
-}
-
-/// Unused-buffer removal: input pins the LUT mask ignores are dropped,
-/// and the 1-input identity LUTs that remain (explicit buffers) are
-/// swept by aliasing their output to their source net.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnusedBufferRemoval;
-
-impl Pass for UnusedBufferRemoval {
-    fn name(&self) -> &'static str {
-        "unused_buffer_removal"
-    }
-
-    fn run(&self, netlist: &Netlist, diags: &mut Diagnostics) -> Result<PassOutcome, NetlistError> {
-        let opts = RewriteOptions {
-            constants: ConstantMode::Off,
-            eliminate_dead: false,
-            sweep_buffers: true,
-            drop_ignored_pins: true,
-            merge_duplicates: false,
-        };
-        run_kernel(self.name(), &opts, netlist, diags)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::PassManager;
-    use super::*;
-    use crate::cell::LutMask;
-
-    fn run_one(pass: impl Pass + 'static, nl: &Netlist) -> crate::opt::Optimized {
-        PassManager::new()
-            .with_pass(pass)
-            .run(nl)
-            .unwrap()
-            .optimized
-    }
-
-    #[test]
-    fn constant_propagation_folds_transitively() {
-        let mut nl = Netlist::new("cp");
-        let a = nl.add_input("a");
-        let f = nl.const_net(false);
-        let x = nl.and2(a, f); // always 0
-        let y = nl.or2(x, a); // = a, via the folded x
-        nl.add_output("y", y).unwrap();
-        let opt = run_one(ConstantPropagation, &nl);
-        // x folds to the constant; y becomes a 1-input LUT of a (the
-        // pass does not sweep buffers, so exactly one LUT survives).
-        assert_eq!(opt.netlist.stats().luts, 1);
-        assert!(opt.net(x).is_some());
-    }
-
-    #[test]
-    fn constant_buffer_elimination_is_local_only() {
-        let mut nl = Netlist::new("cbe");
-        let a = nl.add_input("a");
-        let t = nl.const_net(true);
-        let f = nl.const_net(false);
-        let c = nl.and2(t, f); // constant buffer: folds locally
-        let x = nl.or2(c, a); // reads the folded constant: only the
-                              // *next* sweep can fold through it
-        nl.add_output("x", x).unwrap();
-        let opt = run_one(ConstantBufferElimination, &nl);
-        // `c` is gone; `x` eventually simplifies over the constant at
-        // fixpoint. Behaviour must match the original.
-        assert!(opt.netlist.stats().luts <= 1);
-        for va in [false, true] {
-            let mut s0 = nl.simulator().unwrap();
-            s0.set(a, va);
-            s0.settle();
-            let want = s0.get(x);
-            let mut s1 = opt.netlist.simulator().unwrap();
-            s1.set(opt.net(a).unwrap(), va);
-            s1.settle();
-            assert_eq!(s1.get(opt.net(x).unwrap()), want);
-        }
-    }
-
-    #[test]
-    fn dead_net_elimination_preserves_live_logic_exactly() {
-        let mut nl = Netlist::new("dne");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let keep = nl.xor2(a, b);
-        let dead = nl.and2(a, b); // drives nothing
-        let _dead2 = nl.or2(dead, a);
-        nl.add_output("k", keep).unwrap();
-        let opt = run_one(DeadNetElimination, &nl);
-        assert_eq!(opt.netlist.stats().luts, 1);
-        assert!(opt.net(keep).is_some());
-        assert!(opt.net(dead).is_none());
-    }
-
-    #[test]
-    fn unused_buffer_removal_sweeps_buffers_and_dead_pins() {
-        let mut nl = Netlist::new("ubr");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let buf = nl.buf_gate(a);
-        // f(buf, b) = buf — pin b is ignored by the mask.
-        let mask = LutMask::from_fn(2, |r| r & 1 == 1);
-        let y = nl.add_lut(&[buf, b], mask).unwrap();
-        nl.add_output("y", y).unwrap();
-        let opt = run_one(UnusedBufferRemoval, &nl);
-        assert_eq!(opt.netlist.stats().luts, 0);
-        assert_eq!(opt.net(y), opt.net(a));
-        assert_eq!(opt.net(buf), opt.net(a));
-    }
-
-    #[test]
-    fn granular_passes_leave_constants_for_each_other() {
-        // DeadNetElimination alone must not fold constants: the const
-        // cell survives as a cell.
-        let mut nl = Netlist::new("keep-const");
-        let t = nl.const_net(true);
-        let a = nl.add_input("a");
-        let x = nl.and2(a, t);
-        nl.add_output("x", x).unwrap();
-        let opt = run_one(DeadNetElimination, &nl);
-        assert_eq!(opt.netlist.stats().consts, 1);
-        assert_eq!(opt.netlist.stats().luts, 1);
+        diags.record_run(self.name());
+        let opt = kernel::rewrite(netlist)?;
+        diags.record_rewrite(self.name(), netlist, &opt.netlist);
+        Ok(PassOutcome::Rewritten(opt))
     }
 }

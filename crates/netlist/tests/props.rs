@@ -264,39 +264,6 @@ mod opt_props {
             prop_assert_eq!(once_ref.cell_map, once.cell_map);
             prop_assert_eq!(once_ref.net_map, once.net_map);
         }
-
-        /// The granular rewrite pipeline (constant propagation →
-        /// constant-buffer elimination → dead-net elimination →
-        /// unused-buffer removal, iterated to fixpoint) is sequentially
-        /// equivalent to the original on every observed net.
-        #[test]
-        fn granular_pipeline_preserves_behaviour(r in recipe()) {
-            let (nl, inputs, observed) = build(&r);
-            let report = htd_netlist::PassManager::rewrites().run(&nl).unwrap();
-            let opt = &report.optimized;
-            let mut s0 = nl.simulator().unwrap();
-            let mut s1 = opt.netlist.simulator().unwrap();
-            s0.settle();
-            s1.settle();
-            for &pattern in &r.stimulus {
-                for (i, &inp) in inputs.iter().enumerate() {
-                    s0.set(inp, (pattern >> i) & 1 == 1);
-                    s1.set(opt.net(inp).expect("inputs survive"), (pattern >> i) & 1 == 1);
-                }
-                s0.settle();
-                s1.settle();
-                for &net in &observed {
-                    let mapped = opt.net(net).expect("observed nets survive");
-                    prop_assert_eq!(s0.get(net), s1.get(mapped), "net {} pre-clock", net);
-                }
-                s0.clock();
-                s1.clock();
-                for &net in &observed {
-                    let mapped = opt.net(net).expect("observed nets survive");
-                    prop_assert_eq!(s0.get(net), s1.get(mapped), "net {} post-clock", net);
-                }
-            }
-        }
     }
 }
 

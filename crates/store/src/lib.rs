@@ -98,7 +98,8 @@ impl ScorableArtifact {
     /// the store-I/O observability of [`load_with`]. The file is read
     /// once; its kind is sniffed from the same text that is parsed. With
     /// `salvage`, a damaged body is recovered block by block as in
-    /// [`load_salvage_with`]; otherwise the result is always pristine.
+    /// [`from_text_salvage`], and a file that was not pristine counts in
+    /// `store.read.salvaged`; otherwise the result is always pristine.
     ///
     /// # Errors
     ///
@@ -387,33 +388,6 @@ pub fn from_text_salvage_at<A: Artifact>(text: &str, origin: &str) -> Result<Sal
         artifact,
         recovered,
         dropped_lines: dropped.len(),
-    })
-}
-
-/// Reads an artifact from `path` through the salvage path.
-///
-/// # Errors
-///
-/// [`Error::Io`] on filesystem failure; [`Error::Format`] when the
-/// header is damaged or not even a partial value survives.
-pub fn load_salvage<A: Artifact>(path: impl AsRef<std::path::Path>) -> Result<Salvaged<A>, Error> {
-    load_salvage_with(path, &htd_obs::Obs::noop())
-}
-
-/// [`load_salvage`] with store-I/O observability: counts like
-/// [`load_with`], plus `store.read.salvaged` when the file was not
-/// pristine.
-///
-/// # Errors
-///
-/// [`Error::Io`] on filesystem failure; [`Error::Format`] when the
-/// header is damaged or not even a partial value survives.
-pub fn load_salvage_with<A: Artifact>(
-    path: impl AsRef<std::path::Path>,
-    obs: &htd_obs::Obs,
-) -> Result<Salvaged<A>, Error> {
-    read_with(path.as_ref(), obs, |text, origin| {
-        parse_with(text, origin, true, obs)
     })
 }
 
