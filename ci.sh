@@ -204,7 +204,7 @@ echo "==> cargo clippy -- -D warnings"
 # The crates this tier touches are linted explicitly first (fast,
 # focused diagnostics), then the whole workspace with every target.
 cargo clippy -p htd-netlist -p htd-em -p htd-trojan -p htd-serve -p htd-obs \
-    -p htd-core -p htd-stats -p htd-store -p htd-cli -- -D warnings
+    -p htd-par -p htd-core -p htd-stats -p htd-store -p htd-cli -- -D warnings
 cargo clippy --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"

@@ -58,8 +58,8 @@ fn optimized_aes_still_encrypts_correctly() {
     assert_eq!(got, want);
 }
 
-/// Migration equivalence on the full AES structural netlist: the canned
-/// pass pipeline behind `optimize()` must reproduce the frozen
+/// Migration equivalence on the full AES structural netlist: the
+/// fixpoint loop of `optimize()` must reproduce the frozen
 /// pre-framework optimizer byte for byte — serialised netlist plus the
 /// complete cell and net remaps.
 #[test]
@@ -77,18 +77,16 @@ fn optimize_pipeline_is_bit_identical_to_reference_on_aes() {
     assert_eq!(reference.net_map, pipeline.net_map, "net remaps diverge");
 }
 
-/// The structural lint pipeline must pass the real AES netlist clean —
+/// The structural lint gate must pass the real AES netlist clean —
 /// it gates every generated (trojaned) variant, so a false positive
 /// here would reject all of them.
 #[test]
 fn aes_netlist_lints_clean() {
     let aes = AesNetlist::generate().expect("generates");
-    let report = htd_netlist::PassManager::lints()
-        .run(aes.netlist())
-        .expect("lints run");
+    let diagnostics = htd_netlist::lint(aes.netlist());
     assert!(
-        report.diagnostics.is_clean(),
+        diagnostics.is_clean(),
         "AES lints dirty: {:?}",
-        report.diagnostics.lints()
+        diagnostics.lints()
     );
 }

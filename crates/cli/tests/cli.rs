@@ -578,3 +578,48 @@ fn an_empty_delay_campaign_is_rejected_not_characterized() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--channels em,em` used to acquire EM twice, score two identical EM
+/// rows plus a "fused" row of EM with itself, and overwrite one
+/// `--scores-dir` file with the other. Every command that characterizes
+/// now refuses a repeated channel before it programs a device.
+#[test]
+fn duplicate_channels_are_rejected_before_any_measurement() {
+    let dir = labdir("dup-channels");
+    let campaign = [
+        "--dies",
+        "3",
+        "--pairs",
+        "1",
+        "--reps",
+        "1",
+        "--channels",
+        "em,em",
+    ];
+    let grid = ["--sizes", "4", "--kinds", "comb"];
+    let commands: [Vec<&str>; 3] = [
+        ["characterize", "--out", "dup.htd"]
+            .into_iter()
+            .chain(campaign)
+            .collect(),
+        ["train", "--out", "model.htd"]
+            .into_iter()
+            .chain(grid)
+            .chain(campaign)
+            .collect(),
+        ["zoo"].into_iter().chain(grid).chain(campaign).collect(),
+    ];
+    for args in commands {
+        let out = htd(&dir, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{}: {stderr}", args[0]);
+        assert!(
+            stderr.contains("expected distinct channel names"),
+            "{}: {stderr}",
+            args[0]
+        );
+    }
+    assert!(!dir.join("dup.htd").exists());
+    assert!(!dir.join("model.htd").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

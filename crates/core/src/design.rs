@@ -71,12 +71,12 @@ impl Design {
 
     /// [`Self::infected`] with an observability handle.
     ///
-    /// Every trojaned netlist is validated by the structural lint
-    /// pipeline ([`htd_netlist::PassManager::lints`]) before use; the
-    /// per-pass diagnostics counters (`pass.<name>.{runs,cells_removed,
-    /// nets_removed,lints}`) are mirrored into `obs`. The gate runs once
-    /// per design on the calling thread, so the counters are
-    /// worker-invariant by construction.
+    /// Every trojaned netlist is validated by the structural lint gate
+    /// ([`htd_netlist::lint`]) before use; the per-check diagnostics
+    /// counters (`pass.<check>.{runs,cells_removed,nets_removed,lints}`)
+    /// are mirrored into `obs`. The gate runs once per design on the
+    /// calling thread, so the counters are worker-invariant by
+    /// construction.
     ///
     /// # Errors
     ///
@@ -86,15 +86,14 @@ impl Design {
         let mut aes = AesNetlist::generate()?;
         let mut placement = Placement::place(aes.netlist(), &lab.device)?;
         let trojan = insert(&mut aes, &mut placement, spec)?;
-        let report = htd_netlist::PassManager::lints().run(aes.netlist())?;
-        for (name, value) in report.diagnostics.counters() {
+        let diagnostics = htd_netlist::lint(aes.netlist());
+        for (name, value) in diagnostics.counters() {
             obs.add(&name, value);
         }
-        if !report.diagnostics.is_clean() {
+        if !diagnostics.is_clean() {
             return Err(Error::LintFailed {
                 design: spec.name.clone(),
-                lints: report
-                    .diagnostics
+                lints: diagnostics
                     .lints()
                     .iter()
                     .map(ToString::to_string)

@@ -30,7 +30,7 @@
 //! outer/inner pool split.
 
 use htd_obs::Obs;
-use htd_par::{parallel_map_indexed_stats, parallel_try_map_indexed_stats, resolve_workers};
+use htd_par::{parallel_map_indexed_stats, resolve_workers};
 
 use crate::error::Error;
 
@@ -167,7 +167,7 @@ impl Engine {
         U: Send,
         F: Fn(usize, usize) -> Attempt<U> + Sync,
     {
-        let (result, stats) = parallel_try_map_indexed_stats(self.workers, n, |i| {
+        let (results, stats) = parallel_map_indexed_stats(self.workers, n, |i| {
             for attempt in 0..=max_retries {
                 match f(i, attempt) {
                     Attempt::Ok(value) => {
@@ -187,7 +187,9 @@ impl Engine {
         });
         self.obs
             .record_fan(n as u64, stats.workers as u64, &stats.per_worker);
-        result
+        // Every item ran; collecting in index order keeps the
+        // lowest-index error.
+        results.into_iter().collect()
     }
 }
 
@@ -239,12 +241,17 @@ mod tests {
 
     #[test]
     fn map_retry_fatal_aborts_with_the_lowest_index() {
+        // Items 4, 17, 30 and 43 fail, each naming its own index.
         for workers in [1usize, 2, 8] {
+            let obs = Obs::recording();
             let err = Engine::with_workers(workers)
+                .with_obs(obs.clone())
                 .map_retry::<(), _>(50, 2, |i, _| {
                     if i % 13 == 4 {
-                        Attempt::Fatal(crate::error::Error::EmptyPopulation {
-                            what: "fatal marker",
+                        Attempt::Fatal(Error::AcquisitionExhausted {
+                            channel: "fatal marker".to_string(),
+                            die: i,
+                            attempts: 1,
                         })
                     } else {
                         Attempt::Faulted
@@ -252,8 +259,14 @@ mod tests {
                 })
                 .unwrap_err();
             assert!(
-                err.to_string().contains("fatal marker"),
+                matches!(err, Error::AcquisitionExhausted { die: 4, .. }),
                 "workers = {workers}: {err}"
+            );
+            // The failing fan still runs and counts every item.
+            let counters = obs.snapshot().unwrap().counters;
+            assert!(
+                counters.contains(&("engine.tasks".to_string(), 50)),
+                "workers = {workers}: {counters:?}"
             );
         }
     }

@@ -615,7 +615,9 @@ pub fn characterize_campaign(
 /// # Errors
 ///
 /// [`Error::EmptyPopulation`] with no channels or when every channel is
-/// lost, [`Error::NotEnoughDies`] below [`Reference::min_dies`] dies,
+/// lost, [`Error::ChannelShapeMismatch`] when two channels share a name
+/// (checked before any device is programmed),
+/// [`Error::NotEnoughDies`] below [`Reference::min_dies`] dies,
 /// [`Error::AcquisitionExhausted`] / [`Error::CalibrationDiverged`] when
 /// a budget runs out under the strict policy; design and simulation
 /// failures otherwise.
@@ -636,6 +638,17 @@ pub fn characterize<R: Reference>(
         return Err(Error::EmptyPopulation {
             what: "channel list",
         });
+    }
+    for (c, channel) in channels.iter().enumerate() {
+        if channels[..c]
+            .iter()
+            .any(|seen| seen.name() == channel.name())
+        {
+            return Err(Error::ChannelShapeMismatch {
+                channel: channel.name().to_string(),
+                expected: "distinct channel names",
+            });
+        }
     }
     if plan.n_dies < need {
         return Err(Error::NotEnoughDies {

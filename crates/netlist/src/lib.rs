@@ -20,6 +20,11 @@
 //! which pack wide XOR/AND networks into 6-input LUTs the way a technology
 //! mapper would.
 //!
+//! Two whole-netlist jobs round the IR off (see [`passes`]):
+//! [`Netlist::optimize`] folds constants, drops dead logic, sweeps buffers
+//! and merges duplicate functions to a fixed point, and [`lint`] is the
+//! structural gate every generated netlist passes before it is measured.
+//!
 //! # Example
 //!
 //! Build and simulate a full adder:
@@ -69,7 +74,7 @@ pub use id::{CellId, NetId};
 pub use net::Net;
 pub use netlist::Netlist;
 pub use opt::Optimized;
-pub use passes::{Diagnostics, Lint, Pass, PassManager, PassOutcome, PassReport, PassStats};
+pub use passes::{lint, Diagnostics, Lint};
 pub use sim::Simulator;
 pub use stats::NetlistStats;
 pub use topo::{CombCycle, FaninCone, Levelization};

@@ -1,24 +1,25 @@
-//! Netlist optimization: constant folding, dead-cell elimination and
-//! buffer sweeping, implemented on top of the composable pass framework
-//! in [`passes`](crate::passes).
+//! Netlist optimization: constant folding, dead-cell elimination,
+//! buffer sweeping and duplicate merging.
 //!
 //! Because [`Netlist`] ids are stable-by-construction (cells are never
 //! removed in place), optimization builds a *new* netlist and returns the
 //! old→new mapping, like a real EDA flow emitting a fresh database after
 //! each pass.
 //!
-//! [`Netlist::optimize`] is a thin wrapper over the canned pipeline
-//! ([`PassManager::standard`](crate::passes::PassManager::standard)) and
-//! is pinned **bit-identical** to the historical monolithic optimizer: a
-//! frozen copy of that implementation survives as the hidden
+//! [`Netlist::optimize`] re-runs the rewrite kernel
+//! ([`Netlist::optimize_once`]) to a fixed point and is pinned
+//! **bit-identical** to the historical monolithic optimizer: a frozen
+//! copy of that implementation survives as the hidden
 //! `optimize_reference` oracle, and migration-equivalence tests compare
 //! the two byte for byte (serialised netlist and both id maps) on the
 //! full AES netlist and a property-based corpus.
 
 use crate::cell::{CellKind, LutMask};
 use crate::passes::kernel;
-use crate::passes::PassManager;
 use crate::{CellId, NetId, Netlist, NetlistError};
+
+/// Cap on the re-sweeps after the first in [`Netlist::optimize`].
+const MAX_RESWEEPS: usize = 32;
 
 /// Result of an optimization pass: the new netlist plus id mappings.
 #[derive(Debug, Clone)]
@@ -48,9 +49,10 @@ impl Netlist {
     /// Runs constant folding + buffer sweeping + dead-cell elimination
     /// **until fixpoint** and returns the rebuilt netlist.
     ///
-    /// This is the canned pass pipeline
-    /// ([`PassManager::standard`](crate::passes::PassManager::standard)),
-    /// pinned bit-identical to the historical monolithic optimizer.
+    /// One sweep of the rewrite kernel, then up to 32 re-sweeps until the
+    /// LUT and net counts stop changing, with the id maps composed across
+    /// sweeps. Pinned bit-identical to the historical monolithic
+    /// optimizer.
     ///
     /// Guarantees:
     /// * ports and flip-flops are always preserved (sequential state and
@@ -63,7 +65,31 @@ impl Netlist {
     /// Propagates [`NetlistError`] from reconstruction (which indicates an
     /// internal bug, not a user error).
     pub fn optimize(&self) -> Result<Optimized, NetlistError> {
-        Ok(PassManager::standard().run(self)?.optimized)
+        let mut acc = kernel::rewrite(self)?;
+        // Rewrites discovered *during* a rebuild only reach their readers
+        // on the next sweep; iterate until the size stabilises.
+        for _ in 0..MAX_RESWEEPS {
+            let before = acc.netlist.stats();
+            let next = kernel::rewrite(&acc.netlist)?;
+            acc = Optimized {
+                cell_map: acc
+                    .cell_map
+                    .iter()
+                    .map(|m| m.and_then(|c| next.cell(c)))
+                    .collect(),
+                net_map: acc
+                    .net_map
+                    .iter()
+                    .map(|m| m.and_then(|n| next.net(n)))
+                    .collect(),
+                netlist: next.netlist,
+            };
+            let after = acc.netlist.stats();
+            if after.luts == before.luts && after.nets == before.nets {
+                break;
+            }
+        }
+        Ok(acc)
     }
 
     /// One optimization pass (see [`Netlist::optimize`], which iterates

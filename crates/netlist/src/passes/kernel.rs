@@ -1,12 +1,12 @@
-//! The rewrite kernel behind [`FullOptimize`](super::FullOptimize).
+//! The rewrite kernel behind [`Netlist::optimize`](crate::Netlist::optimize).
 //!
 //! One algorithm: analyse the netlist on its original ids (constant
 //! dataflow, liveness), then rebuild a fresh netlist emitting only what
 //! survives — constants folded, dead logic dropped, ignored pins and
 //! buffers swept, duplicate functions merged. It executes the exact
 //! statement sequence of the legacy monolithic optimizer, which is what
-//! pins [`Netlist::optimize`](crate::Netlist::optimize) (the canned
-//! pipeline) bit-identical to its historical output.
+//! pins `optimize` (this kernel re-swept to a fixed point) bit-identical
+//! to its historical output.
 
 use crate::cell::{CellKind, LutMask};
 use crate::opt::Optimized;

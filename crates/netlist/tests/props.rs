@@ -246,8 +246,8 @@ mod opt_props {
             prop_assert_eq!(once.netlist.stats().dffs, twice.netlist.stats().dffs);
         }
 
-        /// Migration equivalence: the canned pass pipeline behind
-        /// `optimize()` reproduces the frozen pre-framework optimizer
+        /// Migration equivalence: the fixpoint loop of `optimize()`
+        /// reproduces the frozen pre-framework optimizer
         /// byte for byte — serialised netlist, cell map and net map —
         /// on the same random corpus.
         #[test]

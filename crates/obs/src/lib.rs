@@ -385,15 +385,7 @@ impl Obs {
     /// recorded under the timing key `name` when the guard drops
     /// (observational). Disabled handles return an inert guard.
     pub fn span(&self, name: &str) -> Span {
-        self.span_keys(name, None, &[])
-    }
-
-    /// [`Obs::span`] with a run-specific detail suffix: the entry
-    /// counter stays `span.<name>` (so counter sections never grow with
-    /// the population), while the wall-clock lands under
-    /// `name/detail` — e.g. per-die acquire timings.
-    pub fn span_detailed(&self, name: &str, detail: &str) -> Span {
-        self.span_keys(name, Some(detail), &[])
+        self.span_keys(name, &[])
     }
 
     /// [`Obs::span`] with key/value tags attached to the span's trace
@@ -401,10 +393,10 @@ impl Obs {
     /// counters and timings are exactly [`Obs::span`]'s, and without
     /// tracing the tags vanish for free.
     pub fn span_tagged(&self, name: &str, args: &[(&str, &str)]) -> Span {
-        self.span_keys(name, None, args)
+        self.span_keys(name, args)
     }
 
-    fn span_keys(&self, name: &str, detail: Option<&str>, args: &[(&str, &str)]) -> Span {
+    fn span_keys(&self, name: &str, args: &[(&str, &str)]) -> Span {
         match &self.recorder {
             None => Span { active: None },
             Some(rec) => {
@@ -412,16 +404,11 @@ impl Obs {
                 // so it attributes to the *parent* span — the child's
                 // delta set holds what happened strictly inside it.
                 rec.add(&format!("span.{name}"), 1);
-                let timing_key = match detail {
-                    None => name.to_string(),
-                    Some(detail) => format!("{name}/{detail}"),
-                };
-                let trace_id = rec.trace_open(&timing_key, args);
+                let trace_id = rec.trace_open(name, args);
                 Span {
                     active: Some(ActiveSpan {
                         recorder: Arc::clone(rec),
                         name: name.to_string(),
-                        timing_key,
                         trace_id,
                         start: Instant::now(),
                     }),
@@ -527,7 +514,6 @@ impl Obs {
 struct ActiveSpan {
     recorder: Arc<Recorder>,
     name: String,
-    timing_key: String,
     trace_id: Option<u64>,
     start: Instant,
 }
@@ -558,7 +544,7 @@ impl Drop for Span {
                     .add(&format!("span.{}.aborted", active.name), 1);
             } else {
                 let ns = u64::try_from(active.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                active.recorder.record_duration(&active.timing_key, ns);
+                active.recorder.record_duration(&active.name, ns);
             }
         }
     }
@@ -615,8 +601,8 @@ mod tests {
     #[test]
     fn spans_count_deterministically_and_time_observationally() {
         let obs = Obs::recording();
-        for die in 0..3 {
-            let _s = obs.span_detailed("acquire.EM", &format!("die{die}"));
+        for _ in 0..3 {
+            let _s = obs.span("acquire.EM");
         }
         {
             let _s = obs.span("fuse");
@@ -625,20 +611,15 @@ mod tests {
         let counters: std::collections::BTreeMap<_, _> = snap.counters.into_iter().collect();
         assert_eq!(counters.get("span.acquire.EM"), Some(&3));
         assert_eq!(counters.get("span.fuse"), Some(&1));
-        // Timings carry the per-die detail keys; counters do not.
-        let keys: Vec<&str> = snap.timings.iter().map(|t| t.key.as_str()).collect();
-        assert_eq!(
-            keys,
-            vec![
-                "acquire.EM/die0",
-                "acquire.EM/die1",
-                "acquire.EM/die2",
-                "fuse"
-            ]
-        );
+        // One timing key per span name, aggregating every entry.
+        let keys: Vec<(&str, u64)> = snap
+            .timings
+            .iter()
+            .map(|t| (t.key.as_str(), t.count))
+            .collect();
+        assert_eq!(keys, vec![("acquire.EM", 3), ("fuse", 1)]);
         for t in &snap.timings {
-            assert_eq!(t.count, 1);
-            assert_eq!(t.hist.total(), 1);
+            assert_eq!(t.hist.total(), t.count);
             assert!(t.max_ns <= t.total_ns);
         }
     }

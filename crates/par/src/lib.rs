@@ -157,47 +157,6 @@ where
     )
 }
 
-/// Fallible form of [`parallel_map_indexed`]: applies `f` to every index
-/// and short-circuits the *collection* on error — every item still runs,
-/// but the returned error is always the one with the **lowest index**,
-/// independent of which worker hit it first. That keeps error reporting
-/// as deterministic as the success path: a campaign that fails under 8
-/// workers names the same offending item as under 1.
-///
-/// # Errors
-///
-/// The lowest-index `Err` produced by `f`, if any.
-pub fn parallel_try_map_indexed<U, E, F>(workers: usize, n: usize, f: F) -> Result<Vec<U>, E>
-where
-    U: Send,
-    E: Send,
-    F: Fn(usize) -> Result<U, E> + Sync,
-{
-    parallel_map_indexed(workers, n, f).into_iter().collect()
-}
-
-/// [`parallel_try_map_indexed`] that also reports how the fan was
-/// scheduled. The [`PoolStats`] covers every item (all of them run even
-/// when some fail), so occupancy accounting stays complete on the error
-/// path.
-///
-/// # Errors
-///
-/// The lowest-index `Err` produced by `f`, if any.
-pub fn parallel_try_map_indexed_stats<U, E, F>(
-    workers: usize,
-    n: usize,
-    f: F,
-) -> (Result<Vec<U>, E>, PoolStats)
-where
-    U: Send,
-    E: Send,
-    F: Fn(usize) -> Result<U, E> + Sync,
-{
-    let (results, stats) = parallel_map_indexed_stats(workers, n, f);
-    (results.into_iter().collect(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,28 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn try_map_reports_the_lowest_index_error_at_any_worker_count() {
-        for workers in [1, 2, 8] {
-            let err =
-                parallel_try_map_indexed(
-                    workers,
-                    100,
-                    |i| {
-                        if i % 37 == 5 {
-                            Err(i)
-                        } else {
-                            Ok(i)
-                        }
-                    },
-                )
-                .unwrap_err();
-            assert_eq!(err, 5, "workers = {workers}");
-        }
-        let ok: Result<Vec<usize>, usize> = parallel_try_map_indexed(4, 10, Ok);
-        assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn pool_stats_account_for_every_item() {
         for (workers, n) in [(1, 10), (4, 100), (8, 3), (3, 0)] {
             let (out, stats) = parallel_map_indexed_stats(workers, n, |i| i);
@@ -283,15 +220,6 @@ mod tests {
             let total: u64 = stats.per_worker.iter().sum();
             assert_eq!(total, n as u64, "workers = {workers}, n = {n}");
         }
-    }
-
-    #[test]
-    fn try_map_stats_cover_failed_fans_too() {
-        let (result, stats) =
-            parallel_try_map_indexed_stats(4, 50, |i| if i == 9 { Err(i) } else { Ok(i) });
-        assert_eq!(result.unwrap_err(), 9);
-        let total: u64 = stats.per_worker.iter().sum();
-        assert_eq!(total, 50);
     }
 
     #[test]

@@ -683,9 +683,10 @@ impl<C: StoredCharacterization> Artifact for CharacterizationArtifact<C> {
 }
 
 /// Checks a spec list against the channels of a characterization it is
-/// stored with: one spec per surviving channel in execution order, one
-/// score per kept die, at least two kept dies strictly ascending within
-/// the plan, and no surviving channel marked lost.
+/// stored with: one spec per surviving channel in execution order, no
+/// channel name stored twice (surviving or lost), one score per kept
+/// die, at least two kept dies strictly ascending within the plan, and
+/// no surviving channel marked lost.
 fn check_stored_channels(specs: &[ChannelSpec], reference: &dyn Reference) -> Result<(), Error> {
     let stored = reference.channels();
     if specs.len() != stored.len() {
@@ -695,6 +696,16 @@ fn check_stored_channels(specs: &[ChannelSpec], reference: &dyn Reference) -> Re
         });
     }
     let n_dies = reference.plan().n_dies;
+    let lost = reference.lost().iter().map(|h| h.channel.as_str());
+    let names: Vec<&str> = stored.iter().map(|c| c.name).chain(lost).collect();
+    for (i, name) in names.iter().enumerate() {
+        if names[..i].contains(name) {
+            return Err(Error::ChannelShapeMismatch {
+                channel: name.to_string(),
+                expected: "distinct channel names",
+            });
+        }
+    }
     for (spec, channel) in specs.iter().zip(&stored) {
         let mismatch = |expected| {
             Err(Error::ChannelShapeMismatch {

@@ -609,6 +609,35 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicate_channel_block_is_rejected() {
+        let plan = sample_plan();
+        let charac = GoldenCharacterization {
+            plan: plan.clone(),
+            states: vec![ChannelState::pristine(
+                "EM",
+                Calibration::None,
+                GoldenReference::MeanTrace(Trace::new(vec![0.25; 9], 125.0)),
+                (0..plan.n_dies).map(|i| i as f64).collect(),
+            )],
+            lost: vec![],
+        };
+        let spec = ChannelSpec::Em(TraceMetric::SumOfLocalMaxima);
+        let artifact = GoldenArtifact::new(vec![spec], charac).unwrap();
+        // Checksum-valid text storing the EM block twice.
+        let text = to_text(&artifact);
+        let body_start = text.find('\n').unwrap() + 1;
+        let body_end = text.rfind("checksum ").unwrap();
+        let body = &text[body_start..body_end];
+        let block = &body[body.find("channel ").unwrap()..];
+        let doubled = format!("{}{block}", body.replacen("channels 1", "channels 2", 1));
+        let err = from_text::<GoldenArtifact>(&frame(GoldenArtifact::KIND, &doubled)).unwrap_err();
+        assert!(
+            err.to_string().contains("expected distinct channel names"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn wrong_kind_and_tampering_are_rejected_with_context() {
         let plan = sample_plan();
         let text = to_text(&plan);

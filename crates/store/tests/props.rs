@@ -205,7 +205,8 @@ struct Block {
 }
 
 /// The shared shape of both stored characterization kinds: a plan, one
-/// to three channel blocks and a possibly empty `lost` section.
+/// to three channel blocks and a possibly empty `lost` section, no
+/// channel name stored twice.
 fn stored_strategy() -> impl Strategy<Value = (CampaignPlan, Vec<Block>, Vec<ChannelHealth>)> {
     plan_strategy().prop_flat_map(|plan| {
         let n = plan.n_dies;
@@ -225,7 +226,7 @@ fn stored_strategy() -> impl Strategy<Value = (CampaignPlan, Vec<Block>, Vec<Cha
         )
             .prop_map(|(plan, chans, mut lost)| {
                 let n = plan.n_dies;
-                let blocks = chans
+                let mut blocks: Vec<Block> = chans
                     .into_iter()
                     .map(|((sel, calibration), (trace, matrix), fit, scores, mask)| {
                         let spec = match sel {
@@ -261,6 +262,13 @@ fn stored_strategy() -> impl Strategy<Value = (CampaignPlan, Vec<Block>, Vec<Cha
                         }
                     })
                     .collect();
+                let mut names = Vec::new();
+                blocks.retain(|b| {
+                    let fresh = !names.contains(&b.spec.name());
+                    names.push(b.spec.name());
+                    fresh
+                });
+                lost.retain(|h| !names.contains(&h.channel.as_str()));
                 for h in &mut lost {
                     h.lost = true;
                 }

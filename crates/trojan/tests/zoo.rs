@@ -1,10 +1,10 @@
 //! Every zoo-generated trojaned netlist must pass the structural lint
-//! pipeline — the same gate `htd zoo` applies before characterizing a
+//! gate — the same gate `htd zoo` applies before characterizing a
 //! grid point — and keep the AES functionally intact.
 
 use htd_aes::AesNetlist;
 use htd_fabric::{Device, DeviceConfig, Placement};
-use htd_netlist::PassManager;
+use htd_netlist::lint;
 use htd_trojan::{insert, ZooConfig};
 
 #[test]
@@ -17,14 +17,12 @@ fn zoo_grid_lints_clean_and_inserts_everywhere() {
         let trojan = insert(&mut aes, &mut placement, &spec)
             .unwrap_or_else(|e| panic!("{}: insert failed: {e}", spec.name));
         assert!(!trojan.cells.is_empty(), "{}: no cells added", spec.name);
-        let report = PassManager::lints()
-            .run(aes.netlist())
-            .unwrap_or_else(|e| panic!("{}: lints failed to run: {e}", spec.name));
+        let diagnostics = lint(aes.netlist());
         assert!(
-            report.diagnostics.is_clean(),
+            diagnostics.is_clean(),
             "{}: lints dirty: {:?}",
             spec.name,
-            report.diagnostics.lints()
+            diagnostics.lints()
         );
     }
 }
