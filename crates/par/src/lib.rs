@@ -210,6 +210,33 @@ mod tests {
         assert!(resolve_workers(0) >= 1);
     }
 
+    /// A fallible fan collected from the ordered results names the
+    /// lowest-index error, whichever worker hit an error first.
+    #[test]
+    fn try_map_reports_the_lowest_index_error_at_any_worker_count() {
+        for workers in [1, 2, 8] {
+            let err =
+                parallel_map_indexed(workers, 100, |i| if i % 37 == 5 { Err(i) } else { Ok(i) })
+                    .into_iter()
+                    .collect::<Result<Vec<usize>, usize>>()
+                    .unwrap_err();
+            assert_eq!(err, 5, "workers = {workers}");
+        }
+        let ok: Result<Vec<usize>, usize> = parallel_map_indexed(4, 10, Ok).into_iter().collect();
+        assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    /// Every item of a failing fan still runs, so its stats are complete.
+    #[test]
+    fn try_map_stats_cover_failed_fans_too() {
+        let (results, stats) =
+            parallel_map_indexed_stats(4, 50, |i| if i == 9 { Err(i) } else { Ok(i) });
+        let result: Result<Vec<usize>, usize> = results.into_iter().collect();
+        assert_eq!(result.unwrap_err(), 9);
+        let total: u64 = stats.per_worker.iter().sum();
+        assert_eq!(total, 50);
+    }
+
     #[test]
     fn pool_stats_account_for_every_item() {
         for (workers, n) in [(1, 10), (4, 100), (8, 3), (3, 0)] {
