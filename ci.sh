@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate for the workspace, runnable locally and in CI:
 #   1. release build of every target,
-#   2. the full test suite, then the heavy ignored replay differential,
+#   2. the full test suite, then the heavy ignored replay differential
+#      and the campaign memory bound,
 #   3. every runnable example,
 #   4. an `htd` CLI smoke run (characterize -> score -> report -> diff),
 #   5. the standalone benchmark package's build and tests,
@@ -24,6 +25,12 @@ echo "==> heavy replay differential (ignored test, release)"
 # reference simulator and chains. Scoped to its own test target: the
 # workspace's other ignored tests regenerate committed fixtures.
 cargo test --release --test replay_differential -- --ignored
+
+echo "==> campaign memory bound (ignored test, release)"
+# A die-major campaign holds at most --workers programmed devices, so a
+# 256-die characterize may peak at no more than twice a 32-die one
+# (wait4 peak RSS of each htd child).
+cargo test --release -p htd-cli --test cli -- --ignored characterize_peak_memory
 
 for ex in quickstart delay_audit fab_audit trojan_zoo eda_flow; do
     echo "==> cargo run --release --example $ex"

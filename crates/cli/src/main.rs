@@ -315,17 +315,29 @@ fn channel_specs(csv: &str, metric: TraceMetric) -> Result<Vec<ChannelSpec>, Str
     Ok(specs)
 }
 
+/// The suspects `--trojans` names, with aliases and `sweep` expanded. A
+/// suspect named twice is refused: it would be scored twice under two
+/// seed streams and its `--scores-dir` files written twice.
 fn trojan_specs(csv: &str) -> Result<Vec<TrojanSpec>, String> {
-    let mut specs = Vec::new();
+    let mut specs: Vec<TrojanSpec> = Vec::new();
     for name in csv.split(',').filter(|s| !s.is_empty()) {
-        if name.eq_ignore_ascii_case("sweep") {
-            specs.extend(TrojanSpec::size_sweep());
+        let named = if name.eq_ignore_ascii_case("sweep") {
+            TrojanSpec::size_sweep()
         } else if let Some(spec) = TrojanSpec::from_token(name) {
-            specs.push(spec);
+            vec![spec]
         } else {
             return Err(format!(
                 "unknown trojan `{name}` (ht1, ht2, ht3, ht-comb, ht-seq, stealth, sweep)"
             ));
+        };
+        for spec in named {
+            if specs.iter().any(|seen| seen.name == spec.name) {
+                return Err(format!(
+                    "--trojans: `{name}` names {} again (each suspect is scored once)",
+                    spec.name
+                ));
+            }
+            specs.push(spec);
         }
     }
     if specs.is_empty() {
@@ -934,8 +946,18 @@ fn trigger_size(spec: &TrojanSpec) -> usize {
     }
 }
 
+/// The first entry of `list` that repeats an earlier one.
+fn first_repeat<T: PartialEq>(list: &[T]) -> Option<&T> {
+    list.iter()
+        .enumerate()
+        .find(|(i, x)| list[..*i].contains(x))
+        .map(|(_, x)| x)
+}
+
 /// The zoo grid shared by `htd zoo` and `htd train`: `--sizes`,
 /// `--kinds` and `--placement` with the same defaults in both commands.
+/// A repeated size or kind is refused: it would add a second grid row
+/// of the same name.
 fn zoo_config(opts: &Opts) -> Result<ZooConfig, Box<dyn std::error::Error>> {
     let sizes = opts
         .get("sizes")
@@ -954,6 +976,12 @@ fn zoo_config(opts: &Opts) -> Result<ZooConfig, Box<dyn std::error::Error>> {
                 .ok_or_else(|| format!("--kinds: unknown trigger kind `{tag}` (comb, ctr, fsm)"))
         })
         .collect::<Result<Vec<_>, _>>()?;
+    if let Some(size) = first_repeat(&sizes) {
+        return Err(format!("--sizes: {size} is listed twice").into());
+    }
+    if let Some(kind) = first_repeat(&kinds) {
+        return Err(format!("--kinds: `{}` is listed twice", kind.tag()).into());
+    }
     let placement = match opts.get("placement").unwrap_or("near-taps") {
         "near-taps" | "near" => PlacementStrategy::NearTaps,
         "corner" => PlacementStrategy::Corner,

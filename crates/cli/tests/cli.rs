@@ -623,3 +623,159 @@ fn duplicate_channels_are_rejected_before_any_measurement() {
     assert!(!dir.join("model.htd").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A suspect named twice — directly, through an alias, or inside
+/// `sweep` — used to be scored twice under two seed streams, printing
+/// two row groups with different numbers and writing its
+/// `--scores-dir` files twice; a repeated zoo size or kind added a
+/// second grid row of the same name. Each such list is now refused
+/// before anything is characterized or scored.
+#[test]
+fn repeated_suspects_and_grid_entries_are_rejected_before_any_measurement() {
+    let dir = labdir("dup-suspects");
+    let campaign = [
+        "--dies",
+        "3",
+        "--pairs",
+        "1",
+        "--reps",
+        "1",
+        "--channels",
+        "em",
+    ];
+    let mut args = vec!["characterize", "--out", "golden.htd"];
+    args.extend(campaign);
+    expect_success(&htd(&dir, &args));
+    for trojans in ["ht1,ht-1", "sweep,ht2", "HT3,ht3"] {
+        let out = htd(
+            &dir,
+            &[
+                "score",
+                "--golden",
+                "golden.htd",
+                "--trojans",
+                trojans,
+                "--scores-dir",
+                "scores",
+            ],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{trojans}: {stderr}");
+        assert!(
+            stderr.contains("each suspect is scored once"),
+            "{trojans}: {stderr}"
+        );
+    }
+    assert!(!dir.join("scores").exists());
+    for grid in [
+        ["--sizes", "4,4", "--kinds", "comb"],
+        ["--sizes", "4", "--kinds", "comb,comb"],
+    ] {
+        let mut args = vec!["zoo"];
+        args.extend(grid);
+        args.extend(campaign);
+        let out = htd(&dir, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{grid:?}: {stderr}");
+        assert!(stderr.contains("is listed twice"), "{grid:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{grid:?} printed rows");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `struct timeval` of the Linux 64-bit ABI.
+#[repr(C)]
+#[derive(Default)]
+struct TimeVal {
+    sec: i64,
+    usec: i64,
+}
+
+/// `struct rusage` of the Linux 64-bit ABI: two timevals followed by
+/// fourteen longs, the first of which is `ru_maxrss` in KiB.
+#[repr(C)]
+#[derive(Default)]
+struct RUsage {
+    utime: TimeVal,
+    stime: TimeVal,
+    longs: [i64; 14],
+}
+
+extern "C" {
+    fn wait4(pid: i32, status: *mut i32, options: i32, rusage: *mut RUsage) -> i32;
+}
+
+/// Runs `htd args…` in `dir` to completion and returns its peak resident
+/// set in KiB, from the kernel's per-child accounting (`wait4`'s
+/// `ru_maxrss`), so the test harness's own memory never counts.
+// The child is reaped by `wait4` below, which `std` cannot see.
+#[allow(clippy::zombie_processes)]
+fn peak_rss_kb(dir: &Path, args: &[&str]) -> u64 {
+    let child = Command::new(env!("CARGO_BIN_EXE_htd"))
+        .current_dir(dir)
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn htd");
+    let pid = i32::try_from(child.id()).expect("pid fits in i32");
+    let mut status = 0i32;
+    let mut usage = RUsage::default();
+    loop {
+        // SAFETY: `status` and `usage` are live, writable and laid out as
+        // the kernel ABI expects (`int` and `struct rusage`); `pid` names
+        // this test's own unreaped child.
+        let rc = unsafe { wait4(pid, &mut status, 0, &mut usage) };
+        if rc == pid {
+            break;
+        }
+        let err = std::io::Error::last_os_error();
+        assert_eq!(err.kind(), std::io::ErrorKind::Interrupted, "wait4: {err}");
+    }
+    assert_eq!(status, 0, "htd {args:?} failed (wait status {status})");
+    u64::try_from(usage.longs[0]).unwrap_or(0)
+}
+
+/// A campaign keeps at most `workers` programmed devices alive, so its
+/// memory grows with what it keeps per die (one trace, one onset matrix
+/// and one die's settle times), not with the ~0.55 MiB of simulation
+/// state behind each device: a 256-die characterize peaks at most at
+/// twice a 32-die one. Release-only (debug builds allocate
+/// differently); `ci.sh` runs it by name:
+///
+/// ```sh
+/// cargo test --release -p htd-cli --test cli -- --ignored characterize_peak_memory
+/// ```
+#[test]
+#[ignore = "release-only memory bound; ci.sh runs it by name"]
+fn characterize_peak_memory_grows_with_kept_rows_not_devices() {
+    let dir = labdir("peak-rss");
+    let peak = |dies: &str| {
+        let out = format!("golden-{dies}.htd");
+        peak_rss_kb(
+            &dir,
+            &[
+                "characterize",
+                "--out",
+                &out,
+                "--dies",
+                dies,
+                "--pairs",
+                "2",
+                "--reps",
+                "2",
+                "--channels",
+                "em,delay",
+                "--workers",
+                "2",
+            ],
+        )
+    };
+    let (small, large) = (peak("32"), peak("256"));
+    println!("peak RSS: 32 dies {small} KiB, 256 dies {large} KiB");
+    assert!(
+        large <= 2 * small,
+        "256 dies peaked at {large} KiB, more than twice the 32-die {small} KiB"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

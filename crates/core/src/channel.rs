@@ -4,9 +4,10 @@
 //! EM measurements" — generalises to *N* side channels over one die
 //! population. Every channel follows the same stage shape:
 //!
-//! 1. **calibrate** — establish measurement parameters on the golden
-//!    devices (the delay channel aims its glitch sweep here; trace
-//!    channels need no calibration),
+//! 1. **calibrate** — establish measurement parameters, from the plan
+//!    alone or from the golden lot (the delay channel aims its glitch
+//!    sweep on every golden die's settle times; trace channels need no
+//!    calibration),
 //! 2. **acquire** — one raw measurement per device (a trace, or a
 //!    mean-onset matrix), one attempt under a fault plan that may
 //!    quarantine the attempt's internal repetitions,
@@ -33,7 +34,7 @@ use htd_faults::{FaultPlan, RepHealth};
 use htd_timing::GlitchParams;
 
 use crate::campaign::CampaignPlan;
-use crate::delay_detect::{measure_matrix_faulted, DelayMatrix};
+use crate::delay_detect::{measure_matrix_faulted, sweep_matrix_faulted, DelayMatrix, DieSettles};
 use crate::em_detect::{SideChannel, TraceMetric};
 use crate::error::Error;
 use crate::{Engine, ProgrammedDevice};
@@ -141,19 +142,34 @@ pub trait Channel: Sync {
     /// Channel label used in reports and error messages.
     fn name(&self) -> &'static str;
 
-    /// Establishes measurement parameters on the golden devices. The
-    /// default needs none ([`Calibration::None`]).
+    /// The measurement chain [`Channel::acquire`] reads traces through,
+    /// if any: a campaign programs its devices to bin only the chains
+    /// its channels read. The default reads none.
+    fn chain(&self) -> Option<SideChannel> {
+        None
+    }
+
+    /// Whether the channel is aimed on the reference lot's settle times
+    /// (the delay channel). A campaign then reads every reference die's
+    /// [`DieSettles`] while the die is programmed, calibrates from all of
+    /// them, and acquires each die from its kept settles through
+    /// [`Channel::acquire_settled`]. The default (`false`) calibrates
+    /// from the plan alone, before any device is programmed.
+    fn aims_on_settles(&self) -> bool {
+        false
+    }
+
+    /// Establishes measurement parameters: from the plan alone (`lot`
+    /// empty), or — for a channel that [aims on
+    /// settles](Channel::aims_on_settles) — from the settle times of
+    /// every reference-lot die, in die order. The default needs none
+    /// ([`Calibration::None`]).
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures from the golden devices.
-    fn calibrate(
-        &self,
-        engine: &Engine,
-        plan: &CampaignPlan,
-        golden_devices: &[ProgrammedDevice<'_>],
-    ) -> Result<Calibration, Error> {
-        let _ = (engine, plan, golden_devices);
+    /// Campaign-shape failures (no pairs, no repetitions, no dies).
+    fn calibrate(&self, plan: &CampaignPlan, lot: &[DieSettles]) -> Result<Calibration, Error> {
+        let _ = (plan, lot);
         Ok(Calibration::None)
     }
 
@@ -182,6 +198,33 @@ pub trait Channel: Sync {
         faults: &FaultPlan,
         ctx: &[u64; 4],
     ) -> Result<Option<(Acquisition, RepHealth)>, Error>;
+
+    /// [`Channel::acquire`] from a die's kept settle times instead of its
+    /// device, for a channel that [aims on
+    /// settles](Channel::aims_on_settles); bit-identical to acquiring on
+    /// the device the settles were read from. The default rejects the
+    /// call as a shape error.
+    ///
+    /// # Errors
+    ///
+    /// Calibration-shape failures.
+    #[allow(clippy::too_many_arguments)]
+    fn acquire_settled(
+        &self,
+        engine: &Engine,
+        settles: &DieSettles,
+        plan: &CampaignPlan,
+        calibration: &Calibration,
+        seed: u64,
+        faults: &FaultPlan,
+        ctx: &[u64; 4],
+    ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
+        let _ = (engine, settles, plan, calibration, seed, faults, ctx);
+        Err(Error::ChannelShapeMismatch {
+            channel: self.name().to_string(),
+            expected: "a channel aimed on settle times",
+        })
+    }
 
     /// Folds the golden acquisitions into the channel's population
     /// reference.
@@ -245,6 +288,10 @@ impl Channel for TraceChannel {
         }
     }
 
+    fn chain(&self) -> Option<SideChannel> {
+        Some(self.chain)
+    }
+
     fn acquire(
         &self,
         _engine: &Engine,
@@ -269,11 +316,12 @@ impl Channel for TraceChannel {
                 what: "golden trace acquisitions",
             });
         }
+        // Borrowed, not cloned: a lot's traces are held once.
         let traces = acquisitions
             .iter()
-            .map(|a| a.trace(self.name()).cloned())
+            .map(|a| a.trace(self.name()))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(GoldenReference::MeanTrace(Trace::mean_of(&traces)))
+        Ok(GoldenReference::MeanTrace(Trace::mean_of(traces)))
     }
 
     fn score(
@@ -324,35 +372,24 @@ impl Channel for DelayChannel {
         "delay"
     }
 
-    fn calibrate(
-        &self,
-        engine: &Engine,
-        plan: &CampaignPlan,
-        golden_devices: &[ProgrammedDevice<'_>],
-    ) -> Result<Calibration, Error> {
+    fn aims_on_settles(&self) -> bool {
+        true
+    }
+
+    fn calibrate(&self, plan: &CampaignPlan, lot: &[DieSettles]) -> Result<Calibration, Error> {
         check_delay_plan(plan)?;
         // Aim the glitch sweep so even the slowest die's slowest path
-        // faults. Setup and measurement noise are technology constants,
-        // identical on every die. The settles land in the device caches
-        // and are reused by every matrix acquisition that follows.
-        let first = golden_devices
+        // faults. Setup and measurement noise are taken from the first
+        // die, like the physical bench aimed on its first board.
+        let first = lot
             .first()
             .ok_or(Error::NotEnoughDies { got: 0, need: 1 })?;
-        let setup = first.annotation().setup_ps();
-        let noise = first.annotation().measurement_noise_ps();
-        let per_die_max = engine.map(golden_devices, |_, dev| {
-            let mut max_required: f64 = 0.0;
-            for (pt, key) in &plan.pairs {
-                let settles = dev.round10_settle_times_cached(pt, key)?;
-                for s in settles.iter().flatten() {
-                    max_required = max_required.max(s + setup);
-                }
-            }
-            Ok::<f64, Error>(max_required)
-        });
+        let (setup, noise) = (first.setup_ps, first.noise_ps);
         let mut max_required: f64 = 0.0;
-        for m in per_die_max {
-            max_required = max_required.max(m?);
+        for row in lot.iter().flat_map(|die| &die.rows) {
+            for s in row.iter().flatten() {
+                max_required = max_required.max(s + setup);
+            }
         }
         Ok(Calibration::Glitch(GlitchParams::paper_sweep(
             max_required,
@@ -376,6 +413,25 @@ impl Channel for DelayChannel {
         let campaign = plan.delay_campaign();
         Ok(
             measure_matrix_faulted(engine, device, &campaign, params, seed, faults, ctx)?
+                .map(|(matrix, reps)| (Acquisition::Matrix(matrix), reps)),
+        )
+    }
+
+    fn acquire_settled(
+        &self,
+        engine: &Engine,
+        settles: &DieSettles,
+        plan: &CampaignPlan,
+        calibration: &Calibration,
+        seed: u64,
+        faults: &FaultPlan,
+        ctx: &[u64; 4],
+    ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
+        check_delay_plan(plan)?;
+        let params = calibration.glitch(self.name())?;
+        let campaign = plan.delay_campaign();
+        Ok(
+            sweep_matrix_faulted(engine, settles, &campaign, params, seed, faults, ctx)
                 .map(|(matrix, reps)| (Acquisition::Matrix(matrix), reps)),
         )
     }

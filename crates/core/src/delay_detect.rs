@@ -21,6 +21,7 @@
 //! results are bit-identical for every worker count.
 
 use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,6 +173,9 @@ pub fn measure_matrix_with(
 /// [`FaultPlan::none`], this is bit-identical to the historical
 /// fault-oblivious measurement.
 ///
+/// The measurement is the device step [`DieSettles::read`] followed by
+/// the device-free [`sweep_matrix_faulted`].
+///
 /// # Errors
 ///
 /// Propagates settle-time simulation failures.
@@ -184,20 +188,79 @@ pub fn measure_matrix_faulted(
     faults: &FaultPlan,
     ctx: &[u64; 4],
 ) -> Result<Option<(DelayMatrix, RepHealth)>, Error> {
-    let sweep = GlitchSweep::new(*params);
-    let settles = engine
-        .map(&campaign.pairs, |_, (pt, key)| {
-            device.round10_settle_times_cached(pt, key)
+    let settles = DieSettles::read(engine, device, &campaign.pairs)?;
+    Ok(sweep_matrix_faulted(
+        engine, &settles, campaign, params, noise_salt, faults, ctx,
+    ))
+}
+
+/// What the glitch bench reads from one programmed die: the round-10
+/// settle time of every ciphertext bit for each campaign pair (about 128
+/// values per pair), plus the die's register setup time and measurement
+/// noise. A sweep needs nothing else from the device, so a campaign can
+/// read this, drop the device, and sweep later — after the whole lot's
+/// settles have aimed the sweep.
+#[derive(Debug, Clone)]
+pub struct DieSettles {
+    /// `rows[pair][bit]`: the settle time in ps, `None` for a bit that
+    /// did not toggle (it can never violate setup).
+    pub rows: Vec<Arc<Vec<Option<f64>>>>,
+    /// The die's register setup time, ps.
+    pub setup_ps: f64,
+    /// Standard deviation of the per-measurement noise `dM`, ps.
+    pub noise_ps: f64,
+}
+
+impl DieSettles {
+    /// Reads the settle times of `pairs` from `device`: one task per pair
+    /// on `engine`, through the device's settle cache.
+    ///
+    /// # Errors
+    ///
+    /// Propagates settle-time simulation failures.
+    pub fn read(
+        engine: &Engine,
+        device: &ProgrammedDevice<'_>,
+        pairs: &[([u8; 16], [u8; 16])],
+    ) -> Result<Self, Error> {
+        let rows = engine
+            .map(pairs, |_, (pt, key)| {
+                device.round10_settle_times_cached(pt, key)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(DieSettles {
+            rows,
+            setup_ps: device.annotation().setup_ps(),
+            noise_ps: device.annotation().measurement_noise_ps(),
         })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+    }
+}
+
+/// The device-free half of [`measure_matrix_faulted`]: the noisy glitch
+/// sweep over `settle + setup` of one die's already-read settle times,
+/// one task per pair × repetition cell, with the repetitions, noise
+/// streams and fault decisions of `campaign`, `noise_salt` and `ctx`.
+/// Returns `None` when some pair loses every repetition.
+pub fn sweep_matrix_faulted(
+    engine: &Engine,
+    settles: &DieSettles,
+    campaign: &DelayCampaign,
+    params: &GlitchParams,
+    noise_salt: u64,
+    faults: &FaultPlan,
+    ctx: &[u64; 4],
+) -> Option<(DelayMatrix, RepHealth)> {
+    let sweep = GlitchSweep::new(*params);
     // `settle + setup` per (pair, bit), hoisted out of the repetitions:
     // the sweep adds `noise · z` to it, the association `fault_onsets`
     // uses, so every onset is unchanged.
     let required: Vec<Vec<Option<f64>>> = settles
+        .rows
         .iter()
         .map(|row| row.iter().map(|s| s.map(|s| s + params.setup_ps)).collect())
         .collect();
+    let pairs = required.len();
     let reps = campaign.repetitions.max(1);
     // Every pair observes the same bits. Each (pair, repetition) cell
     // writes its onset ordinals (`steps` for `Never`, the sentinel's
@@ -205,7 +268,7 @@ pub fn measure_matrix_faulted(
     // suffices: the fan joins its workers before it returns, which orders
     // every store before the loads that reduce them.
     let bits = required.first().map_or(0, Vec::len);
-    let cells = campaign.pairs.len() * reps;
+    let cells = pairs * reps;
     let onsets: Vec<AtomicU16> = (0..cells * bits).map(|_| AtomicU16::new(0)).collect();
     let survived = engine.map_indexed(cells, |cell| {
         let pair_idx = cell / reps;
@@ -230,13 +293,13 @@ pub fn measure_matrix_faulted(
         attempted: survived.len(),
         dropped: 0,
     };
-    let mut mean_onset_steps = Vec::with_capacity(campaign.pairs.len());
-    for pair_idx in 0..campaign.pairs.len() {
+    let mut mean_onset_steps = Vec::with_capacity(pairs);
+    for pair_idx in 0..pairs {
         let kept = &survived[pair_idx * reps..(pair_idx + 1) * reps];
         let survivors = kept.iter().filter(|&&k| k).count();
         health.dropped += reps - survivors;
         if survivors == 0 {
-            return Ok(None);
+            return None;
         }
         // Integer sums are exact in any order, and each equals the f64
         // running sum of the same integers in repetition order, so the
@@ -250,7 +313,7 @@ pub fn measure_matrix_faulted(
         }
         mean_onset_steps.push(acc.iter().map(|&a| a as f64 / survivors as f64).collect());
     }
-    Ok(Some((DelayMatrix { mean_onset_steps }, health)))
+    Some((DelayMatrix { mean_onset_steps }, health))
 }
 
 /// Characterises a golden device: establishes the sweep aim from the

@@ -227,13 +227,15 @@ type PairKey = ([u8; 16], [u8; 16]);
 const CHAINS: [SideChannel; 2] = [SideChannel::Em, SideChannel::Power];
 
 /// What the activity cache stores for one pair: the switching activity
-/// of one full timed encryption, already binned into every chain's
-/// impulse train by the replay itself (the toggles are never stored),
-/// plus each chain's noise-free convolved signal, built from its train
-/// on the chain's first acquisition.
+/// of one full timed encryption, already binned by the replay itself
+/// into the impulse train of every chain the device bins (the toggles
+/// are never stored), plus each chain's noise-free convolved signal,
+/// built from its train on the chain's first acquisition.
 #[derive(Debug)]
 struct PairActivity {
-    trains: [ImpulseTrain; 2],
+    /// Impulse train per chain; `None` for a chain the device does not
+    /// bin.
+    trains: [Option<ImpulseTrain>; 2],
     /// Noise-free convolved signal per chain: acquisitions replay it
     /// through [`read_out`], paying only the noise/quantise pass.
     clean: [OnceLock<Vec<f64>>; 2],
@@ -287,11 +289,12 @@ pub struct CacheStats {
 /// convolved signal. The ~86 k toggles of an encryption are never
 /// stored. All of it is a deterministic function of (design, die, pair)
 /// with no noise involved, so caching cannot change any measured value;
-/// it only removes duplicate work (e.g. between sweep aiming and matrix
-/// measurement, or across the repeated acquisitions of an averaging
-/// study, which pay only the per-rep noise/quantise pass). The caches
-/// are internally locked, so one device can be shared across worker
-/// threads.
+/// it only removes duplicate work (e.g. across an acquisition's retries
+/// or the channels that share a chain's replay, or across the repeated
+/// acquisitions of an averaging study, which pay only the per-rep
+/// noise/quantise pass). The caches are internally locked, so one
+/// device can be shared across worker threads. A campaign keeps a
+/// device only while it measures that device's die.
 #[derive(Debug)]
 pub struct ProgrammedDevice<'a> {
     lab: &'a Lab,
@@ -308,6 +311,8 @@ pub struct ProgrammedDevice<'a> {
     /// One set of constants per measurement chain, indexed by
     /// [`SideChannel`].
     chains: [ChainCache; 2],
+    /// Which chains the replay bins, indexed by [`SideChannel`].
+    binned: [bool; 2],
     settle_hits: AtomicU64,
     settle_misses: AtomicU64,
     activity_hits: AtomicU64,
@@ -327,6 +332,20 @@ impl<'a> ProgrammedDevice<'a> {
     /// (`cache.settle.hit`, `cache.activity.miss`, `cache.poisoned`, …)
     /// so they surface in run manifests.
     pub fn with_obs(lab: &'a Lab, design: &'a Design, die: &'a DieVariation, obs: Obs) -> Self {
+        Self::with_chains(lab, design, die, obs, [true; 2])
+    }
+
+    /// [`Self::with_obs`] binning only the chains `binned` selects
+    /// (indexed by [`SideChannel`]): what a campaign programs, so a cold
+    /// replay fills only the impulse trains its channels read. Acquiring
+    /// through any other chain is a shape error.
+    pub(crate) fn with_chains(
+        lab: &'a Lab,
+        design: &'a Design,
+        die: &'a DieVariation,
+        obs: Obs,
+        binned: [bool; 2],
+    ) -> Self {
         let mut annotation =
             DelayAnnotation::annotate(design.aes.netlist(), &design.placement, &lab.tech, die);
         if let Some(trojan) = &design.trojan {
@@ -349,6 +368,7 @@ impl<'a> ProgrammedDevice<'a> {
             settle_cache: Mutex::new(HashMap::new()),
             activity_cache: Mutex::new(HashMap::new()),
             chains: Default::default(),
+            binned,
             settle_hits: AtomicU64::new(0),
             settle_misses: AtomicU64::new(0),
             activity_hits: AtomicU64::new(0),
@@ -550,23 +570,34 @@ impl<'a> ProgrammedDevice<'a> {
     }
 
     /// Replays one full timed encryption and bins every emitting toggle
-    /// into every chain's impulse train as it is delivered. Each toggle
-    /// goes through [`htd_em::ImpulseTrain::add`], the workspace's one
-    /// binning rule, in replay order, so the trains are bit-identical to
-    /// binning [`Self::timed_encryption_activity`] event by event.
+    /// into the impulse train of every chain the device bins, as it is
+    /// delivered. Each toggle goes through
+    /// [`htd_em::ImpulseTrain::add`], the workspace's one binning rule,
+    /// in replay order, so each train is bit-identical to binning
+    /// [`Self::timed_encryption_activity`] event by event, whichever
+    /// other chains are binned alongside it.
     fn binned_activity(&self, pt: &[u8; 16], key: &[u8; 16]) -> Result<PairActivity, Error> {
-        let mut trains = CHAINS.map(|chain| {
-            let dt_ps = self.scope(chain).sample_period_ps;
-            ImpulseTrain::new(dt_ps, self.lab.acquisition.n_samples(dt_ps))
+        let mut bins = CHAINS.map(|chain| {
+            self.binned[chain as usize].then(|| {
+                let dt_ps = self.scope(chain).sample_period_ps;
+                let train = ImpulseTrain::new(dt_ps, self.lab.acquisition.n_samples(dt_ps));
+                (train, self.weights(chain))
+            })
         });
-        let [em_weights, power_weights] = CHAINS.map(|chain| self.weights(chain));
-        let [em, power] = &mut trains;
-        self.replay_emitting(pt, key, |time_ps, i| {
-            em.add(time_ps, em_weights[i]);
-            power.add(time_ps, power_weights[i]);
-        })?;
+        match &mut bins {
+            [Some((em, em_weights)), Some((power, power_weights))] => {
+                self.replay_emitting(pt, key, |time_ps, i| {
+                    em.add(time_ps, em_weights[i]);
+                    power.add(time_ps, power_weights[i]);
+                })?;
+            }
+            [Some((train, weights)), None] | [None, Some((train, weights))] => {
+                self.replay_emitting(pt, key, |time_ps, i| train.add(time_ps, weights[i]))?;
+            }
+            [None, None] => {}
+        }
         Ok(PairActivity {
-            trains,
+            trains: bins.map(|bin| bin.map(|(train, _)| train)),
             clean: Default::default(),
         })
     }
@@ -663,9 +694,23 @@ impl<'a> ProgrammedDevice<'a> {
     /// `acquire.events.*` counters carry that train's binning accounting
     /// and are recorded only then — exactly once per (pair, chain) per
     /// device, regardless of worker count.
-    fn clean_signal<'p>(&self, activity: &'p PairActivity, chain: SideChannel) -> &'p [f64] {
+    fn clean_signal<'p>(
+        &self,
+        activity: &'p PairActivity,
+        chain: SideChannel,
+    ) -> Result<&'p [f64], Error> {
         let c = chain as usize;
-        activity.clean[c].get_or_init(|| {
+        let train = activity.trains[c]
+            .as_ref()
+            .ok_or_else(|| Error::ChannelShapeMismatch {
+                channel: match chain {
+                    SideChannel::Em => "EM",
+                    SideChannel::Power => "power",
+                }
+                .to_string(),
+                expected: "a measurement chain the device was programmed to bin",
+            })?;
+        Ok(activity.clean[c].get_or_init(|| {
             let kernel = self.chains[c].kernel.get_or_init(|| {
                 let dt_ps = self.scope(chain).sample_period_ps;
                 match chain {
@@ -673,14 +718,13 @@ impl<'a> ProgrammedDevice<'a> {
                     SideChannel::Power => self.lab.power.impulse_response(dt_ps),
                 }
             });
-            let train = &activity.trains[c];
             let mut clean = Vec::new();
             convolve_kernel(train.impulses(), kernel, &mut clean);
             let stats = train.stats();
             self.obs.add("acquire.events.binned", stats.binned);
             self.obs.add("acquire.events.dropped", stats.dropped);
             clean
-        })
+        }))
     }
 
     /// Current occupancy and hit counts of the simulation caches.
@@ -710,7 +754,9 @@ impl<'a> ProgrammedDevice<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates netlist validation failures.
+    /// Propagates netlist validation failures;
+    /// [`Error::ChannelShapeMismatch`] for a chain the device does not
+    /// bin.
     pub fn acquire_trace(
         &self,
         chain: SideChannel,
@@ -724,7 +770,7 @@ impl<'a> ProgrammedDevice<'a> {
             SideChannel::Power => (power.gain, power.setup_gain_jitter, 0x0F0F_5A5A_3C3C_0002),
         };
         let activity = self.binned_activity_cached(pt, key)?;
-        let clean = self.clean_signal(&activity, chain);
+        let clean = self.clean_signal(&activity, chain)?;
         let mut rng = StdRng::seed_from_u64(measure_seed ^ salt);
         Ok(read_out(
             clean,
@@ -1053,6 +1099,33 @@ mod tests {
         // One activity miss (first EM rep), then three hits.
         assert_eq!(counters.get("cache.activity.miss"), Some(&1));
         assert_eq!(counters.get("cache.activity.hit"), Some(&3));
+    }
+
+    #[test]
+    fn an_em_only_device_bins_no_power_train_and_acquires_the_same_em_trace() {
+        let lab = lab();
+        let golden = Design::golden(&lab).unwrap();
+        let die = lab.fabricate_die(9);
+        let pt = [0x2Cu8; 16];
+        let key = [0x93u8; 16];
+        let both = ProgrammedDevice::new(&lab, &golden, &die);
+        let em_only =
+            ProgrammedDevice::with_chains(&lab, &golden, &die, Obs::noop(), [true, false]);
+        let want = both.acquire_em_trace(&pt, &key, 3).unwrap();
+        let got = em_only.acquire_em_trace(&pt, &key, 3).unwrap();
+        assert_eq!(got.dt_ps().to_bits(), want.dt_ps().to_bits());
+        assert_eq!(got.len(), want.len());
+        for (i, (a, b)) in got.samples().iter().zip(want.samples()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "sample {i}");
+        }
+        // The cached pair activity holds the EM train only.
+        let activity = em_only.binned_activity_cached(&pt, &key).unwrap();
+        assert!(activity.trains[SideChannel::Em as usize].is_some());
+        assert!(activity.trains[SideChannel::Power as usize].is_none());
+        assert!(matches!(
+            em_only.acquire_trace(SideChannel::Power, &pt, &key, 3),
+            Err(Error::ChannelShapeMismatch { .. })
+        ));
     }
 
     #[test]

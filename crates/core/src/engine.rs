@@ -27,7 +27,9 @@
 //! observational per-slot occupancy. Attach a recording handle with
 //! [`Engine::with_obs`]; inner serial engines inherit it via
 //! [`Engine::serial_like`] so campaign instrumentation survives the
-//! outer/inner pool split.
+//! outer/inner pool split. Under tracing, every task adopts the span
+//! open where the fan was called ([`Obs::adopt_span`]), so spans a
+//! worker opens nest under it instead of becoming roots.
 
 use htd_obs::Obs;
 use htd_par::{parallel_map_indexed_stats, resolve_workers};
@@ -136,7 +138,11 @@ impl Engine {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        let (out, stats) = parallel_map_indexed_stats(self.workers, n, f);
+        let parent = self.obs.current_span();
+        let (out, stats) = parallel_map_indexed_stats(self.workers, n, |i| {
+            let _parent = self.obs.adopt_span(parent);
+            f(i)
+        });
         self.obs
             .record_fan(n as u64, stats.workers as u64, &stats.per_worker);
         out
@@ -167,23 +173,10 @@ impl Engine {
         U: Send,
         F: Fn(usize, usize) -> Attempt<U> + Sync,
     {
+        let parent = self.obs.current_span();
         let (results, stats) = parallel_map_indexed_stats(self.workers, n, |i| {
-            for attempt in 0..=max_retries {
-                match f(i, attempt) {
-                    Attempt::Ok(value) => {
-                        return Ok(Retried {
-                            value: Some(value),
-                            attempts: attempt + 1,
-                        })
-                    }
-                    Attempt::Faulted => {}
-                    Attempt::Fatal(e) => return Err(e),
-                }
-            }
-            Ok(Retried {
-                value: None,
-                attempts: max_retries + 1,
-            })
+            let _parent = self.obs.adopt_span(parent);
+            retry(max_retries, |attempt| f(i, attempt))
         });
         self.obs
             .record_fan(n as u64, stats.workers as u64, &stats.per_worker);
@@ -191,6 +184,37 @@ impl Engine {
         // lowest-index error.
         results.into_iter().collect()
     }
+}
+
+/// One item's bounded retry loop: `f(attempt)` runs with `attempt`
+/// counting up from 0 until it returns [`Attempt::Ok`] or `max_retries`
+/// extra attempts are spent. The per-item half of [`Engine::map_retry`],
+/// for callers that retry inside a task of their own (the die-major
+/// campaign retries each channel on the die its task programmed).
+///
+/// # Errors
+///
+/// The first [`Attempt::Fatal`] error.
+pub fn retry<U>(
+    max_retries: usize,
+    mut f: impl FnMut(usize) -> Attempt<U>,
+) -> Result<Retried<U>, Error> {
+    for attempt in 0..=max_retries {
+        match f(attempt) {
+            Attempt::Ok(value) => {
+                return Ok(Retried {
+                    value: Some(value),
+                    attempts: attempt + 1,
+                })
+            }
+            Attempt::Faulted => {}
+            Attempt::Fatal(e) => return Err(e),
+        }
+    }
+    Ok(Retried {
+        value: None,
+        attempts: max_retries + 1,
+    })
 }
 
 #[cfg(test)]

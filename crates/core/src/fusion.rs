@@ -24,6 +24,18 @@
 //! save/load boundary. Only what differs between scoring modes lives in
 //! the [`Reference`] implementations.
 //!
+//! Both halves are **die-major**: the engine fans a population out over
+//! its dies, and each die's task programs the design onto the die, runs
+//! every channel's acquisitions on it (retries included), keeps only the
+//! per-channel rows — one [`Acquisition`] and its retry record per
+//! channel — and drops the device before its worker takes the next die.
+//! A campaign therefore holds at most `workers` programmed devices, and
+//! its memory grows with the rows it keeps, not with the simulation
+//! state behind each device. The delay channel needs the whole reference
+//! lot before its sweep can be aimed, so characterization reads each
+//! die's settle times ([`DieSettles`]) in the die's task, calibrates from
+//! all of them, and then sweeps every die from its kept settles.
+//!
 //! Channels:
 //!
 //! * **EM channel** — the Section V sum-of-local-maxima metric.
@@ -39,7 +51,7 @@
 
 use std::borrow::Cow;
 
-use htd_faults::{retry_seed, FaultPlan, FaultSite};
+use htd_faults::{retry_seed, FaultPlan, FaultSite, RepHealth};
 use htd_obs::Obs;
 use htd_stats::detection::{empirical_rates, equal_error_rate};
 use htd_stats::logistic::LogisticModel;
@@ -50,11 +62,11 @@ use crate::campaign::CampaignPlan;
 use crate::channel::{
     Acquisition, Calibration, Channel, DelayChannel, GoldenReference, TraceChannel,
 };
-use crate::engine::Attempt;
+use crate::delay_detect::DieSettles;
+use crate::engine::{retry, Attempt, Retried};
 use crate::error::Error;
 use crate::resilience::{ChannelHealth, RetryPolicy};
 use crate::{Design, Engine, Lab, ProgrammedDevice};
-use htd_fabric::DieVariation;
 
 /// Population tag of the reference lot in fault-decision contexts;
 /// suspect design `s` uses `s + 1`.
@@ -599,8 +611,20 @@ pub fn characterize_campaign(
 /// Characterizes the reference lot of `plan` under every supplied
 /// channel, in the scoring mode `R` picks.
 ///
-/// Each reference-lot device is programmed **once** and reused — with
-/// its simulation caches warm — across calibration and acquisition.
+/// The campaign is die-major. Calibration faults are decided by
+/// (channel, attempt) alone, so each channel's calibration outcome is
+/// known before any die is programmed. Then one task per die programs
+/// the golden design onto that die, runs every channel on it — retries
+/// included — keeps only the per-channel rows, and drops the device
+/// before the worker takes its next die: the campaign holds at most
+/// `workers` programmed devices. A channel calibrated from the plan
+/// alone acquires on the device in that task; a channel [aimed on the
+/// lot's settle times](Channel::aims_on_settles) (the delay channel)
+/// reads the die's [`DieSettles`] there instead, is calibrated from all
+/// of them once every die is read, and then sweeps each die from its
+/// kept settles. No die is programmed twice and no settle is simulated
+/// twice.
+///
 /// Calibrations that diverge and acquisitions that fail are retried up
 /// to the campaign's budget with fresh index-derived seeds; with
 /// `allow_degraded`, exhausted dies are quarantined (recorded in the
@@ -610,7 +634,9 @@ pub fn characterize_campaign(
 ///
 /// Determinism: every seed comes from the plan's seed tree and every
 /// fault decision and retry seed from the event's indices, so the
-/// characterization is bit-identical at any worker count.
+/// characterization is bit-identical at any worker count and in any
+/// order the dies run. Errors are reported in channel order, then die
+/// order, as if the channels ran one after another.
 ///
 /// # Errors
 ///
@@ -658,60 +684,73 @@ pub fn characterize<R: Reference>(
     }
     let _span = engine.obs().span("characterize");
     let golden = Design::golden(lab)?;
-    let dies = lab.fabricate_batch(plan.n_dies, engine.workers());
-    let devs: Vec<ProgrammedDevice<'_>> = {
-        let _span = engine.obs().span("program");
-        engine.map(&dies, |_, die| {
-            ProgrammedDevice::with_obs(lab, &golden, die, engine.obs().clone())
-        })
+
+    let mut fates = Vec::with_capacity(channels.len());
+    for (c, channel) in channels.iter().enumerate() {
+        let fate = calibration_fate(campaign, plan, c, *channel);
+        let failed = matches!(fate, Fate::Failed(_));
+        fates.push(fate);
+        if failed {
+            // Nothing after the first failing channel can be reported.
+            break;
+        }
+    }
+    let jobs: Vec<Option<Job<'_>>> = fates.iter().map(Fate::job).collect();
+    let pass = DiePass {
+        campaign,
+        lab,
+        plan,
+        design: &golden,
+        channels: &channels[..jobs.len()],
+        jobs: &jobs,
+        pop: POP_REFERENCE,
+    };
+    let mut rows = if jobs.iter().any(Option::is_some) {
+        engine.map_indexed(plan.n_dies, |j| pass.measure_die(j, plan.die_seed(j)))
+    } else {
+        Vec::new()
     };
 
-    for (c, channel) in channels.iter().enumerate() {
-        // Calibration, re-run on injected divergence.
-        let mut calibration = None;
-        let mut cal_attempts = 0usize;
-        {
-            let _span = engine.obs().span(&format!("calibrate.{}", channel.name()));
-            for attempt in 0..=policy.max_retries {
-                cal_attempts = attempt + 1;
-                if faults.fires(FaultSite::Calibrate, &[c as u64, attempt as u64]) {
-                    engine.obs().incr("faults.calibrate.fired");
-                    continue;
-                }
-                calibration = Some(channel.calibrate(engine, plan, &devs)?);
-                break;
+    for (c, (channel, fate)) in channels.iter().zip(fates).enumerate() {
+        let (calibration, outcomes, cal_attempts) = match fate {
+            Fate::Failed(e) => return Err(e),
+            Fate::Lost(health) => {
+                reference.push_lost(health);
+                continue;
             }
-            engine
-                .obs()
-                .add("retry.calibrate", (cal_attempts - 1) as u64);
-        }
-        let Some(calibration) = calibration else {
-            if !policy.allow_degraded {
-                return Err(Error::CalibrationDiverged {
-                    channel: channel.name().to_string(),
-                    attempts: cal_attempts,
-                });
+            Fate::Calibrated(calibration, attempts) => {
+                let outcomes = take_column(&mut rows, c, *channel, Step::acquired)?;
+                (calibration, outcomes, attempts)
             }
-            // For a lost channel the attempt counters record the
-            // calibration attempts that exhausted the budget.
-            let mut health = ChannelHealth::pristine(channel.name(), cal_attempts);
-            health.retried = cal_attempts - 1;
-            health.lost = true;
-            reference.push_lost(health);
-            continue;
+            Fate::Aimed(attempts) => {
+                let settles = take_column(&mut rows, c, *channel, Step::settled)?;
+                let calibration = channel.calibrate(plan, &settles)?;
+                let _span = engine.obs().span(&format!("acquire.{}", channel.name()));
+                let inner = engine.serial_like();
+                let outcomes =
+                    engine.map_retry(plan.n_dies, policy.max_retries, |j, attempt| {
+                        acquire_attempt(
+                            campaign,
+                            POP_REFERENCE,
+                            [c, j, attempt],
+                            plan.die_seed(j),
+                            |seed, ctx| {
+                                channel.acquire_settled(
+                                    &inner,
+                                    &settles[j],
+                                    plan,
+                                    &calibration,
+                                    seed,
+                                    faults,
+                                    ctx,
+                                )
+                            },
+                        )
+                    })?;
+                (calibration, outcomes, attempts)
+            }
         };
-        let mut population = acquire_population_faulted(
-            engine,
-            *channel,
-            c,
-            &devs,
-            plan,
-            &calibration,
-            faults,
-            policy,
-            POP_REFERENCE,
-            |j| plan.die_seed(j),
-        )?;
+        let mut population = gather_population(engine, *channel, outcomes, faults, policy)?;
         // Calibration retries count as retries without changing the
         // distinct-die population.
         population.health.attempted += cal_attempts - 1;
@@ -733,6 +772,257 @@ pub fn characterize<R: Reference>(
     Ok(reference)
 }
 
+/// What a characterization's calibration step decided for one channel,
+/// before any die is programmed.
+enum Fate {
+    /// Calibrated from the plan alone after this many attempts; the
+    /// channel acquires on each device.
+    Calibrated(Calibration, usize),
+    /// Aimed on the lot's settle times after this many attempts; the
+    /// channel is calibrated once every die's settles are read.
+    Aimed(usize),
+    /// Every attempt diverged under `allow_degraded`: the channel is
+    /// lost.
+    Lost(ChannelHealth),
+    /// The campaign fails with this error once the channels before it
+    /// have been reduced.
+    Failed(Error),
+}
+
+impl Fate {
+    /// The channel's job in the die-major pass.
+    fn job(&self) -> Option<Job<'_>> {
+        match self {
+            Fate::Calibrated(calibration, _) => Some(Job::Acquire(calibration)),
+            Fate::Aimed(_) => Some(Job::Settle),
+            Fate::Lost(_) | Fate::Failed(_) => None,
+        }
+    }
+}
+
+/// Replays channel `c`'s calibration fault decisions (index-pure, so no
+/// device is needed) and, for a channel calibrated from the plan alone,
+/// calibrates it.
+fn calibration_fate(
+    campaign: &Campaign,
+    plan: &CampaignPlan,
+    c: usize,
+    channel: &dyn Channel,
+) -> Fate {
+    let Campaign {
+        engine,
+        faults,
+        policy,
+    } = campaign;
+    let _span = engine.obs().span(&format!("calibrate.{}", channel.name()));
+    let mut attempts = None;
+    for attempt in 0..=policy.max_retries {
+        if faults.fires(FaultSite::Calibrate, &[c as u64, attempt as u64]) {
+            engine.obs().incr("faults.calibrate.fired");
+            continue;
+        }
+        attempts = Some(attempt + 1);
+        break;
+    }
+    let spent = attempts.unwrap_or(policy.max_retries + 1);
+    engine.obs().add("retry.calibrate", (spent - 1) as u64);
+    match attempts {
+        None if !policy.allow_degraded => Fate::Failed(Error::CalibrationDiverged {
+            channel: channel.name().to_string(),
+            attempts: spent,
+        }),
+        None => {
+            // For a lost channel the attempt counters record the
+            // calibration attempts that exhausted the budget.
+            let mut health = ChannelHealth::pristine(channel.name(), spent);
+            health.retried = spent - 1;
+            health.lost = true;
+            Fate::Lost(health)
+        }
+        Some(n) if channel.aims_on_settles() => Fate::Aimed(n),
+        Some(n) => match channel.calibrate(plan, &[]) {
+            Ok(calibration) => Fate::Calibrated(calibration, n),
+            Err(e) => Fate::Failed(e),
+        },
+    }
+}
+
+/// One channel's work on each die of the die-major pass.
+enum Job<'c> {
+    /// Acquire on the device, retries included, under this calibration.
+    Acquire(&'c Calibration),
+    /// Read the die's settle times for a channel aimed on the lot.
+    Settle,
+}
+
+/// One channel's acquisition on one die, after its retries.
+type Outcome = Retried<(Acquisition, RepHealth)>;
+
+/// One channel's result on one die of the die-major pass.
+enum Step {
+    /// The acquisition, after its retries.
+    Acquired(Outcome),
+    /// The settle times the channel is calibrated from and swept on.
+    Settled(DieSettles),
+    /// Not run: the channel has no job, or an earlier channel's failure
+    /// on this die already decides the campaign's error.
+    Skipped,
+}
+
+impl Step {
+    fn acquired(self) -> Option<Outcome> {
+        match self {
+            Step::Acquired(outcome) => Some(outcome),
+            _ => None,
+        }
+    }
+
+    fn settled(self) -> Option<DieSettles> {
+        match self {
+            Step::Settled(settles) => Some(settles),
+            _ => None,
+        }
+    }
+}
+
+/// One die-major pass over a design's population: what every die task
+/// shares.
+struct DiePass<'p> {
+    campaign: &'p Campaign,
+    lab: &'p Lab,
+    plan: &'p CampaignPlan,
+    design: &'p Design,
+    channels: &'p [&'p dyn Channel],
+    /// One optional job per channel in `channels`.
+    jobs: &'p [Option<Job<'p>>],
+    /// The fault-decision population tag.
+    pop: u64,
+}
+
+impl DiePass<'_> {
+    /// Programs die `j`, runs every channel's job on it in channel order,
+    /// and drops the device. `seed` is the die's measurement seed. A
+    /// failure — or an exhausted acquisition under the strict policy —
+    /// skips the die's remaining channels: the campaign's error is then
+    /// decided by that channel or an earlier one.
+    fn measure_die(&self, j: usize, seed: u64) -> Vec<Result<Step, Error>> {
+        let Campaign {
+            engine,
+            faults,
+            policy,
+        } = self.campaign;
+        let obs = engine.obs();
+        let binned = binned_chains(self.channels, self.jobs);
+        let die = self.lab.fabricate_die(j as u64);
+        let device = {
+            let _span = obs.span("program");
+            ProgrammedDevice::with_chains(self.lab, self.design, &die, obs.clone(), binned)
+        };
+        let inner = engine.serial_like();
+        let mut stopped = false;
+        let mut steps = Vec::with_capacity(self.jobs.len());
+        for (c, (channel, job)) in self.channels.iter().zip(self.jobs).enumerate() {
+            let step = match job {
+                _ if stopped => Ok(Step::Skipped),
+                None => Ok(Step::Skipped),
+                Some(Job::Settle) => {
+                    let _span = obs.span(&format!("calibrate.{}", channel.name()));
+                    DieSettles::read(&inner, &device, &self.plan.pairs).map(Step::Settled)
+                }
+                Some(Job::Acquire(calibration)) => {
+                    let _span = obs.span(&format!("acquire.{}", channel.name()));
+                    retry(policy.max_retries, |attempt| {
+                        acquire_attempt(
+                            self.campaign,
+                            self.pop,
+                            [c, j, attempt],
+                            seed,
+                            |seed, ctx| {
+                                channel.acquire(
+                                    &inner,
+                                    &device,
+                                    self.plan,
+                                    calibration,
+                                    seed,
+                                    faults,
+                                    ctx,
+                                )
+                            },
+                        )
+                    })
+                    .map(Step::Acquired)
+                }
+            };
+            stopped = match &step {
+                Err(_) => true,
+                Ok(Step::Acquired(outcome)) => outcome.value.is_none() && !policy.allow_degraded,
+                Ok(_) => stopped,
+            };
+            steps.push(step);
+        }
+        steps
+    }
+}
+
+/// The measurement chains a die-major pass programs its devices to bin:
+/// those of the channels that acquire on the device (indexed by
+/// [`SideChannel`](crate::em_detect::SideChannel)), so an `em,delay`
+/// campaign never bins a power train.
+fn binned_chains(channels: &[&dyn Channel], jobs: &[Option<Job<'_>>]) -> [bool; 2] {
+    let mut binned = [false; 2];
+    for (channel, job) in channels.iter().zip(jobs) {
+        if let (Some(Job::Acquire(_)), Some(chain)) = (job, channel.chain()) {
+            binned[chain as usize] = true;
+        }
+    }
+    binned
+}
+
+/// One acquisition attempt `[channel, die, attempt]` of population `pop`:
+/// the fault decision of `(channel, population, die, attempt)`, then
+/// `acquire` with the attempt's retry seed derived from the die's
+/// `seed`. Under [`FaultPlan::none`] and the strict policy the attempts
+/// are exactly the acquisitions of the historical fault-oblivious loop.
+fn acquire_attempt<T>(
+    campaign: &Campaign,
+    pop: u64,
+    [c, j, attempt]: [usize; 3],
+    seed: u64,
+    acquire: impl FnOnce(u64, &[u64; 4]) -> Result<Option<T>, Error>,
+) -> Attempt<T> {
+    let ctx = [c as u64, pop, j as u64, attempt as u64];
+    if campaign.faults.fires(FaultSite::Acquire, &ctx) {
+        campaign.engine.obs().incr("faults.acquire.fired");
+        return Attempt::Faulted;
+    }
+    match acquire(retry_seed(seed, attempt), &ctx) {
+        Ok(Some(value)) => Attempt::Ok(value),
+        Ok(None) => Attempt::Faulted,
+        Err(e) => Attempt::Fatal(e),
+    }
+}
+
+/// Takes channel `c`'s steps out of the die-major rows, in die order,
+/// through `pick`. The first failure (lowest die) is the channel's
+/// error; a step `pick` rejects — only possible if an earlier channel's
+/// error went unreported — is a shape error.
+fn take_column<T>(
+    rows: &mut [Vec<Result<Step, Error>>],
+    c: usize,
+    channel: &dyn Channel,
+    pick: impl Fn(Step) -> Option<T>,
+) -> Result<Vec<T>, Error> {
+    rows.iter_mut()
+        .map(|row| {
+            let step = std::mem::replace(&mut row[c], Ok(Step::Skipped))?;
+            pick(step).ok_or_else(|| Error::ChannelShapeMismatch {
+                channel: channel.name().to_string(),
+                expected: "one step per die from the die-major pass",
+            })
+        })
+        .collect()
+}
+
 /// One channel's population acquisition under a fault plan: the kept die
 /// indices (ascending), their acquisitions, and the health ledger.
 #[derive(Debug)]
@@ -745,54 +1035,24 @@ pub struct PopulationAcquisition {
     pub health: ChannelHealth,
 }
 
-/// Acquires one channel over a device population with retry and
-/// quarantine. Fault decisions and retry seeds derive from
-/// `(channel index, population tag, die index, attempt)` — indices,
-/// never scheduling — so the same plan quarantines the same dies at any
-/// worker count. Under [`FaultPlan::none`] and the strict policy this
-/// performs exactly the acquisitions of the historical fault-oblivious
-/// loop.
-#[allow(clippy::too_many_arguments)]
-fn acquire_population_faulted(
+/// Reduces one channel's per-die outcomes (die order) to its population:
+/// retry accounting, quarantine, and — under the strict policy — the
+/// lowest exhausted die's error. Fault decisions and retry seeds derive
+/// from indices, never scheduling, so the same plan quarantines the same
+/// dies at any worker count.
+fn gather_population(
     engine: &Engine,
     channel: &dyn Channel,
-    channel_index: usize,
-    devs: &[ProgrammedDevice<'_>],
-    plan: &CampaignPlan,
-    calibration: &Calibration,
+    outcomes: Vec<Outcome>,
     faults: &FaultPlan,
     policy: &RetryPolicy,
-    pop: u64,
-    seed_of: impl Fn(usize) -> u64 + Sync,
 ) -> Result<PopulationAcquisition, Error> {
-    let _span = engine.obs().span(&format!("acquire.{}", channel.name()));
-    let outcomes = engine.map_retry(devs.len(), policy.max_retries, |j, attempt| {
-        let ctx = [channel_index as u64, pop, j as u64, attempt as u64];
-        if faults.fires(FaultSite::Acquire, &ctx) {
-            engine.obs().incr("faults.acquire.fired");
-            return Attempt::Faulted;
-        }
-        let seed = retry_seed(seed_of(j), attempt);
-        match channel.acquire(
-            &engine.serial_like(),
-            &devs[j],
-            plan,
-            calibration,
-            seed,
-            faults,
-            &ctx,
-        ) {
-            Ok(Some(value)) => Attempt::Ok(value),
-            Ok(None) => Attempt::Faulted,
-            Err(e) => Attempt::Fatal(e),
-        }
-    })?;
     // Repetition counters stay zero under the none-plan so a fault-free
     // run reports exactly the pristine health record.
     let track_reps = !faults.is_none();
     let mut health = ChannelHealth::pristine(channel.name(), 0);
-    let mut kept = Vec::with_capacity(devs.len());
-    let mut acquisitions = Vec::with_capacity(devs.len());
+    let mut kept = Vec::with_capacity(outcomes.len());
+    let mut acquisitions = Vec::with_capacity(outcomes.len());
     for (j, outcome) in outcomes.into_iter().enumerate() {
         health.attempted += outcome.attempts;
         health.retried += outcome.attempts - 1;
@@ -958,9 +1218,8 @@ pub fn score(
 
 /// The amortized half of suspect scoring: everything that depends only
 /// on the reference, not on any particular suspect — the golden
-/// design's slice count, the fabricated die population, the baseline
-/// populations and (for multi-channel campaigns) the baseline fusion
-/// fits.
+/// design's slice count, the baseline populations and (for
+/// multi-channel campaigns) the baseline fusion fits.
 ///
 /// [`score`] builds one session per campaign; `htd serve` builds one
 /// per artifact batch so this setup is paid once per batch instead of
@@ -976,7 +1235,6 @@ pub struct ScoringSession<'a> {
     stored: Vec<StoredChannel<'a>>,
     baselines: Vec<Cow<'a, [f64]>>,
     golden_slices: usize,
-    dies: Vec<DieVariation>,
     fits: Vec<Gaussian>,
     baseline_fused: Option<Vec<f64>>,
     model: Option<&'a LogisticModel>,
@@ -1030,7 +1288,6 @@ impl<'a> ScoringSession<'a> {
         let plan = reference.plan();
         let golden = Design::golden(lab)?;
         let golden_slices = golden.used_slices();
-        let dies = lab.fabricate_batch(plan.n_dies, campaign.engine.workers());
         let baselines: Vec<Cow<'a, [f64]>> =
             (0..stored.len()).map(|c| reference.baseline(c)).collect();
 
@@ -1057,7 +1314,6 @@ impl<'a> ScoringSession<'a> {
             stored,
             baselines,
             golden_slices,
-            dies,
             fits,
             baseline_fused,
             model: None,
@@ -1084,6 +1340,11 @@ impl<'a> ScoringSession<'a> {
     /// fault-population tag, so a standalone score at `index` equals the
     /// same spec inside a batched campaign at that position.
     ///
+    /// One die-major pass: each die's task programs the suspect onto the
+    /// die, acquires every channel on it (retries included) and drops the
+    /// device, so at most `workers` devices are alive at once. Errors
+    /// are reported in channel order, then die order.
+    ///
     /// # Errors
     ///
     /// [`Error::AcquisitionExhausted`] when a suspect die exhausts its
@@ -1099,28 +1360,29 @@ impl<'a> ScoringSession<'a> {
         let plan = self.reference.plan();
         let need = self.reference.min_dies();
         let infected = Design::infected_with_obs(self.lab, spec, engine.obs())?;
-        let infected_devs: Vec<ProgrammedDevice<'_>> = {
-            let _span = engine.obs().span("program");
-            engine.map(&self.dies, |_, die| {
-                ProgrammedDevice::with_obs(self.lab, &infected, die, engine.obs().clone())
-            })
+        let jobs: Vec<Option<Job<'_>>> = self
+            .stored
+            .iter()
+            .map(|s| Some(Job::Acquire(s.calibration)))
+            .collect();
+        let pass = DiePass {
+            campaign: self.campaign,
+            lab: self.lab,
+            plan,
+            design: &infected,
+            channels: self.channels,
+            jobs: &jobs,
+            pop: index as u64 + 1,
         };
+        let mut rows = engine.map_indexed(plan.n_dies, |j| {
+            pass.measure_die(j, plan.spec_die_seed(index, j))
+        });
         let mut per_channel: Vec<(Vec<usize>, Vec<f64>)> = Vec::with_capacity(self.channels.len());
         let mut scored_sets = Vec::with_capacity(self.channels.len());
         let mut health = Vec::with_capacity(self.channels.len());
         for (c, (channel, stored)) in self.channels.iter().zip(&self.stored).enumerate() {
-            let population = acquire_population_faulted(
-                engine,
-                *channel,
-                c,
-                &infected_devs,
-                plan,
-                stored.calibration,
-                faults,
-                policy,
-                (index as u64) + 1,
-                |j| plan.spec_die_seed(index, j),
-            )?;
+            let outcomes = take_column(&mut rows, c, *channel, Step::acquired)?;
+            let population = gather_population(engine, *channel, outcomes, faults, policy)?;
             if population.kept.len() < need {
                 return Err(Error::ChannelDegraded {
                     channel: stored.name.to_string(),
@@ -1394,6 +1656,30 @@ mod tests {
         let two = small_fusion_experiment(&lab);
         assert_eq!(row.channels[0].mu, two.rows[0].em.mu);
         assert_eq!(row.channels[1].mu, two.rows[0].delay.mu);
+    }
+
+    #[test]
+    fn die_passes_bin_only_the_chains_their_acquiring_channels_read() {
+        let em = TraceChannel::paper();
+        let delay = DelayChannel;
+        let power = TraceChannel::new(SideChannel::Power, TraceMetric::SumOfLocalMaxima);
+        let none = Calibration::None;
+        let em_delay: [&dyn Channel; 2] = [&em, &delay];
+        let acquire = [Some(Job::Acquire(&none)), Some(Job::Acquire(&none))];
+        assert_eq!(binned_chains(&em_delay, &acquire), [true, false]);
+        // A characterization reads the delay channel's settles instead.
+        let aimed = [Some(Job::Acquire(&none)), Some(Job::Settle)];
+        assert_eq!(binned_chains(&em_delay, &aimed), [true, false]);
+        let all: [&dyn Channel; 3] = [&em, &power, &delay];
+        let jobs = [
+            Some(Job::Acquire(&none)),
+            Some(Job::Acquire(&none)),
+            Some(Job::Settle),
+        ];
+        assert_eq!(binned_chains(&all, &jobs), [true, true]);
+        // A lost channel's chain is not binned.
+        let lost_em = [None, Some(Job::Acquire(&none)), Some(Job::Settle)];
+        assert_eq!(binned_chains(&all, &lost_em), [false, true]);
     }
 
     #[test]

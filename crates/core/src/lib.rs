@@ -39,8 +39,9 @@
 //!   **bit-identical for every worker count** (noise streams derive from
 //!   item indices, never from scheduling), and each
 //!   [`ProgrammedDevice`]'s settle-time and binned-activity caches
-//!   remove duplicate simulation between characterisation and
-//!   measurement.
+//!   remove duplicate simulation between a die's channels and retries.
+//!   Campaigns fan out over dies and drop each device once its die is
+//!   measured, so they hold at most one device per worker.
 //! * [`report`] — plain-text table rendering shared by the benches.
 //!
 //! Every fallible API returns the unified [`Error`]; library code never

@@ -78,17 +78,19 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if `traces` is empty or shapes differ.
-    pub fn mean_of(traces: &[Trace]) -> Trace {
-        assert!(!traces.is_empty(), "mean of zero traces");
-        let first = &traces[0];
+    pub fn mean_of<'t>(traces: impl IntoIterator<Item = &'t Trace>) -> Trace {
+        let mut traces = traces.into_iter().peekable();
+        let first = *traces.peek().expect("mean of zero traces");
         let mut acc = vec![0.0f64; first.len()];
+        let mut count = 0usize;
         for t in traces {
             first.check_compatible(t);
             for (a, s) in acc.iter_mut().zip(t.samples()) {
                 *a += s;
             }
+            count += 1;
         }
-        let n = traces.len() as f64;
+        let n = count as f64;
         acc.iter_mut().for_each(|a| *a /= n);
         Trace {
             samples: acc,

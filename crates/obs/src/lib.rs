@@ -417,6 +417,31 @@ impl Obs {
         }
     }
 
+    /// The innermost traced span open on the calling thread, to hand to
+    /// the worker threads of a fan ([`Obs::adopt_span`]); `None` unless
+    /// tracing inside a span.
+    pub fn current_span(&self) -> Option<u64> {
+        self.recorder.as_ref()?.trace_current()
+    }
+
+    /// Makes `parent` — a [`Obs::current_span`] taken on another thread,
+    /// still open there — the parent of the spans this thread opens, and
+    /// the span its counter increments attribute to, until the guard
+    /// drops. A span's parent is otherwise the innermost span open on
+    /// its own thread, so without this every span a worker opens would
+    /// be a root. `None` (or a handle that is not tracing) adopts
+    /// nothing.
+    pub fn adopt_span(&self, parent: Option<u64>) -> AdoptedSpan {
+        let active = match (&self.recorder, parent) {
+            (Some(rec), Some(id)) if rec.trace.is_some() => {
+                rec.trace_adopt(id);
+                Some((Arc::clone(rec), id))
+            }
+            _ => None,
+        };
+        AdoptedSpan { active }
+    }
+
     /// Nanoseconds since this handle's trace epoch, for timestamping
     /// [`Obs::trace_async`] intervals. Returns 0 when not tracing.
     pub fn now_ns(&self) -> u64 {
@@ -546,6 +571,22 @@ impl Drop for Span {
                 let ns = u64::try_from(active.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 active.recorder.record_duration(&active.name, ns);
             }
+        }
+    }
+}
+
+/// The guard of [`Obs::adopt_span`]: the adopted span stays this
+/// thread's innermost until it drops.
+#[derive(Debug)]
+#[must_use = "dropping the guard immediately releases the adopted span"]
+pub struct AdoptedSpan {
+    active: Option<(Arc<Recorder>, u64)>,
+}
+
+impl Drop for AdoptedSpan {
+    fn drop(&mut self) {
+        if let Some((recorder, id)) = self.active.take() {
+            recorder.trace_release(id);
         }
     }
 }
@@ -697,6 +738,66 @@ mod tests {
         // Only the clean span produced a timing sample.
         let timing = snap.timings.iter().find(|t| t.key == "score").unwrap();
         assert_eq!(timing.count, 1);
+    }
+
+    #[test]
+    fn worker_threads_nest_their_spans_under_an_adopted_parent() {
+        let obs = Obs::recording_traced();
+        {
+            let _outer = obs.span("campaign");
+            let parent = obs.current_span();
+            assert!(parent.is_some());
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _adopted = obs.adopt_span(parent);
+                    let _die = obs.span("program");
+                    obs.incr("work.die");
+                });
+            });
+        }
+        let json = obs.trace_json().unwrap();
+        let Json::Obj(top) = Json::parse(&json).unwrap() else {
+            panic!("trace must be an object")
+        };
+        let Some((_, Json::Arr(events))) = top.into_iter().find(|(k, _)| k == "traceEvents") else {
+            panic!("traceEvents must be an array")
+        };
+        let field = |event: &Json, path: [&str; 2]| -> Option<String> {
+            let Json::Obj(fields) = event else {
+                return None;
+            };
+            let (_, Json::Obj(args)) = fields.iter().find(|(k, _)| k == path[0])? else {
+                return None;
+            };
+            match args.iter().find(|(k, _)| k == path[1])? {
+                (_, Json::Str(s)) => Some(s.clone()),
+                _ => None,
+            }
+        };
+        let named = |name: &str| {
+            events
+                .iter()
+                .find(|e| json_name(e) == Some(name))
+                .unwrap_or_else(|| panic!("no {name} span in {json}"))
+        };
+        let campaign = field(named("campaign"), ["args", "span"]).unwrap();
+        assert_eq!(field(named("program"), ["args", "parent"]), Some(campaign));
+        assert!(json.contains("\"counter.work.die\": 1"), "{json}");
+        // Untraced handles adopt nothing and cost nothing.
+        let plain = Obs::recording();
+        assert_eq!(plain.current_span(), None);
+        let _inert = plain.adopt_span(Some(7));
+    }
+
+    /// The `name` of a trace event, if it has one.
+    fn json_name(event: &Json) -> Option<&str> {
+        let Json::Obj(fields) = event else {
+            return None;
+        };
+        match fields.iter().find(|(k, _)| k == "name")? {
+            (_, Json::Str(s)) => Some(s),
+            _ => None,
+        }
     }
 
     #[test]

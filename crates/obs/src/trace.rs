@@ -134,6 +134,28 @@ fn recorder_key(recorder: &Recorder) -> usize {
     std::ptr::from_ref(recorder) as usize
 }
 
+/// The innermost span of recorder `me` open on the calling thread.
+fn innermost(me: usize) -> Option<u64> {
+    SPAN_STACK.with(|stack| {
+        stack
+            .borrow()
+            .iter()
+            .rev()
+            .find(|(rec, _)| *rec == me)
+            .map(|&(_, id)| id)
+    })
+}
+
+/// Removes the innermost stack entry `(me, id)` of the calling thread.
+fn pop_entry(me: usize, id: u64) {
+    SPAN_STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        if let Some(at) = stack.iter().rposition(|&(rec, sid)| rec == me && sid == id) {
+            stack.remove(at);
+        }
+    });
+}
+
 fn lock_trace(trace: &Mutex<TraceState>) -> MutexGuard<'_, TraceState> {
     trace.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -150,14 +172,7 @@ impl Recorder {
     pub(crate) fn trace_open(&self, key: &str, args: &[(&str, &str)]) -> Option<u64> {
         let trace = self.trace.as_ref()?;
         let me = recorder_key(self);
-        let parent = SPAN_STACK.with(|stack| {
-            stack
-                .borrow()
-                .iter()
-                .rev()
-                .find(|(rec, _)| *rec == me)
-                .map(|&(_, id)| id)
-        });
+        let parent = innermost(me);
         let mut state = lock_trace(trace);
         let start_ns = state.now_ns();
         let tid = state.tid();
@@ -203,13 +218,7 @@ impl Recorder {
         let Some(trace) = self.trace.as_ref() else {
             return;
         };
-        let me = recorder_key(self);
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            if let Some(at) = stack.iter().rposition(|&(rec, sid)| rec == me && sid == id) {
-                stack.remove(at);
-            }
-        });
+        pop_entry(recorder_key(self), id);
         let mut state = lock_trace(trace);
         let end_ns = state.now_ns();
         if let Some(open) = state.open.remove(&id) {
@@ -234,15 +243,7 @@ impl Recorder {
         let Some(trace) = self.trace.as_ref() else {
             return;
         };
-        let me = recorder_key(self);
-        let Some(current) = SPAN_STACK.with(|stack| {
-            stack
-                .borrow()
-                .iter()
-                .rev()
-                .find(|(rec, _)| *rec == me)
-                .map(|&(_, id)| id)
-        }) else {
+        let Some(current) = innermost(recorder_key(self)) else {
             return;
         };
         let mut state = lock_trace(trace);
@@ -250,6 +251,24 @@ impl Recorder {
             let slot = open.counters.entry(name.to_string()).or_insert(0);
             *slot = slot.saturating_add(n);
         }
+    }
+
+    /// The innermost traced span open on the calling thread; `None`
+    /// when there is none or this recorder does not trace.
+    pub(crate) fn trace_current(&self) -> Option<u64> {
+        self.trace.as_ref()?;
+        innermost(recorder_key(self))
+    }
+
+    /// Makes span `id` — open on another thread — the innermost span of
+    /// the calling thread, until [`Recorder::trace_release`].
+    pub(crate) fn trace_adopt(&self, id: u64) {
+        SPAN_STACK.with(|stack| stack.borrow_mut().push((recorder_key(self), id)));
+    }
+
+    /// Undoes [`Recorder::trace_adopt`].
+    pub(crate) fn trace_release(&self, id: u64) {
+        pop_entry(recorder_key(self), id);
     }
 
     /// Nanoseconds since the trace epoch; 0 when not tracing.

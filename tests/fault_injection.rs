@@ -9,7 +9,9 @@ use std::path::PathBuf;
 use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{characterize, score, Campaign, GoldenCharacterization, MultiChannelReport};
+use htd_core::fusion::{
+    characterize, score, Campaign, GoldenCharacterization, MultiChannelReport, Reference,
+};
 use htd_core::reffree::ReferenceFreeCharacterization;
 use htd_core::resilience::RetryPolicy;
 use htd_core::{Engine, Error, Lab};
@@ -363,4 +365,118 @@ fn regenerate_reffree_degraded_report() {
     let report = reffree_flow_report(&faultplan(), &RetryPolicy::degraded(2));
     std::fs::write(&path, htd_store::to_text(&report)).unwrap();
     println!("wrote {}", path.display());
+}
+
+/// Characterizes `em,power,delay` in mode `R` and scores `ht2`, both
+/// under the committed fault plan with two retries and degradation
+/// allowed, on `workers` workers: the characterization (every channel's
+/// health record included) and the report text.
+fn three_channel_campaign<R: Reference>(workers: usize) -> (R, String) {
+    let campaign = campaign(workers, &faultplan(), RetryPolicy::degraded(2));
+    let lab = Lab::paper();
+    let specs = [
+        ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
+        ChannelSpec::Power(TraceMetric::SumOfLocalMaxima),
+        ChannelSpec::Delay,
+    ];
+    let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
+    let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
+    let charac: R = characterize(&campaign, &lab, &plan(), &refs).expect("characterize");
+    assert_eq!(charac.channels().len(), refs.len(), "no channel lost");
+    let scored = score(&campaign, &lab, &charac, &[TrojanSpec::ht2()], &refs, None)
+        .expect("degraded scoring completes");
+    let report = htd_store::to_text(&scored.report);
+    (charac, report)
+}
+
+/// Campaigns run die-major — each worker programs a die, runs every
+/// channel on it and drops it — so dies finish in whatever order the
+/// pool takes them. Seeds, fault decisions and retry seeds derive from
+/// indices alone, so the faulted three-channel campaign must come out
+/// identical at any worker count, in both scoring modes.
+#[test]
+fn faulted_three_channel_campaigns_are_identical_at_any_worker_count() {
+    fn check<R: Reference + PartialEq + std::fmt::Debug>(mode: &str) {
+        let (charac, report) = three_channel_campaign::<R>(1);
+        for workers in [2, 8] {
+            let (other_charac, other_report) = three_channel_campaign::<R>(workers);
+            assert_eq!(
+                other_charac, charac,
+                "{mode}: characterization at {workers} workers"
+            );
+            assert_eq!(other_report, report, "{mode}: report at {workers} workers");
+        }
+        // Not vacuously identical: the plan fired, and the health
+        // records show it.
+        let activity: usize = charac
+            .channels()
+            .iter()
+            .map(|c| c.health.retried + c.health.dropped + c.health.reps_dropped)
+            .sum();
+        assert!(activity > 0, "{mode}: the fault plan fired somewhere");
+        assert!(report.contains("health"), "{mode}: {report}");
+    }
+    check::<GoldenCharacterization>("golden");
+    check::<ReferenceFreeCharacterization>("reference-free");
+}
+
+/// A fault plan under which, with no retries, EM (channel 0) first
+/// exhausts die `em_die` while delay (channel 1) already exhausts the
+/// lower die `delay_die`, in population `pop`. Found from the fault
+/// decisions alone, without simulating.
+fn em_high_delay_low(pop: u64) -> (FaultPlan, usize) {
+    let n_dies = plan().n_dies as u64;
+    (0..10_000)
+        .find_map(|seed| {
+            let faults = FaultPlan {
+                seed,
+                acquire_rate: 0.3,
+                rep_rate: 0.0,
+                calibrate_rate: 0.0,
+                store_rate: 0.0,
+            };
+            let first =
+                |c: u64| (0..n_dies).find(|&j| faults.fires(FaultSite::Acquire, &[c, pop, j, 0]));
+            match (first(0), first(1)) {
+                (Some(em), Some(delay)) if delay < em => Some((faults, em as usize)),
+                _ => None,
+            }
+        })
+        .expect("some seed exhausts a higher EM die and a lower delay die")
+}
+
+/// Under the strict policy the campaign's error is the first failing
+/// channel's, then its lowest die — the precedence of running the
+/// channels one after another — even though a die-major pass meets the
+/// delay channel's lower die first.
+#[test]
+fn strict_campaigns_report_the_earlier_channel_before_the_lower_die() {
+    let lab = Lab::paper();
+    let channels: Vec<Box<dyn Channel>> = specs().iter().map(ChannelSpec::build).collect();
+    let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
+    let is_em_at = |err: &Error, want: usize| {
+        matches!(err, Error::AcquisitionExhausted { channel, die, attempts: 1 }
+            if channel == "EM" && *die == want)
+    };
+
+    let (faults, em_die) = em_high_delay_low(0);
+    for workers in [1, 2, 8] {
+        let strict = campaign(workers, &faults, RetryPolicy::strict());
+        let err =
+            characterize::<GoldenCharacterization>(&strict, &lab, &plan(), &refs).unwrap_err();
+        assert!(
+            is_em_at(&err, em_die),
+            "characterize, {workers} workers: {err}"
+        );
+    }
+
+    // Scoring: suspect 0 is fault population 1.
+    let charac: GoldenCharacterization =
+        characterize(&Campaign::default(), &lab, &plan(), &refs).expect("characterize");
+    let (faults, em_die) = em_high_delay_low(1);
+    for workers in [1, 2, 8] {
+        let strict = campaign(workers, &faults, RetryPolicy::strict());
+        let err = score(&strict, &lab, &charac, &[TrojanSpec::ht2()], &refs, None).unwrap_err();
+        assert!(is_em_at(&err, em_die), "score, {workers} workers: {err}");
+    }
 }
