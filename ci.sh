@@ -133,10 +133,20 @@ echo "==> htd high-repetition smoke"
 echo "==> htd power-chain smoke"
 # The three-channel campaign (EM, power, delay) characterized in both
 # modes and scored: each report must reproduce its committed fixture
-# byte for byte, so the power chain is pinned through the CLI too.
+# byte for byte, so the power chain is pinned through the CLI too. The
+# EM and power channels read one activity replay per die, so the
+# characterization replays exactly --dies times.
 for mode in golden reference-free; do
     "$HTD" characterize --out "$HTD_SMOKE_DIR/power-$mode.htd" --mode "$mode" \
-        --dies 4 --pairs 2 --reps 2 --seed 42 --channels em,power,delay
+        --dies 4 --pairs 2 --reps 2 --seed 42 --channels em,power,delay \
+        --metrics "$HTD_SMOKE_DIR/power-$mode.json"
+    "$HTD" report --metrics "$HTD_SMOKE_DIR/power-$mode.json" --counters \
+        >"$HTD_SMOKE_DIR/power-$mode.counters"
+    grep -qx "span.timing.replay 4" "$HTD_SMOKE_DIR/power-$mode.counters" || {
+        cat "$HTD_SMOKE_DIR/power-$mode.counters"
+        echo "the $mode three-channel characterize did not replay once per die"
+        exit 1
+    }
     "$HTD" score --golden "$HTD_SMOKE_DIR/power-$mode.htd" --trojans ht2 \
         --report "$HTD_SMOKE_DIR/power-$mode-report.htd" >/dev/null
 done

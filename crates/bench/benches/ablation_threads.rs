@@ -38,8 +38,8 @@ fn main() {
     let mut table = Table::new(&["workers", "wall (s)", "speedup vs 1", "matrix"]);
     let mut reference: Option<(htd_core::delay_detect::DelayMatrix, f64)> = None;
     for &w in &counts {
-        // A fresh device per run: cold caches, so every run performs the
-        // same simulation work.
+        // A fresh device per run, so every run performs the same
+        // simulation work.
         let dev = ProgrammedDevice::new(&lab, &golden, &die);
         let t0 = Instant::now();
         let matrix =
@@ -62,7 +62,7 @@ fn main() {
         ]);
     }
     println!("\n{table}");
-    println!("the campaign fans per pair (settle simulation, cached) and per");
+    println!("the campaign fans per pair (settle simulation, once each) and per");
     println!("pair × repetition (noise sweeps, index-seeded), so wall-clock");
     println!("scales with cores while every matrix stays bit-identical.");
 }

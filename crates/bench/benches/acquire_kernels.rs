@@ -7,7 +7,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use htd_aes::structural::AesSim;
 use htd_bench::{lab, KEY, PT};
-use htd_core::{Design, ProgrammedDevice};
+use htd_core::channel::DieReading;
+use htd_core::em_detect::SideChannel;
+use htd_core::{CampaignPlan, Design, ProgrammedDevice};
 use htd_em::{convolve_kernel, read_out, ImpulseTrain};
 use htd_timing::{CompiledSimulator, CompiledTiming};
 use rand::rngs::StdRng;
@@ -120,20 +122,23 @@ fn bench_kernel_stages(c: &mut Criterion) {
 }
 
 fn bench_warm_acquire_rep(c: &mut Criterion) {
-    // A repeated acquisition on a warm device: the activity and
-    // clean-signal caches hit, so each rep pays only the read-out —
-    // the per-rep cost of an averaging study.
+    // Repeated EM read-outs of one die reading: the replay and the
+    // convolution are paid by the first, so each rep pays only the
+    // read-out — the per-rep cost of an averaging study.
     let lab = lab();
     let golden = Design::golden(&lab).expect("builds");
     let die = lab.fabricate_die(0);
     let dev = ProgrammedDevice::new(&lab, &golden, &die);
-    dev.acquire_em_trace(&PT, &KEY, 0)
-        .expect("warms the caches");
+    let plan = CampaignPlan::traces(1, PT, KEY, 0);
+    let reading = DieReading::new(&dev, &plan);
+    reading
+        .trace(SideChannel::Em, 0)
+        .expect("replays and convolves");
     c.bench_function("acquire_em_trace_warm_rep", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            dev.acquire_em_trace(&PT, &KEY, seed)
+            reading.trace(SideChannel::Em, seed)
         })
     });
 }

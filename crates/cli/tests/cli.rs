@@ -624,6 +624,53 @@ fn duplicate_channels_are_rejected_before_any_measurement() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `htd fuse` given one channel's score artifact twice used to exit 0
+/// and print two identical rows plus a "fused" row of the channel with
+/// itself. Fusion now refuses a repeated channel as a usage error.
+#[test]
+fn fusing_one_channel_twice_is_rejected() {
+    let dir = labdir("dup-fuse");
+    let golden = [
+        "characterize",
+        "--out",
+        "golden.htd",
+        "--dies",
+        "3",
+        "--pairs",
+        "1",
+        "--reps",
+        "1",
+        "--channels",
+        "em,delay",
+    ];
+    expect_success(&htd(&dir, &golden));
+    let score = [
+        "score",
+        "--golden",
+        "golden.htd",
+        "--trojans",
+        "ht1",
+        "--scores-dir",
+        "sd",
+    ];
+    expect_success(&htd(&dir, &score));
+    let em = "sd/ht-1.em.scores.htd";
+    assert!(dir.join(em).is_file());
+    let out = htd(&dir, &["fuse", em, em]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("expected distinct channel names"),
+        "{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A suspect named twice — directly, through an alias, or inside
 /// `sweep` — used to be scored twice under two seed streams, printing
 /// two row groups with different numbers and writing its

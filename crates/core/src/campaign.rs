@@ -102,17 +102,6 @@ impl CampaignPlan {
     pub fn spec_die_seed(&self, spec: usize, die: usize) -> u64 {
         self.spec_seed(spec).wrapping_add(die as u64)
     }
-
-    /// The delay-channel view of this plan, in [`DelayCampaign`] form
-    /// (the shape [`measure_matrix_with`](crate::delay_detect::measure_matrix_with)
-    /// consumes).
-    pub fn delay_campaign(&self) -> DelayCampaign {
-        DelayCampaign {
-            pairs: self.pairs.clone(),
-            repetitions: self.repetitions,
-            seed: self.seed,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -135,8 +124,7 @@ mod tests {
         let plan = CampaignPlan::with_random_pairs(8, 5, 3, [0u8; 16], [0u8; 16], 42);
         let legacy = DelayCampaign::random(5, 3, 42);
         assert_eq!(plan.pairs, legacy.pairs);
-        assert_eq!(plan.delay_campaign().pairs, legacy.pairs);
-        assert_eq!(plan.delay_campaign().repetitions, 3);
-        assert_eq!(plan.delay_campaign().seed, 42);
+        assert_eq!(plan.repetitions, legacy.repetitions);
+        assert_eq!(plan.seed, legacy.seed);
     }
 }

@@ -8,9 +8,10 @@
 //!    alone or from the golden lot (the delay channel aims its glitch
 //!    sweep on every golden die's settle times; trace channels need no
 //!    calibration),
-//! 2. **acquire** — one raw measurement per device (a trace, or a
-//!    mean-onset matrix), one attempt under a fault plan that may
-//!    quarantine the attempt's internal repetitions,
+//! 2. **acquire** — one raw measurement per die (a trace, or a
+//!    mean-onset matrix) out of the die's [`DieReading`], one attempt
+//!    under a fault plan that may quarantine the attempt's internal
+//!    repetitions,
 //! 3. **characterize_golden** — fold the golden acquisitions into the
 //!    channel's population reference (`E_n(G)` / the mean onset matrix),
 //! 4. **score** — reduce one acquisition against the reference to a
@@ -29,12 +30,15 @@
 //! inter-die generalisation of Section III). A future channel — TVLA,
 //! golden-free delay, learning-assisted — is one more `impl Channel`.
 
+use std::sync::OnceLock;
+
 use htd_em::Trace;
 use htd_faults::{FaultPlan, RepHealth};
 use htd_timing::GlitchParams;
 
 use crate::campaign::CampaignPlan;
-use crate::delay_detect::{measure_matrix_faulted, sweep_matrix_faulted, DelayMatrix, DieSettles};
+use crate::delay_detect::{sweep_matrix_faulted, DelayMatrix, DieSettles};
+use crate::design::PairActivity;
 use crate::em_detect::{SideChannel, TraceMetric};
 use crate::error::Error;
 use crate::{Engine, ProgrammedDevice};
@@ -130,6 +134,98 @@ impl GoldenReference {
     }
 }
 
+/// What a die task reads from its programmed die under a plan, each part
+/// once, on its first request: the activity replay of the plan's trace
+/// pair, read out by every trace channel (EM and power) and attempt, and
+/// the settle times of its delay pairs ([`DieSettles`]), swept by every
+/// delay attempt. A campaign also builds readings of kept settles alone,
+/// which serve sweeps after their device is gone.
+#[derive(Debug)]
+pub struct DieReading<'d> {
+    plan: &'d CampaignPlan,
+    device: Option<&'d ProgrammedDevice<'d>>,
+    activity: OnceLock<PairActivity>,
+    settles: OnceLock<DieSettles>,
+}
+
+/// `cell`'s value, initialised by `init` if empty (an error leaves it
+/// empty).
+fn get_or_try_init<T>(
+    cell: &OnceLock<T>,
+    init: impl FnOnce() -> Result<T, Error>,
+) -> Result<&T, Error> {
+    if let Some(value) = cell.get() {
+        return Ok(value);
+    }
+    let value = init()?;
+    Ok(cell.get_or_init(|| value))
+}
+
+impl<'d> DieReading<'d> {
+    /// A reading of `device` under `plan`; nothing is simulated until a
+    /// channel asks.
+    pub fn new(device: &'d ProgrammedDevice<'d>, plan: &'d CampaignPlan) -> Self {
+        DieReading {
+            plan,
+            device: Some(device),
+            activity: OnceLock::new(),
+            settles: OnceLock::new(),
+        }
+    }
+
+    /// A reading of a die whose device is gone: only the `settles` read
+    /// while it was programmed.
+    pub(crate) fn settled(plan: &'d CampaignPlan, settles: DieSettles) -> Self {
+        DieReading {
+            plan,
+            device: None,
+            activity: OnceLock::new(),
+            settles: OnceLock::from(settles),
+        }
+    }
+
+    /// The plan the die is read under.
+    pub fn plan(&self) -> &'d CampaignPlan {
+        self.plan
+    }
+
+    /// The programmed device, or a shape error for a settled reading.
+    fn device(&self) -> Result<&'d ProgrammedDevice<'d>, Error> {
+        self.device.ok_or_else(|| Error::ChannelShapeMismatch {
+            channel: "die reading".to_string(),
+            expected: "a die reading with its device programmed",
+        })
+    }
+
+    /// One averaged trace of the plan's pair through `chain`
+    /// (see [`ProgrammedDevice::acquire_trace`]), read out of the die's
+    /// one activity replay.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation failures; [`Error::ChannelShapeMismatch`]
+    /// for a chain the device does not bin or a settled reading.
+    pub fn trace(&self, chain: SideChannel, measure_seed: u64) -> Result<Trace, Error> {
+        let device = self.device()?;
+        let activity = get_or_try_init(&self.activity, || {
+            device.binned_activity(&self.plan.pt, &self.plan.key)
+        })?;
+        device.read_trace(activity, chain, measure_seed)
+    }
+
+    /// The die's settle times for the plan's pairs, read on the first
+    /// request (one task per pair on `engine`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation failures.
+    pub fn settles(&self, engine: &Engine) -> Result<&DieSettles, Error> {
+        get_or_try_init(&self.settles, || {
+            DieSettles::read(engine, self.device()?, &self.plan.pairs)
+        })
+    }
+}
+
 /// One pluggable detection channel: the acquire → characterize_golden →
 /// score stage pipeline over a die population.
 ///
@@ -152,9 +248,9 @@ pub trait Channel: Sync {
     /// Whether the channel is aimed on the reference lot's settle times
     /// (the delay channel). A campaign then reads every reference die's
     /// [`DieSettles`] while the die is programmed, calibrates from all of
-    /// them, and acquires each die from its kept settles through
-    /// [`Channel::acquire_settled`]. The default (`false`) calibrates
-    /// from the plan alone, before any device is programmed.
+    /// them, and acquires each die from a [`DieReading`] of its kept
+    /// settles alone. The default (`false`) calibrates from the plan
+    /// alone, before any device is programmed.
     fn aims_on_settles(&self) -> bool {
         false
     }
@@ -173,58 +269,30 @@ pub trait Channel: Sync {
         Ok(Calibration::None)
     }
 
-    /// One acquisition attempt on one device. `seed` (from the plan's
-    /// seed tree, through [`htd_faults::retry_seed`]) must fully
-    /// determine the measurement noise; `ctx` (channel index, population
-    /// tag, die index, attempt) keys the fault decisions of the
-    /// attempt's internal repetitions. Returns `Ok(None)` when injected
-    /// faults destroy the whole attempt (a delay sweep losing every
-    /// repetition of some pair); channels without repetitions ignore
-    /// `faults` and report a fault-free [`RepHealth`]. Under
-    /// [`FaultPlan::none`] an attempt is the fault-oblivious measurement,
-    /// bit for bit.
+    /// One acquisition attempt on one die, read out of the die's
+    /// [`DieReading`] (shared by every channel and attempt on the die).
+    /// `seed` (from the plan's seed tree, through
+    /// [`htd_faults::retry_seed`]) must fully determine the measurement
+    /// noise; `ctx` (channel index, population tag, die index, attempt)
+    /// keys the fault decisions of the attempt's internal repetitions.
+    /// Returns `Ok(None)` when injected faults destroy the whole attempt
+    /// (a delay sweep losing every repetition of some pair); channels
+    /// without repetitions ignore `faults` and report a fault-free
+    /// [`RepHealth`]. Under [`FaultPlan::none`] an attempt is the
+    /// fault-oblivious measurement, bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates simulation and calibration-shape failures.
-    #[allow(clippy::too_many_arguments)]
     fn acquire(
         &self,
         engine: &Engine,
-        device: &ProgrammedDevice<'_>,
-        plan: &CampaignPlan,
+        die: &DieReading<'_>,
         calibration: &Calibration,
         seed: u64,
         faults: &FaultPlan,
         ctx: &[u64; 4],
     ) -> Result<Option<(Acquisition, RepHealth)>, Error>;
-
-    /// [`Channel::acquire`] from a die's kept settle times instead of its
-    /// device, for a channel that [aims on
-    /// settles](Channel::aims_on_settles); bit-identical to acquiring on
-    /// the device the settles were read from. The default rejects the
-    /// call as a shape error.
-    ///
-    /// # Errors
-    ///
-    /// Calibration-shape failures.
-    #[allow(clippy::too_many_arguments)]
-    fn acquire_settled(
-        &self,
-        engine: &Engine,
-        settles: &DieSettles,
-        plan: &CampaignPlan,
-        calibration: &Calibration,
-        seed: u64,
-        faults: &FaultPlan,
-        ctx: &[u64; 4],
-    ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
-        let _ = (engine, settles, plan, calibration, seed, faults, ctx);
-        Err(Error::ChannelShapeMismatch {
-            channel: self.name().to_string(),
-            expected: "a channel aimed on settle times",
-        })
-    }
 
     /// Folds the golden acquisitions into the channel's population
     /// reference.
@@ -295,14 +363,13 @@ impl Channel for TraceChannel {
     fn acquire(
         &self,
         _engine: &Engine,
-        device: &ProgrammedDevice<'_>,
-        plan: &CampaignPlan,
+        die: &DieReading<'_>,
         _calibration: &Calibration,
         seed: u64,
         _faults: &FaultPlan,
         _ctx: &[u64; 4],
     ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
-        let trace = device.acquire_trace(self.chain, &plan.pt, &plan.key, seed)?;
+        let trace = die.trace(self.chain, seed)?;
         Ok(Some((Acquisition::Trace(trace), RepHealth::default())))
     }
 
@@ -401,39 +468,27 @@ impl Channel for DelayChannel {
     fn acquire(
         &self,
         engine: &Engine,
-        device: &ProgrammedDevice<'_>,
-        plan: &CampaignPlan,
+        die: &DieReading<'_>,
         calibration: &Calibration,
         seed: u64,
         faults: &FaultPlan,
         ctx: &[u64; 4],
     ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
+        let plan = die.plan();
         check_delay_plan(plan)?;
         let params = calibration.glitch(self.name())?;
-        let campaign = plan.delay_campaign();
-        Ok(
-            measure_matrix_faulted(engine, device, &campaign, params, seed, faults, ctx)?
-                .map(|(matrix, reps)| (Acquisition::Matrix(matrix), reps)),
+        let settles = die.settles(engine)?;
+        Ok(sweep_matrix_faulted(
+            engine,
+            settles,
+            plan.repetitions,
+            plan.seed,
+            params,
+            seed,
+            faults,
+            ctx,
         )
-    }
-
-    fn acquire_settled(
-        &self,
-        engine: &Engine,
-        settles: &DieSettles,
-        plan: &CampaignPlan,
-        calibration: &Calibration,
-        seed: u64,
-        faults: &FaultPlan,
-        ctx: &[u64; 4],
-    ) -> Result<Option<(Acquisition, RepHealth)>, Error> {
-        check_delay_plan(plan)?;
-        let params = calibration.glitch(self.name())?;
-        let campaign = plan.delay_campaign();
-        Ok(
-            sweep_matrix_faulted(engine, settles, &campaign, params, seed, faults, ctx)
-                .map(|(matrix, reps)| (Acquisition::Matrix(matrix), reps)),
-        )
+        .map(|(matrix, reps)| (Acquisition::Matrix(matrix), reps)))
     }
 
     fn characterize_golden(

@@ -21,7 +21,6 @@
 //! results are bit-identical for every worker count.
 
 use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,12 +128,11 @@ fn rep_noise_seed(campaign_seed: u64, noise_salt: u64, pair_idx: usize, rep: usi
 /// `params`. `noise_salt` decorrelates the `dM` draws of independent
 /// characterisations (golden vs DUT runs — `r1` vs `r2` in Eqns. 2–3).
 ///
-/// The campaign fans in two stages: settle-time simulation per pair
-/// (through the device's settle cache), then one task per
-/// pair × repetition cell. Each cell's noise stream is a function of
-/// its indices, and repetitions are reduced to means by exact integer
-/// sums of onset steps, so the matrix is bit-identical for every worker
-/// count.
+/// The campaign fans in two stages: one settle read per pair
+/// ([`DieSettles::read`]), then one sweep task per pair × repetition
+/// cell. Each cell's noise stream is a function of its indices, and
+/// repetitions are reduced to means by exact integer sums of onset
+/// steps, so the matrix is bit-identical for every worker count.
 ///
 /// # Errors
 ///
@@ -146,52 +144,8 @@ pub fn measure_matrix_with(
     params: &GlitchParams,
     noise_salt: u64,
 ) -> Result<DelayMatrix, Error> {
-    match measure_matrix_faulted(
-        engine,
-        device,
-        campaign,
-        params,
-        noise_salt,
-        &FaultPlan::none(),
-        &[0; 4],
-    )? {
-        // With the no-fault plan every repetition survives.
-        Some((matrix, _)) => Ok(matrix),
-        None => unreachable!("the no-fault plan drops no repetitions"),
-    }
-}
-
-/// [`measure_matrix_with`] under a [`FaultPlan`]: each (pair, repetition)
-/// cell may be quarantined at [`FaultSite::Rep`], and the per-pair mean
-/// is taken over the surviving repetitions only. Returns `Ok(None)` when
-/// some pair loses *every* repetition — the whole acquisition attempt is
-/// unusable and the caller should re-acquire with a fresh seed.
-///
-/// `ctx` names the enclosing acquisition (channel, population, die,
-/// attempt); the pair and repetition indices are appended per cell, so
-/// the same plan quarantines the same cells at any worker count. Fed
-/// [`FaultPlan::none`], this is bit-identical to the historical
-/// fault-oblivious measurement.
-///
-/// The measurement is the device step [`DieSettles::read`] followed by
-/// the device-free [`sweep_matrix_faulted`].
-///
-/// # Errors
-///
-/// Propagates settle-time simulation failures.
-pub fn measure_matrix_faulted(
-    engine: &Engine,
-    device: &ProgrammedDevice<'_>,
-    campaign: &DelayCampaign,
-    params: &GlitchParams,
-    noise_salt: u64,
-    faults: &FaultPlan,
-    ctx: &[u64; 4],
-) -> Result<Option<(DelayMatrix, RepHealth)>, Error> {
     let settles = DieSettles::read(engine, device, &campaign.pairs)?;
-    Ok(sweep_matrix_faulted(
-        engine, &settles, campaign, params, noise_salt, faults, ctx,
-    ))
+    Ok(settles.sweep(engine, campaign, params, noise_salt))
 }
 
 /// What the glitch bench reads from one programmed die: the round-10
@@ -204,7 +158,7 @@ pub fn measure_matrix_faulted(
 pub struct DieSettles {
     /// `rows[pair][bit]`: the settle time in ps, `None` for a bit that
     /// did not toggle (it can never violate setup).
-    pub rows: Vec<Arc<Vec<Option<f64>>>>,
+    pub rows: Vec<Vec<Option<f64>>>,
     /// The die's register setup time, ps.
     pub setup_ps: f64,
     /// Standard deviation of the per-measurement noise `dM`, ps.
@@ -212,8 +166,8 @@ pub struct DieSettles {
 }
 
 impl DieSettles {
-    /// Reads the settle times of `pairs` from `device`: one task per pair
-    /// on `engine`, through the device's settle cache.
+    /// Reads the settle times of `pairs` from `device`: one settle
+    /// simulation per pair, one task each on `engine`.
     ///
     /// # Errors
     ///
@@ -224,9 +178,7 @@ impl DieSettles {
         pairs: &[([u8; 16], [u8; 16])],
     ) -> Result<Self, Error> {
         let rows = engine
-            .map(pairs, |_, (pt, key)| {
-                device.round10_settle_times_cached(pt, key)
-            })
+            .map(pairs, |_, (pt, key)| device.round10_settle_times(pt, key))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
         Ok(DieSettles {
@@ -235,17 +187,45 @@ impl DieSettles {
             noise_ps: device.annotation().measurement_noise_ps(),
         })
     }
+
+    /// The fault-free sweep of these settles under `campaign`'s
+    /// repetitions and seed.
+    fn sweep(
+        &self,
+        engine: &Engine,
+        campaign: &DelayCampaign,
+        params: &GlitchParams,
+        noise_salt: u64,
+    ) -> DelayMatrix {
+        let (reps, seed, none) = (campaign.repetitions, campaign.seed, FaultPlan::none());
+        match sweep_matrix_faulted(engine, self, reps, seed, params, noise_salt, &none, &[0; 4]) {
+            // With the no-fault plan every repetition survives.
+            Some((matrix, _)) => matrix,
+            None => unreachable!("the no-fault plan drops no repetitions"),
+        }
+    }
 }
 
-/// The device-free half of [`measure_matrix_faulted`]: the noisy glitch
-/// sweep over `settle + setup` of one die's already-read settle times,
-/// one task per pair × repetition cell, with the repetitions, noise
-/// streams and fault decisions of `campaign`, `noise_salt` and `ctx`.
-/// Returns `None` when some pair loses every repetition.
+/// The delay channel's acquisition: the noisy glitch sweep over
+/// `settle + setup` of one die's read settle times, one task per
+/// pair × repetition cell. `repetitions` and `campaign_seed` come from
+/// the campaign, `noise_salt` decorrelates independent measurements.
+///
+/// Each cell may be quarantined at [`FaultSite::Rep`], and the per-pair
+/// mean is taken over the surviving repetitions only. Returns `None`
+/// when some pair loses *every* repetition — the whole acquisition
+/// attempt is unusable and the caller should re-acquire with a fresh
+/// seed. `ctx` names the enclosing acquisition (channel, population,
+/// die, attempt); the pair and repetition indices are appended per
+/// cell, so the same plan quarantines the same cells at any worker
+/// count. Fed [`FaultPlan::none`], this is bit-identical to the
+/// historical fault-oblivious measurement.
+#[allow(clippy::too_many_arguments)]
 pub fn sweep_matrix_faulted(
     engine: &Engine,
     settles: &DieSettles,
-    campaign: &DelayCampaign,
+    repetitions: usize,
+    campaign_seed: u64,
     params: &GlitchParams,
     noise_salt: u64,
     faults: &FaultPlan,
@@ -261,7 +241,7 @@ pub fn sweep_matrix_faulted(
         .map(|row| row.iter().map(|s| s.map(|s| s + params.setup_ps)).collect())
         .collect();
     let pairs = required.len();
-    let reps = campaign.repetitions.max(1);
+    let reps = repetitions.max(1);
     // Every pair observes the same bits. Each (pair, repetition) cell
     // writes its onset ordinals (`steps` for `Never`, the sentinel's
     // value) into its own `bits`-wide slice of one buffer. `Relaxed`
@@ -281,7 +261,7 @@ pub fn sweep_matrix_faulted(
             return false;
         }
         let mut rng =
-            StdRng::seed_from_u64(rep_noise_seed(campaign.seed, noise_salt, pair_idx, rep));
+            StdRng::seed_from_u64(rep_noise_seed(campaign_seed, noise_salt, pair_idx, rep));
         let row = &onsets[cell * bits..(cell + 1) * bits];
         for (slot, base) in row.iter().zip(&required[pair_idx]) {
             let onset = base.map_or(FaultOnset::Never, |b| sweep.noisy_onset(b, &mut rng));
@@ -334,9 +314,8 @@ pub fn characterize_golden(
 
 /// [`characterize_golden`] on an explicit [`Engine`].
 ///
-/// The aiming pass runs through the device's settle cache, so the matrix
-/// measurement that follows re-uses every simulated settle instead of
-/// simulating the whole campaign a second time.
+/// The settles are read once: the sweep is aimed on them, then swept
+/// over them.
 ///
 /// # Errors
 ///
@@ -346,23 +325,13 @@ pub fn characterize_golden_with(
     device: &ProgrammedDevice<'_>,
     campaign: DelayCampaign,
 ) -> Result<GoldenDelayModel, Error> {
+    let settles = DieSettles::read(engine, device, &campaign.pairs)?;
     // Aim the sweep at the slowest observed path over all pairs.
-    let settles = engine
-        .map(&campaign.pairs, |_, (pt, key)| {
-            device.round10_settle_times_cached(pt, key)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut max_required: f64 = 0.0;
-    for per_pair in &settles {
-        for s in per_pair.iter().flatten() {
-            max_required = max_required.max(*s);
-        }
-    }
-    let tech_setup = device.annotation().setup_ps();
-    let noise = device.annotation().measurement_noise_ps();
-    let params = GlitchParams::paper_sweep(max_required + tech_setup, tech_setup, noise);
-    let matrix = measure_matrix_with(engine, device, &campaign, &params, 0)?;
+    let rows = settles.rows.iter().flatten();
+    let max_required = rows.flatten().fold(0.0f64, |max, &s| max.max(s));
+    let setup = settles.setup_ps;
+    let params = GlitchParams::paper_sweep(max_required + setup, setup, settles.noise_ps);
+    let matrix = settles.sweep(engine, &campaign, &params, 0);
     Ok(GoldenDelayModel {
         params,
         matrix,
@@ -555,7 +524,8 @@ mod tests {
     fn the_sweep_keeps_the_pinned_fan_task_and_settle_counters() {
         // Aim + measure a 3-pair × 5-rep golden, then examine 2 pairs of
         // a second device: one settle fan and one pairs × reps fan per
-        // matrix, one settle simulation per (device, pair).
+        // matrix, one settle simulation per (device, pair) — the golden's
+        // aim and sweep share one read.
         use crate::{Design, Lab};
         use htd_obs::Obs;
         let lab = Lab::paper();
@@ -573,10 +543,9 @@ mod tests {
         let counters: std::collections::BTreeMap<String, u64> =
             obs.snapshot().unwrap().counters.into_iter().collect();
         for (name, want) in [
-            ("engine.fans", 5),
-            ("engine.tasks", 33),
-            ("cache.settle.hit", 3),
-            ("cache.settle.miss", 5),
+            ("engine.fans", 4),
+            ("engine.tasks", 30),
+            ("span.timing.settle", 5),
         ] {
             assert_eq!(counters.get(name), Some(&want), "{name}");
         }

@@ -1,7 +1,6 @@
 //! Designs (golden / infected) and devices programmed with them.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use rand::rngs::StdRng;
@@ -15,15 +14,15 @@ use htd_em::{
 };
 use htd_fabric::{DieVariation, Placement};
 use htd_obs::Obs;
-use htd_timing::{CompiledSimulator, CompiledTiming, DelayAnnotation, EventSimulator, Sta};
+use htd_timing::{CompiledSimulator, CompiledTiming, DelayAnnotation, EventSimulator};
 use htd_trojan::{apply_coupling, insert, InsertedTrojan, TrojanSpec};
 
 use crate::em_detect::SideChannel;
 use crate::error::Error;
 use crate::Lab;
 
-/// Locks a cache mutex, recovering from poisoning. The caches hold pure
-/// memoised simulation results — a panicking holder can at worst leave a
+/// Locks a memo mutex, recovering from poisoning. The memos hold pure
+/// simulation results — a panicking holder can at worst leave a
 /// fully-written entry or none at all, never a torn value — so the data
 /// behind a poisoned lock is still valid and the campaign can continue.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -216,27 +215,25 @@ fn memoised(
     ))
 }
 
-/// Cache key for per-stimulus simulation results: the (plaintext, key)
-/// pair. The device itself pins the remaining key dimensions — a device
-/// *is* one (design, die) combination — so caching on the device realises
-/// the design × die × pair keying.
+/// Memo key for per-stimulus simulation results: the (plaintext, key)
+/// pair.
 type PairKey = ([u8; 16], [u8; 16]);
 
 /// The measurement chains, in the order every per-chain array of a
 /// device is indexed by (`SideChannel as usize`).
 const CHAINS: [SideChannel; 2] = [SideChannel::Em, SideChannel::Power];
 
-/// What the activity cache stores for one pair: the switching activity
-/// of one full timed encryption, already binned by the replay itself
-/// into the impulse train of every chain the device bins (the toggles
-/// are never stored), plus each chain's noise-free convolved signal,
-/// built from its train on the chain's first acquisition.
+/// The switching activity of one full timed encryption of one pair on
+/// one device, already binned by the replay itself into the impulse
+/// train of every chain the device bins (the toggles are never stored),
+/// plus each chain's noise-free convolved signal, built from its train
+/// on the chain's first read-out.
 #[derive(Debug)]
-struct PairActivity {
+pub(crate) struct PairActivity {
     /// Impulse train per chain; `None` for a chain the device does not
     /// bin.
     trains: [Option<ImpulseTrain>; 2],
-    /// Noise-free convolved signal per chain: acquisitions replay it
+    /// Noise-free convolved signal per chain: read-outs replay it
     /// through [`read_out`], paying only the noise/quantise pass.
     clean: [OnceLock<Vec<f64>>; 2],
 }
@@ -244,7 +241,7 @@ struct PairActivity {
 /// One measurement chain's per-device constants, pure functions of
 /// (design, die).
 #[derive(Debug, Default)]
-struct ChainCache {
+struct ChainConstants {
     /// Per-net `charge × coupling`: the probe coupling for the EM chain,
     /// 1 for the position-blind power chain.
     weights: OnceLock<Vec<f64>>,
@@ -253,48 +250,23 @@ struct ChainCache {
     kernel: OnceLock<Vec<f64>>,
 }
 
-/// Occupancy and hit counters of a device's simulation caches (see
-/// [`ProgrammedDevice::cache_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Distinct (plaintext, key) pairs with cached settle times.
-    pub settle_entries: usize,
-    /// Settle-time lookups answered from cache.
-    pub settle_hits: u64,
-    /// Settle-time lookups that had to simulate.
-    pub settle_misses: u64,
-    /// Distinct (plaintext, key) pairs with cached (binned) switching
-    /// activity.
-    pub activity_entries: usize,
-    /// Activity lookups answered from cache.
-    pub activity_hits: u64,
-    /// Activity lookups that had to simulate.
-    pub activity_misses: u64,
-    /// Cache lock acquisitions that recovered from a poisoned mutex.
-    /// Non-zero means a worker panicked while holding a cache lock and
-    /// the campaign silently continued on the (still valid) data.
-    pub poisoned: u64,
-}
-
 /// A [`Design`] programmed onto one fabricated die: delays annotated with
 /// that die's process variation and the trojan's parasitic coupling
 /// applied. This is the unit every measurement runs against.
 ///
-/// The device memoises its pure, expensive simulations per
-/// (plaintext, key) pair: round-10 settle times, and the full-encryption
-/// switching activity. The activity is kept in the only form the
-/// measurement chains read: each chain's binned impulse train (a few
-/// thousand samples), filled by the compiled replay as it delivers the
-/// toggles, and — once the chain is first acquired — its noise-free
-/// convolved signal. The ~86 k toggles of an encryption are never
-/// stored. All of it is a deterministic function of (design, die, pair)
-/// with no noise involved, so caching cannot change any measured value;
-/// it only removes duplicate work (e.g. across an acquisition's retries
-/// or the channels that share a chain's replay, or across the repeated
-/// acquisitions of an averaging study, which pay only the per-rep
-/// noise/quantise pass). The caches are internally locked, so one
-/// device can be shared across worker threads. A campaign keeps a
-/// device only while it measures that device's die.
+/// The device builds its per-die constants lazily, once each: the
+/// compiled timing tables, the per-net activity table, and every
+/// measurement chain's weights and front-end kernel. It holds no
+/// per-pair result: each [`Self::round10_settle_times`] simulates the
+/// settle cycle, and each [`Self::acquire_trace`] replays the whole
+/// encryption. The replay streams — it bins every emitting toggle
+/// straight into each chain's impulse train, so the ~86 k toggles of an
+/// encryption are never stored. Reuse across a die's channels and
+/// retries belongs to whoever measures the die: a campaign's die task
+/// reads the die once through a [`DieReading`](crate::channel::DieReading)
+/// (one replay and one settle read per pair) and hands that reading to
+/// every channel and attempt. A campaign keeps a device only while it
+/// measures that device's die.
 #[derive(Debug)]
 pub struct ProgrammedDevice<'a> {
     lab: &'a Lab,
@@ -306,18 +278,11 @@ pub struct ProgrammedDevice<'a> {
     compiled: OnceLock<CompiledTiming>,
     /// Per-net charge/position lookup, built once per (design, die).
     activity_table: OnceLock<ActivityTable>,
-    settle_cache: Mutex<HashMap<PairKey, Arc<Vec<Option<f64>>>>>,
-    activity_cache: Mutex<HashMap<PairKey, Arc<PairActivity>>>,
     /// One set of constants per measurement chain, indexed by
     /// [`SideChannel`].
-    chains: [ChainCache; 2],
+    chains: [ChainConstants; 2],
     /// Which chains the replay bins, indexed by [`SideChannel`].
     binned: [bool; 2],
-    settle_hits: AtomicU64,
-    settle_misses: AtomicU64,
-    activity_hits: AtomicU64,
-    activity_misses: AtomicU64,
-    cache_poisoned: AtomicU64,
     obs: Obs,
 }
 
@@ -327,10 +292,10 @@ impl<'a> ProgrammedDevice<'a> {
         Self::with_obs(lab, design, die, Obs::noop())
     }
 
-    /// [`Self::new`] with an observability handle: cache hits/misses and
-    /// poisoned-lock recoveries are mirrored into `obs` counters
-    /// (`cache.settle.hit`, `cache.activity.miss`, `cache.poisoned`, …)
-    /// so they surface in run manifests.
+    /// [`Self::new`] with an observability handle: every settle
+    /// simulation opens a `timing.settle` span and every activity replay
+    /// a `timing.replay` span, so run manifests count (and traces time)
+    /// each one.
     pub fn with_obs(lab: &'a Lab, design: &'a Design, die: &'a DieVariation, obs: Obs) -> Self {
         Self::with_chains(lab, design, die, obs, [true; 2])
     }
@@ -365,29 +330,10 @@ impl<'a> ProgrammedDevice<'a> {
             annotation,
             compiled: OnceLock::new(),
             activity_table: OnceLock::new(),
-            settle_cache: Mutex::new(HashMap::new()),
-            activity_cache: Mutex::new(HashMap::new()),
             chains: Default::default(),
             binned,
-            settle_hits: AtomicU64::new(0),
-            settle_misses: AtomicU64::new(0),
-            activity_hits: AtomicU64::new(0),
-            activity_misses: AtomicU64::new(0),
-            cache_poisoned: AtomicU64::new(0),
             obs,
         }
-    }
-
-    /// Locks one of the device's cache mutexes, counting poisoned-lock
-    /// recoveries: a recovery is safe (the memoised values are pure, see
-    /// [`lock_unpoisoned`]) but means a worker panicked mid-campaign, so
-    /// it must show up in manifests rather than pass silently.
-    fn lock_cache<'m, T>(&self, mutex: &'m Mutex<T>) -> MutexGuard<'m, T> {
-        if mutex.is_poisoned() {
-            self.cache_poisoned.fetch_add(1, Ordering::Relaxed);
-            self.obs.incr("cache.poisoned");
-        }
-        lock_unpoisoned(mutex)
     }
 
     /// The design loaded on this device.
@@ -450,6 +396,7 @@ impl<'a> ProgrammedDevice<'a> {
         pt: &[u8; 16],
         key: &[u8; 16],
     ) -> Result<Vec<Option<f64>>, Error> {
+        let _span = self.obs.span("timing.settle");
         let snapshot = self.design.round9_snapshot(pt, key)?;
         // The next edge launches round 9's result; during that cycle the
         // round-10 logic settles at the state D pins (see the timing-crate
@@ -474,51 +421,6 @@ impl<'a> ProgrammedDevice<'a> {
             .collect())
     }
 
-    /// [`Self::round10_settle_times`] through the device's settle-time
-    /// cache: the first request for a pair simulates and stores the
-    /// result; later requests (from any thread) return the stored
-    /// `Arc` without re-simulating.
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist validation failures (never cached).
-    pub fn round10_settle_times_cached(
-        &self,
-        pt: &[u8; 16],
-        key: &[u8; 16],
-    ) -> Result<Arc<Vec<Option<f64>>>, Error> {
-        let key_pair: PairKey = (*pt, *key);
-        if let Some(hit) = self.lock_cache(&self.settle_cache).get(&key_pair) {
-            self.settle_hits.fetch_add(1, Ordering::Relaxed);
-            self.obs.incr("cache.settle.hit");
-            return Ok(Arc::clone(hit));
-        }
-        self.settle_misses.fetch_add(1, Ordering::Relaxed);
-        self.obs.incr("cache.settle.miss");
-        // Simulate outside the lock; a concurrent duplicate computation of
-        // the same pure function is benign and both arrive at the same
-        // value.
-        let settles = Arc::new(self.round10_settle_times(pt, key)?);
-        self.lock_cache(&self.settle_cache)
-            .entry(key_pair)
-            .or_insert_with(|| Arc::clone(&settles));
-        Ok(settles)
-    }
-
-    /// Static-timing upper bound of the round path (used to aim sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Propagates levelization failures.
-    pub fn sta_min_period_ps(&self) -> Result<f64, Error> {
-        let sta = Sta::analyze(self.design.aes.netlist(), &self.annotation)?;
-        Ok(sta.min_period_ps(
-            self.design.aes.netlist(),
-            self.design.aes.state_d(),
-            &self.annotation,
-        ))
-    }
-
     /// Replays one full timed encryption on the compiled simulator and
     /// calls `visit(absolute time in ps, net index)` for every toggle of
     /// an emitting net, in delivery order. The absolute time is
@@ -530,6 +432,7 @@ impl<'a> ProgrammedDevice<'a> {
         key: &[u8; 16],
         mut visit: impl FnMut(f64, usize),
     ) -> Result<(), Error> {
+        let _span = self.obs.span("timing.replay");
         let snapshot = self.design.loaded_snapshot(pt, key)?;
         let mut esim = CompiledSimulator::from_snapshot(self.compiled_timing(), snapshot.to_vec());
         // The load strobe drops during cycle 0, so edge 1 already captures
@@ -576,7 +479,11 @@ impl<'a> ProgrammedDevice<'a> {
     /// in replay order, so each train is bit-identical to binning
     /// [`Self::timed_encryption_activity`] event by event, whichever
     /// other chains are binned alongside it.
-    fn binned_activity(&self, pt: &[u8; 16], key: &[u8; 16]) -> Result<PairActivity, Error> {
+    pub(crate) fn binned_activity(
+        &self,
+        pt: &[u8; 16],
+        key: &[u8; 16],
+    ) -> Result<PairActivity, Error> {
         let mut bins = CHAINS.map(|chain| {
             self.binned[chain as usize].then(|| {
                 let dt_ps = self.scope(chain).sample_period_ps;
@@ -600,29 +507,6 @@ impl<'a> ProgrammedDevice<'a> {
             trains: bins.map(|bin| bin.map(|(train, _)| train)),
             clean: Default::default(),
         })
-    }
-
-    /// [`Self::binned_activity`] through the device's activity cache
-    /// (see [`Self::round10_settle_times_cached`] for the policy).
-    fn binned_activity_cached(
-        &self,
-        pt: &[u8; 16],
-        key: &[u8; 16],
-    ) -> Result<Arc<PairActivity>, Error> {
-        let key_pair: PairKey = (*pt, *key);
-        if let Some(hit) = self.lock_cache(&self.activity_cache).get(&key_pair) {
-            self.activity_hits.fetch_add(1, Ordering::Relaxed);
-            self.obs.incr("cache.activity.hit");
-            return Ok(Arc::clone(hit));
-        }
-        self.activity_misses.fetch_add(1, Ordering::Relaxed);
-        self.obs.incr("cache.activity.miss");
-        let activity = Arc::new(self.binned_activity(pt, key)?);
-        Ok(Arc::clone(
-            self.lock_cache(&self.activity_cache)
-                .entry(key_pair)
-                .or_insert(activity),
-        ))
     }
 
     /// Runs one full timed encryption and returns the current events of
@@ -692,8 +576,8 @@ impl<'a> ProgrammedDevice<'a> {
     /// `chain`'s noise-free convolved signal for one pair's activity,
     /// convolving the chain's train on its first request. The
     /// `acquire.events.*` counters carry that train's binning accounting
-    /// and are recorded only then — exactly once per (pair, chain) per
-    /// device, regardless of worker count.
+    /// and are recorded only then — exactly once per (activity, chain),
+    /// regardless of worker count.
     fn clean_signal<'p>(
         &self,
         activity: &'p PairActivity,
@@ -727,30 +611,15 @@ impl<'a> ProgrammedDevice<'a> {
         }))
     }
 
-    /// Current occupancy and hit counts of the simulation caches.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            settle_entries: lock_unpoisoned(&self.settle_cache).len(),
-            settle_hits: self.settle_hits.load(Ordering::Relaxed),
-            settle_misses: self.settle_misses.load(Ordering::Relaxed),
-            activity_entries: lock_unpoisoned(&self.activity_cache).len(),
-            activity_hits: self.activity_hits.load(Ordering::Relaxed),
-            activity_misses: self.activity_misses.load(Ordering::Relaxed),
-            poisoned: self.cache_poisoned.load(Ordering::Relaxed),
-        }
-    }
-
     /// Acquires one averaged trace of one encryption (Section IV)
     /// through `chain`: the near-field EM probe or the global power
     /// baseline.
     ///
     /// `measure_seed` drives the acquisition noise (scope + installation);
     /// reusing a seed reproduces the exact trace, and each chain salts it
-    /// with its own constant. The noise-free convolved signal comes from
-    /// the activity cache (one lookup per call, hit or miss, so the
-    /// `cache.activity.*` counters count acquisitions), so repeated
-    /// acquisitions of the same pair pay only the per-rep
-    /// noise/quantise pass.
+    /// with its own constant. Every call replays the encryption; to read
+    /// one pair many times, replay it once
+    /// ([`DieReading::trace`](crate::channel::DieReading::trace)).
     ///
     /// # Errors
     ///
@@ -764,13 +633,29 @@ impl<'a> ProgrammedDevice<'a> {
         key: &[u8; 16],
         measure_seed: u64,
     ) -> Result<Trace, Error> {
+        self.read_trace(&self.binned_activity(pt, key)?, chain, measure_seed)
+    }
+
+    /// One averaged trace through `chain`, read out of a pair's replayed
+    /// `activity`: the noise/quantise pass over the chain's clean signal
+    /// (convolved on the chain's first read-out of that activity).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ChannelShapeMismatch`] for a chain the device does not
+    /// bin.
+    pub(crate) fn read_trace(
+        &self,
+        activity: &PairActivity,
+        chain: SideChannel,
+        measure_seed: u64,
+    ) -> Result<Trace, Error> {
         let (em, power) = (&self.lab.em, &self.lab.power);
         let (gain, jitter, salt) = match chain {
             SideChannel::Em => (em.gain, em.setup_gain_jitter, 0xE37A_11CE_55AA_0001),
             SideChannel::Power => (power.gain, power.setup_gain_jitter, 0x0F0F_5A5A_3C3C_0002),
         };
-        let activity = self.binned_activity_cached(pt, key)?;
-        let clean = self.clean_signal(&activity, chain)?;
+        let clean = self.clean_signal(activity, chain)?;
         let mut rng = StdRng::seed_from_u64(measure_seed ^ salt);
         Ok(read_out(
             clean,
@@ -800,6 +685,8 @@ impl<'a> ProgrammedDevice<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::DieReading;
+    use crate::CampaignPlan;
     use htd_aes::soft::Aes128;
 
     fn lab() -> Lab {
@@ -899,7 +786,10 @@ mod tests {
     }
 
     #[test]
-    fn caches_return_cold_results_and_count_hits() {
+    fn repeated_reads_reproduce_cold_ones() {
+        // The device keeps no per-pair result: a repeated settle read or
+        // acquisition simulates again and reproduces the first bit for
+        // bit, and so does a fresh device of the same (design, die).
         let lab = lab();
         let golden = Design::golden(&lab).unwrap();
         let die = lab.fabricate_die(3);
@@ -907,35 +797,26 @@ mod tests {
         let pt = [0x5Au8; 16];
         let key = [0xC3u8; 16];
 
-        let cold = dev.round10_settle_times(&pt, &key).unwrap();
-        let first = dev.round10_settle_times_cached(&pt, &key).unwrap();
-        let second = dev.round10_settle_times_cached(&pt, &key).unwrap();
-        assert_eq!(*first, cold);
-        assert!(Arc::ptr_eq(&first, &second));
+        let settles = dev.round10_settle_times(&pt, &key).unwrap();
+        assert_eq!(dev.round10_settle_times(&pt, &key).unwrap(), settles);
+        let trace = dev.acquire_em_trace(&pt, &key, 7).unwrap();
+        assert_eq!(dev.acquire_em_trace(&pt, &key, 7).unwrap(), trace);
+        let power = dev.acquire_trace(SideChannel::Power, &pt, &key, 7).unwrap();
 
-        // Every trace acquisition goes through the activity cache: the
-        // first simulates, the later ones (either chain) hit, and a warm
-        // acquisition reproduces the cold one.
-        let cold = dev.acquire_em_trace(&pt, &key, 7).unwrap();
-        let stats = dev.cache_stats();
-        assert_eq!(stats.settle_entries, 1);
-        assert_eq!(stats.settle_hits, 1);
-        assert_eq!(stats.activity_entries, 1);
-        assert_eq!(stats.activity_hits, 0);
-        assert_eq!(stats.activity_misses, 1);
-
-        let warm = dev.acquire_em_trace(&pt, &key, 7).unwrap();
-        assert_eq!(warm, cold);
-        dev.acquire_trace(SideChannel::Power, &pt, &key, 7).unwrap();
-        let stats = dev.cache_stats();
-        assert_eq!(stats.activity_entries, 1);
-        assert_eq!(stats.activity_hits, 2);
-        assert_eq!(stats.activity_misses, 1);
+        let fresh = ProgrammedDevice::new(&lab, &golden, &die);
+        assert_eq!(fresh.round10_settle_times(&pt, &key).unwrap(), settles);
+        assert_eq!(fresh.acquire_em_trace(&pt, &key, 7).unwrap(), trace);
+        assert_eq!(
+            fresh
+                .acquire_trace(SideChannel::Power, &pt, &key, 7)
+                .unwrap(),
+            power
+        );
     }
 
     #[test]
     fn poisoned_cache_locks_recover() {
-        // A panicking lock holder must not wedge the device caches: the
+        // A panicking lock holder must not wedge a design's memos: the
         // memoised values are pure, so the guard recovers the data.
         let cache: Mutex<HashMap<u32, u32>> = Mutex::new(HashMap::from([(1, 10)]));
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -946,41 +827,6 @@ mod tests {
         assert_eq!(lock_unpoisoned(&cache).get(&1), Some(&10));
         lock_unpoisoned(&cache).insert(2, 20);
         assert_eq!(lock_unpoisoned(&cache).len(), 2);
-    }
-
-    #[test]
-    fn poisoned_recoveries_are_counted_and_reported() {
-        let lab = lab();
-        let golden = Design::golden(&lab).unwrap();
-        let die = lab.fabricate_die(4);
-        let obs = Obs::recording();
-        let dev = ProgrammedDevice::with_obs(&lab, &golden, &die, obs.clone());
-        let pt = [0x6Bu8; 16];
-        let key = [0x0Du8; 16];
-        dev.round10_settle_times_cached(&pt, &key).unwrap();
-        assert_eq!(dev.cache_stats().poisoned, 0);
-
-        // Poison the settle cache the way a panicking worker would.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = dev.settle_cache.lock().unwrap();
-            panic!("poison the lock");
-        }));
-        assert!(dev.settle_cache.is_poisoned());
-
-        // The lookup still answers from the recovered cache, and every
-        // recovering lock acquisition is counted (once for this hit).
-        let again = dev.round10_settle_times_cached(&pt, &key).unwrap();
-        assert!(!again.is_empty());
-        let stats = dev.cache_stats();
-        assert_eq!(stats.poisoned, 1);
-        assert_eq!(stats.settle_hits, 1);
-        assert_eq!(stats.settle_misses, 1);
-
-        let counters: std::collections::BTreeMap<String, u64> =
-            obs.snapshot().unwrap().counters.into_iter().collect();
-        assert_eq!(counters.get("cache.poisoned"), Some(&1));
-        assert_eq!(counters.get("cache.settle.hit"), Some(&1));
-        assert_eq!(counters.get("cache.settle.miss"), Some(&1));
     }
 
     #[test]
@@ -1012,7 +858,7 @@ mod tests {
 
     #[test]
     fn cached_clean_signal_reproduces_the_event_level_chain_bit_for_bit() {
-        // An acquisition through the clean-signal cache must equal the
+        // An acquisition through the convolved clean signal must equal the
         // full per-event chain (EmSetup::acquire / PowerSetup::acquire
         // over the reference activity) with the same derived RNG seed.
         let lab = lab();
@@ -1075,18 +921,21 @@ mod tests {
         let die = lab.fabricate_die(8);
         let obs = Obs::recording();
         let dev = ProgrammedDevice::with_obs(&lab, &golden, &die, obs.clone());
-        let pt = [0x10u8; 16];
-        let key = [0x20u8; 16];
-        // Three EM reps + one power rep: the events are binned once per
-        // chain (EM and power share the activity but convolve their own
-        // kernels), never per rep.
+        let plan = CampaignPlan::traces(1, [0x10u8; 16], [0x20u8; 16], 0);
+        // Three EM reps + one power rep out of one die reading: one
+        // replay, whose events are binned once per chain (EM and power
+        // share the activity but convolve their own kernels), never per
+        // rep.
+        let reading = DieReading::new(&dev, &plan);
         for seed in 0..3 {
-            dev.acquire_em_trace(&pt, &key, seed).unwrap();
+            reading.trace(SideChannel::Em, seed).unwrap();
         }
-        dev.acquire_trace(SideChannel::Power, &pt, &key, 0).unwrap();
-        let events = dev.timed_encryption_activity(&pt, &key).unwrap();
+        reading.trace(SideChannel::Power, 0).unwrap();
         let counters: std::collections::BTreeMap<String, u64> =
             obs.snapshot().unwrap().counters.into_iter().collect();
+        let events = ProgrammedDevice::new(&lab, &golden, &die)
+            .timed_encryption_activity(&plan.pt, &plan.key)
+            .unwrap();
         assert_eq!(
             counters.get("acquire.events.binned").copied().unwrap_or(0)
                 + counters.get("acquire.events.dropped").copied().unwrap_or(0),
@@ -1096,9 +945,7 @@ mod tests {
         // window, so nothing is dropped — but the counter still appears
         // (explicitly zero) so manifests always carry it.
         assert_eq!(counters.get("acquire.events.dropped"), Some(&0));
-        // One activity miss (first EM rep), then three hits.
-        assert_eq!(counters.get("cache.activity.miss"), Some(&1));
-        assert_eq!(counters.get("cache.activity.hit"), Some(&3));
+        assert_eq!(counters.get("span.timing.replay"), Some(&1));
     }
 
     #[test]
@@ -1118,8 +965,8 @@ mod tests {
         for (i, (a, b)) in got.samples().iter().zip(want.samples()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "sample {i}");
         }
-        // The cached pair activity holds the EM train only.
-        let activity = em_only.binned_activity_cached(&pt, &key).unwrap();
+        // The replayed pair activity holds the EM train only.
+        let activity = em_only.binned_activity(&pt, &key).unwrap();
         assert!(activity.trains[SideChannel::Em as usize].is_some());
         assert!(activity.trains[SideChannel::Power as usize].is_none());
         assert!(matches!(

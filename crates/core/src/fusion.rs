@@ -25,8 +25,10 @@
 //! the [`Reference`] implementations.
 //!
 //! Both halves are **die-major**: the engine fans a population out over
-//! its dies, and each die's task programs the design onto the die, runs
-//! every channel's acquisitions on it (retries included), keeps only the
+//! its dies, and each die's task programs the design onto the die, reads
+//! it once ([`DieReading`]: one activity replay for every trace channel,
+//! one settle read per pair for the delay channel), runs every channel's
+//! acquisitions on that reading (retries included), keeps only the
 //! per-channel rows — one [`Acquisition`] and its retry record per
 //! channel — and drops the device before its worker takes the next die.
 //! A campaign therefore holds at most `workers` programmed devices, and
@@ -60,7 +62,7 @@ use htd_trojan::TrojanSpec;
 
 use crate::campaign::CampaignPlan;
 use crate::channel::{
-    Acquisition, Calibration, Channel, DelayChannel, GoldenReference, TraceChannel,
+    Acquisition, Calibration, Channel, DelayChannel, DieReading, GoldenReference, TraceChannel,
 };
 use crate::delay_detect::DieSettles;
 use crate::engine::{retry, Attempt, Retried};
@@ -618,12 +620,12 @@ pub fn characterize_campaign(
 /// included — keeps only the per-channel rows, and drops the device
 /// before the worker takes its next die: the campaign holds at most
 /// `workers` programmed devices. A channel calibrated from the plan
-/// alone acquires on the device in that task; a channel [aimed on the
-/// lot's settle times](Channel::aims_on_settles) (the delay channel)
-/// reads the die's [`DieSettles`] there instead, is calibrated from all
-/// of them once every die is read, and then sweeps each die from its
-/// kept settles. No die is programmed twice and no settle is simulated
-/// twice.
+/// alone acquires from the die's [`DieReading`] in that task; a channel
+/// [aimed on the lot's settle times](Channel::aims_on_settles) (the
+/// delay channel) reads the die's [`DieSettles`] there instead, is
+/// calibrated from all of them once every die is read, and then sweeps
+/// each die from its kept settles. No die is programmed twice, replayed
+/// twice or read for settles twice.
 ///
 /// Calibrations that diverge and acquisitions that fail are retried up
 /// to the campaign's budget with fresh index-derived seeds; with
@@ -665,17 +667,7 @@ pub fn characterize<R: Reference>(
             what: "channel list",
         });
     }
-    for (c, channel) in channels.iter().enumerate() {
-        if channels[..c]
-            .iter()
-            .any(|seen| seen.name() == channel.name())
-        {
-            return Err(Error::ChannelShapeMismatch {
-                channel: channel.name().to_string(),
-                expected: "distinct channel names",
-            });
-        }
-    }
+    check_distinct_names(channels.iter().map(|channel| channel.name()))?;
     if plan.n_dies < need {
         return Err(Error::NotEnoughDies {
             got: plan.n_dies,
@@ -725,6 +717,10 @@ pub fn characterize<R: Reference>(
             Fate::Aimed(attempts) => {
                 let settles = take_column(&mut rows, c, *channel, Step::settled)?;
                 let calibration = channel.calibrate(plan, &settles)?;
+                let readings: Vec<DieReading<'_>> = settles
+                    .into_iter()
+                    .map(|settles| DieReading::settled(plan, settles))
+                    .collect();
                 let _span = engine.obs().span(&format!("acquire.{}", channel.name()));
                 let inner = engine.serial_like();
                 let outcomes =
@@ -735,10 +731,9 @@ pub fn characterize<R: Reference>(
                             [c, j, attempt],
                             plan.die_seed(j),
                             |seed, ctx| {
-                                channel.acquire_settled(
+                                channel.acquire(
                                     &inner,
-                                    &settles[j],
-                                    plan,
+                                    &readings[j],
                                     &calibration,
                                     seed,
                                     faults,
@@ -900,8 +895,9 @@ struct DiePass<'p> {
 }
 
 impl DiePass<'_> {
-    /// Programs die `j`, runs every channel's job on it in channel order,
-    /// and drops the device. `seed` is the die's measurement seed. A
+    /// Programs die `j`, runs every channel's job on it in channel order
+    /// from one [`DieReading`] of it, and drops the device. `seed` is the
+    /// die's measurement seed. A
     /// failure — or an exhausted acquisition under the strict policy —
     /// skips the die's remaining channels: the campaign's error is then
     /// decided by that channel or an earlier one.
@@ -918,6 +914,7 @@ impl DiePass<'_> {
             let _span = obs.span("program");
             ProgrammedDevice::with_chains(self.lab, self.design, &die, obs.clone(), binned)
         };
+        let reading = DieReading::new(&device, self.plan);
         let inner = engine.serial_like();
         let mut stopped = false;
         let mut steps = Vec::with_capacity(self.jobs.len());
@@ -927,7 +924,7 @@ impl DiePass<'_> {
                 None => Ok(Step::Skipped),
                 Some(Job::Settle) => {
                     let _span = obs.span(&format!("calibrate.{}", channel.name()));
-                    DieSettles::read(&inner, &device, &self.plan.pairs).map(Step::Settled)
+                    reading.settles(&inner).cloned().map(Step::Settled)
                 }
                 Some(Job::Acquire(calibration)) => {
                     let _span = obs.span(&format!("acquire.{}", channel.name()));
@@ -938,15 +935,7 @@ impl DiePass<'_> {
                             [c, j, attempt],
                             seed,
                             |seed, ctx| {
-                                channel.acquire(
-                                    &inner,
-                                    &device,
-                                    self.plan,
-                                    calibration,
-                                    seed,
-                                    faults,
-                                    ctx,
-                                )
+                                channel.acquire(&inner, &reading, calibration, seed, faults, ctx)
                             },
                         )
                     })
@@ -1087,6 +1076,21 @@ fn gather_population(
     })
 }
 
+/// Rejects a channel list that names one channel twice.
+fn check_distinct_names<'n>(names: impl Iterator<Item = &'n str>) -> Result<(), Error> {
+    let mut seen: Vec<&str> = Vec::new();
+    for name in names {
+        if seen.contains(&name) {
+            return Err(Error::ChannelShapeMismatch {
+                channel: name.to_string(),
+                expected: "distinct channel names",
+            });
+        }
+        seen.push(name);
+    }
+    Ok(())
+}
+
 /// Checks that the supplied channels match the stored channels
 /// one-to-one (same count, same names, same order).
 fn check_channels_match(
@@ -1117,9 +1121,10 @@ fn check_channels_match(
 ///
 /// # Errors
 ///
-/// [`Error::ChannelShapeMismatch`] below two channels or on mismatched
-/// population sizes; [`Error::DegeneratePopulation`] when a golden
-/// population has no spread.
+/// [`Error::ChannelShapeMismatch`] below two channels, on a repeated
+/// channel name or on mismatched population sizes;
+/// [`Error::DegeneratePopulation`] when a golden population has no
+/// spread.
 pub fn fuse_scored_channels(
     sets: &[ScoredChannel],
 ) -> Result<(Vec<ChannelResult>, ChannelResult), Error> {
@@ -1134,6 +1139,7 @@ pub fn fuse_scored_channels(
             expected: "at least two channels to fuse",
         });
     }
+    check_distinct_names(sets.iter().map(|set| set.channel.as_str()))?;
     let n_dies = first.golden.len();
     for set in sets {
         if set.golden.len() != n_dies || set.infected.len() != n_dies {
@@ -1777,6 +1783,13 @@ mod tests {
         assert!(matches!(
             fuse_scored_channels(std::slice::from_ref(&a)),
             Err(Error::ChannelShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            fuse_scored_channels(&[a.clone(), a.clone()]),
+            Err(Error::ChannelShapeMismatch {
+                expected: "distinct channel names",
+                ..
+            })
         ));
         let short = ScoredChannel {
             channel: "delay".into(),

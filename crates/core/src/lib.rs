@@ -9,10 +9,11 @@
 //! * [`Design`] — a placed golden or trojan-infected AES-128
 //!   (Section II), and [`ProgrammedDevice`] — a design loaded onto one
 //!   seeded virtual die, ready for timed simulation and side-channel
-//!   acquisition. A cold acquisition streams: one compiled replay per
-//!   (device, pair) bins every emitting toggle straight into each
-//!   measurement chain's impulse train, so the device caches a few
-//!   thousand samples per chain and pair, never the ~86 k toggles.
+//!   acquisition. An acquisition streams: its compiled replay bins every
+//!   emitting toggle straight into each measurement chain's impulse
+//!   train (a few thousand samples per chain), never storing the ~86 k
+//!   toggles. The device holds only per-die constants, no per-pair
+//!   result.
 //! * [`delay_detect`] — Section III: the clock-glitch delay fingerprint.
 //!   A [`GoldenDelayModel`](delay_detect::GoldenDelayModel) characterises
 //!   the golden device per (plaintext, key) pair; the
@@ -37,11 +38,12 @@
 //! * [`engine`] — the deterministic measurement engine: it fans pairs,
 //!   repetitions and dies across a worker pool. Results are
 //!   **bit-identical for every worker count** (noise streams derive from
-//!   item indices, never from scheduling), and each
-//!   [`ProgrammedDevice`]'s settle-time and binned-activity caches
-//!   remove duplicate simulation between a die's channels and retries.
-//!   Campaigns fan out over dies and drop each device once its die is
-//!   measured, so they hold at most one device per worker.
+//!   item indices, never from scheduling). Campaigns fan out over dies:
+//!   each die task reads its die once through a
+//!   [`DieReading`](channel::DieReading) — one activity replay shared by
+//!   the EM and power channels, one settle read per pair shared by the
+//!   delay channel's attempts — and drops the device once its die is
+//!   measured, so a campaign holds at most one device per worker.
 //! * [`report`] — plain-text table rendering shared by the benches.
 //!
 //! Every fallible API returns the unified [`Error`]; library code never
@@ -86,7 +88,7 @@ pub mod report;
 pub mod resilience;
 
 pub use campaign::CampaignPlan;
-pub use design::{CacheStats, Design, ProgrammedDevice};
+pub use design::{Design, ProgrammedDevice};
 pub use engine::Engine;
 pub use error::Error;
 pub use lab::Lab;
@@ -94,7 +96,7 @@ pub use netlist_io::{load_netlist, save_netlist};
 
 /// Convenient re-exports of the whole suite's primary types.
 pub mod prelude {
-    pub use crate::channel::{Channel, ChannelSpec, DelayChannel, TraceChannel};
+    pub use crate::channel::{Channel, ChannelSpec, DelayChannel, DieReading, TraceChannel};
     pub use crate::delay_detect::{DelayDetector, DelayEvidence, GoldenDelayModel};
     pub use crate::em_detect::{EmDetector, EmGoldenModel, FnRateReport, SideChannel, TraceMetric};
     pub use crate::fusion::{

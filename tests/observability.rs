@@ -9,8 +9,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use htd_core::campaign::CampaignPlan;
-use htd_core::channel::{Channel, ChannelSpec};
-use htd_core::em_detect::TraceMetric;
+use htd_core::channel::{Channel, ChannelSpec, DelayChannel, TraceChannel};
+use htd_core::em_detect::{SideChannel, TraceMetric};
 use htd_core::fusion::{characterize, score, Campaign, GoldenCharacterization};
 use htd_core::resilience::RetryPolicy;
 use htd_core::{Engine, Lab};
@@ -130,7 +130,7 @@ fn library_counters_are_worker_invariant() {
         assert_eq!(report1, report, "report differs at {workers} workers");
     }
 
-    // The run is non-trivial: fan/task accounting, spans, cache traffic
+    // The run is non-trivial: fan/task accounting, spans, settle reads
     // and retry bookkeeping all registered.
     let get = |name: &str| {
         counters1
@@ -143,8 +143,8 @@ fn library_counters_are_worker_invariant() {
     assert!(get("engine.tasks") > get("engine.fans"));
     assert_eq!(get("span.characterize"), 1);
     assert_eq!(get("span.score"), 1);
-    assert!(get("cache.settle.miss") > 0);
-    // Event-binning accounting: every activity miss feeds the binning
+    assert!(get("span.timing.settle") > 0);
+    // Event-binning accounting: every activity replay feeds the binning
     // kernel exactly once per (pair, chain), so the counters are
     // worker-invariant (checked above) and non-trivial; nothing in this
     // campaign's activity lies outside the acquisition window.
@@ -168,6 +168,94 @@ fn library_counters_are_worker_invariant() {
     // A noop observer produces the identical report: observation is free
     // of semantic effect.
     assert_eq!(&campaign(&Engine::with_workers(2)), report1);
+}
+
+/// The counters `obs` recorded, by name.
+fn counters_of(obs: &Obs) -> std::collections::BTreeMap<String, u64> {
+    obs.snapshot()
+        .expect("recording obs snapshots")
+        .counters
+        .into_iter()
+        .collect()
+}
+
+/// A die task reads its die once: the EM and power channels read out of
+/// one activity replay per die, and the delay channel sweeps one settle
+/// read per (die, pair), so a characterization plus one suspect counts
+/// dies × designs replays at any worker count.
+#[test]
+fn a_die_task_replays_its_die_once_for_every_trace_channel() {
+    let lab = Lab::paper();
+    let plan = CampaignPlan::with_random_pairs(3, 2, 1, [0x5E; 16], [0xA1; 16], 9);
+    let em = TraceChannel::new(SideChannel::Em, TraceMetric::SumOfLocalMaxima);
+    let power = TraceChannel::new(SideChannel::Power, TraceMetric::SumOfLocalMaxima);
+    let channels: [&dyn Channel; 3] = [&em, &power, &DelayChannel];
+    let (dies, designs, pairs) = (3, 2, 2);
+    for workers in [1, 2] {
+        let obs = Obs::recording();
+        let campaign = Campaign::with_engine(Engine::with_workers(workers).with_obs(obs.clone()));
+        let charac: GoldenCharacterization =
+            characterize(&campaign, &lab, &plan, &channels).expect("characterize completes");
+        score(
+            &campaign,
+            &lab,
+            &charac,
+            &[TrojanSpec::ht2()],
+            &channels,
+            None,
+        )
+        .expect("score completes");
+        let counters = counters_of(&obs);
+        assert_eq!(
+            counters["span.timing.replay"],
+            dies * designs,
+            "{workers} workers"
+        );
+        assert_eq!(
+            counters["span.timing.settle"],
+            dies * designs * pairs,
+            "{workers} workers"
+        );
+    }
+}
+
+/// Dropped repetitions: an attempt that loses every repetition of a
+/// pair is retried on the same die reading, so scoring reads each
+/// (die, pair) once however many attempts the die takes.
+#[test]
+fn delay_retries_sweep_the_settles_their_die_task_read_once() {
+    let lab = Lab::paper();
+    let plan = CampaignPlan::with_random_pairs(4, 2, 1, [0x5E; 16], [0xA1; 16], 9);
+    let channels: [&dyn Channel; 1] = [&DelayChannel];
+    let charac: GoldenCharacterization =
+        characterize(&Campaign::default(), &lab, &plan, &channels).expect("characterize completes");
+    let faults = FaultPlan {
+        seed: 3,
+        acquire_rate: 0.0,
+        rep_rate: 0.5,
+        calibrate_rate: 0.0,
+        store_rate: 0.0,
+    };
+    for workers in [1, 2] {
+        let obs = Obs::recording();
+        let campaign = Campaign {
+            engine: Engine::with_workers(workers).with_obs(obs.clone()),
+            faults: faults.clone(),
+            policy: RetryPolicy::degraded(8),
+        };
+        score(
+            &campaign,
+            &lab,
+            &charac,
+            &[TrojanSpec::ht2()],
+            &channels,
+            None,
+        )
+        .expect("score completes");
+        let counters = counters_of(&obs);
+        assert!(counters["retry.acquire"] > 0, "{counters:?}");
+        assert_eq!(counters["span.timing.settle"], 4 * 2, "{workers} workers");
+    }
 }
 
 /// Reference-free mode is worker-invariant too: the same faulted
@@ -438,7 +526,8 @@ fn cli_manifest_counters_are_bit_identical_across_worker_counts() {
     std::fs::remove_dir_all(&dir).ok();
 
     // Schema/taxonomy stability: the committed fixture's counter section
-    // matches a fresh run of the same campaign bit for bit.
+    // and tool identity match a fresh run of the same campaign bit for
+    // bit, so a stale features list fails here too.
     let pinned = std::fs::read_to_string(fixture_dir().join("run_manifest.json"))
         .expect("missing tests/fixtures/run_manifest.json; run the regenerate test below");
     let pinned = RunManifest::parse(&pinned).expect("fixture parses strictly");
@@ -448,6 +537,12 @@ fn cli_manifest_counters_are_bit_identical_across_worker_counts() {
         "counter taxonomy drifted from tests/fixtures/run_manifest.json"
     );
     assert_eq!(pinned.plan_digest, first.plan_digest);
+    assert_eq!(pinned.tool.name, first.tool.name);
+    assert_eq!(pinned.tool.format_version, first.tool.format_version);
+    assert_eq!(
+        pinned.tool.features, first.tool.features,
+        "tool.features drifted from tests/fixtures/run_manifest.json"
+    );
 }
 
 /// Serve-level counter determinism: the manifest a shutdown `htd serve`
