@@ -6,9 +6,11 @@
 #   3. every runnable example,
 #   4. an `htd` CLI smoke run (characterize -> score -> report -> diff),
 #   5. the standalone benchmark package's build and tests,
-#   6. clippy with warnings denied,
-#   7. rustfmt check,
-#   8. rustdoc with warnings denied.
+#   6. the oracle isolation check (no reference oracle in what `htd`
+#      links),
+#   7. clippy with warnings denied,
+#   8. rustfmt check,
+#   9. rustdoc with warnings denied.
 # The build is fully offline: the three external dependencies (rand,
 # proptest, criterion) are vendored API shims under vendor/.
 set -eu
@@ -217,11 +219,26 @@ echo "==> benchmark package (build + tests)"
 # here catches an API break before the next benchmark run does.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> oracle isolation"
+# The reference oracles live in the dev-only htd-oracle crate: nothing in
+# `htd`'s normal dependency tree may depend on it, and no other library
+# crate may ship an item hidden from its docs (the old way of shipping
+# an oracle inside a product crate).
+HTD_TREE=$(cargo tree --offline -e normal -p htd-cli --prefix none)
+if printf '%s\n' "$HTD_TREE" | grep -q '^htd-oracle '; then
+    echo "htd-oracle is in htd's normal dependency tree"
+    exit 1
+fi
+if grep -rn 'doc(hidden)' crates/*/src | grep -v '^crates/oracle/'; then
+    echo "a library crate outside crates/oracle ships a #[doc(hidden)] item"
+    exit 1
+fi
+
 echo "==> cargo clippy -- -D warnings"
 # The crates this tier touches are linted explicitly first (fast,
 # focused diagnostics), then the whole workspace with every target.
 cargo clippy -p htd-netlist -p htd-em -p htd-trojan -p htd-serve -p htd-obs \
-    -p htd-par -p htd-core -p htd-stats -p htd-store -p htd-cli -- -D warnings
+    -p htd-par -p htd-core -p htd-stats -p htd-store -p htd-cli -p htd-oracle -- -D warnings
 cargo clippy --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"

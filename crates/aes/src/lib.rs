@@ -1,8 +1,8 @@
 //! AES-128 for the `htd` trojan-detection suite, at two levels of
 //! abstraction:
 //!
-//! * [`soft`] — a behavioural implementation (encrypt / decrypt / key
-//!   schedule / per-round state taps), verified against the FIPS-197
+//! * [`soft`] — a behavioural implementation (encrypt / key schedule /
+//!   per-round state taps), verified against the FIPS-197
 //!   vectors. This is the functional reference.
 //! * [`structural`] — a generator that elaborates the same iterative
 //!   AES-128 into a LUT6-mapped [`htd_netlist::Netlist`]: one round per
@@ -32,7 +32,5 @@
 pub mod sbox;
 pub mod soft;
 pub mod structural;
-pub mod structural_dec;
 
 pub use structural::AesNetlist;
-pub use structural_dec::AesDecryptNetlist;

@@ -5,7 +5,7 @@
 //! `s[r][c]` with `i = r + 4c` — i.e. input/output byte order *is* state
 //! order, as in FIPS-197.
 
-use crate::sbox::{gf_mul, INV_SBOX, RCON, SBOX};
+use crate::sbox::{gf_mul, RCON, SBOX};
 
 /// An expanded AES-128 key (11 round keys) plus the block operations.
 ///
@@ -24,7 +24,6 @@ use crate::sbox::{gf_mul, INV_SBOX, RCON, SBOX};
 /// let aes = Aes128::new(&key);
 /// let ct = aes.encrypt_block(&pt);
 /// assert_eq!(ct[..4], [0x39, 0x25, 0x84, 0x1d]);
-/// assert_eq!(aes.decrypt_block(&ct), pt);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes128 {
@@ -80,20 +79,6 @@ impl Aes128 {
         }
         xor16(&s, &self.round_keys[r])
     }
-
-    /// Decrypts one block.
-    pub fn decrypt_block(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
-        let mut state = xor16(ciphertext, &self.round_keys[10]);
-        for r in (1..11).rev() {
-            state = inv_shift_rows(&state);
-            state = inv_sub_bytes(&state);
-            state = xor16(&state, &self.round_keys[r - 1]);
-            if r != 1 {
-                state = inv_mix_columns(&state);
-            }
-        }
-        state
-    }
 }
 
 fn next_round_key(prev: &[u8; 16], rcon: u8) -> [u8; 16] {
@@ -130,10 +115,6 @@ pub fn sub_bytes(state: &[u8; 16]) -> [u8; 16] {
     state.map(|b| SBOX[b as usize])
 }
 
-fn inv_sub_bytes(state: &[u8; 16]) -> [u8; 16] {
-    state.map(|b| INV_SBOX[b as usize])
-}
-
 /// ShiftRows: row `r` of the state rotates left by `r`.
 /// With flat indexing `i = r + 4c`: `out[r + 4c] = in[r + 4((c + r) % 4)]`.
 pub fn shift_rows(state: &[u8; 16]) -> [u8; 16] {
@@ -141,16 +122,6 @@ pub fn shift_rows(state: &[u8; 16]) -> [u8; 16] {
     for r in 0..4 {
         for c in 0..4 {
             out[r + 4 * c] = state[r + 4 * ((c + r) % 4)];
-        }
-    }
-    out
-}
-
-fn inv_shift_rows(state: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    for r in 0..4 {
-        for c in 0..4 {
-            out[r + 4 * ((c + r) % 4)] = state[r + 4 * c];
         }
     }
     out
@@ -165,22 +136,6 @@ pub fn mix_columns(state: &[u8; 16]) -> [u8; 16] {
         out[4 * c + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
         out[4 * c + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
         out[4 * c + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
-    }
-    out
-}
-
-fn inv_mix_columns(state: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    for c in 0..4 {
-        let col = &state[4 * c..4 * c + 4];
-        out[4 * c] =
-            gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-        out[4 * c + 1] =
-            gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-        out[4 * c + 2] =
-            gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-        out[4 * c + 3] =
-            gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
     }
     out
 }
@@ -226,22 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn decrypt_inverts_encrypt() {
-        let aes = Aes128::new(&hex16("000102030405060708090a0b0c0d0e0f"));
-        let mut pt = [0u8; 16];
-        for trial in 0..50u8 {
-            for (i, b) in pt.iter_mut().enumerate() {
-                *b = b
-                    .wrapping_mul(31)
-                    .wrapping_add(trial ^ i as u8)
-                    .wrapping_add(7);
-            }
-            let ct = aes.encrypt_block(&pt);
-            assert_eq!(aes.decrypt_block(&ct), pt);
-        }
-    }
-
-    #[test]
     fn trace_round_states_match_fips_appendix_b() {
         // FIPS-197 Appendix B intermediate "Start of Round" values.
         let aes = Aes128::new(&hex16("2b7e151628aed2a6abf7158809cf4f3c"));
@@ -271,7 +210,6 @@ mod tests {
         assert_eq!(out[1], 5);
         // Row 3 rotates by 3: out[3] = in[3 + 4*3] = 15.
         assert_eq!(out[3], 15);
-        assert_eq!(inv_shift_rows(&out), s);
     }
 
     #[test]
@@ -284,7 +222,6 @@ mod tests {
         s[3] = 0x45;
         let out = mix_columns(&s);
         assert_eq!(&out[..4], &[0x8e, 0x4d, 0xa1, 0xbc]);
-        assert_eq!(inv_mix_columns(&out)[..4], s[..4]);
     }
 
     #[test]

@@ -360,33 +360,20 @@ impl AesNetlist {
     }
 }
 
-/// Emits a 40-LUT byte-substitution box for any 256-entry table: per
-/// output bit, four quadrant LUT6 plus a LUT6 4:1 mux on the two top input
-/// bits. Shared between the encryption (S-box) and decryption (inverse
-/// S-box) datapaths.
-pub(crate) fn table_sbox_bits(
-    nl: &mut Netlist,
-    input: &[NetId; 8],
-    table: &[u8; 256],
-    name: &str,
-) -> Result<[NetId; 8], NetlistError> {
+/// Emits the 40-LUT S-box: per output bit, four quadrant LUT6 plus a LUT6
+/// 4:1 mux on the two top input bits.
+fn sbox_bits(nl: &mut Netlist, input: &[NetId; 8], name: &str) -> Result<[NetId; 8], NetlistError> {
     let low: [NetId; 6] = core::array::from_fn(|i| input[i]);
     let mut out = [input[0]; 8];
     for (j, out_bit) in out.iter_mut().enumerate() {
         let mut lanes = [input[0]; 4];
         for (lane, lane_net) in lanes.iter_mut().enumerate() {
-            let mask =
-                LutMask::from_fn(6, move |r| (table[(lane << 6) | r as usize] >> j) & 1 == 1);
+            let mask = LutMask::from_fn(6, move |r| (SBOX[(lane << 6) | r as usize] >> j) & 1 == 1);
             *lane_net = nl.add_lut_named(&low, mask, format!("{name}.q{lane}b{j}"))?;
         }
         *out_bit = nl.mux4([input[6], input[7]], lanes);
     }
     Ok(out)
-}
-
-/// The forward S-box in LUTs (see [`table_sbox_bits`]).
-fn sbox_bits(nl: &mut Netlist, input: &[NetId; 8], name: &str) -> Result<[NetId; 8], NetlistError> {
-    table_sbox_bits(nl, input, &SBOX, name)
 }
 
 /// Source nets of bit `i` of `xtime(a)` (multiplication by 2 in GF(2⁸)):
@@ -462,12 +449,6 @@ impl<'a> AesSim<'a> {
             self.step_round();
         }
         self.state()
-    }
-
-    /// Escape hatch to the raw simulator (used by the timing and EM
-    /// engines, which need net-level access).
-    pub fn simulator_mut(&mut self) -> &mut Simulator<'a> {
-        &mut self.sim
     }
 
     /// Read-only access to the raw simulator.

@@ -4,6 +4,7 @@
 
 use htd_aes::soft::Aes128;
 use htd_aes::AesNetlist;
+use htd_oracle::OptimizeReference;
 
 #[test]
 fn optimized_aes_still_encrypts_correctly() {

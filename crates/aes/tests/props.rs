@@ -4,7 +4,6 @@ use std::sync::OnceLock;
 
 use htd_aes::soft::{mix_columns, shift_rows, sub_bytes, xor16, Aes128};
 use htd_aes::structural::{AesNetlist, AesSim};
-use htd_aes::structural_dec::{AesDecSim, AesDecryptNetlist};
 use proptest::prelude::*;
 
 fn shared_netlist() -> &'static AesNetlist {
@@ -12,20 +11,8 @@ fn shared_netlist() -> &'static AesNetlist {
     AES.get_or_init(|| AesNetlist::generate().expect("generates"))
 }
 
-fn shared_decryptor() -> &'static AesDecryptNetlist {
-    static DEC: OnceLock<AesDecryptNetlist> = OnceLock::new();
-    DEC.get_or_init(|| AesDecryptNetlist::generate().expect("generates"))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Decrypt inverts encrypt for arbitrary keys and blocks.
-    #[test]
-    fn soft_roundtrip(pt in any::<[u8; 16]>(), key in any::<[u8; 16]>()) {
-        let aes = Aes128::new(&key);
-        prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
-    }
 
     /// The structural netlist agrees with the behavioural reference on
     /// arbitrary (plaintext, key) pairs.
@@ -34,15 +21,6 @@ proptest! {
         let aes = shared_netlist();
         let mut sim = AesSim::new(aes).expect("simulates");
         prop_assert_eq!(sim.encrypt(&pt, &key), Aes128::new(&key).encrypt_block(&pt));
-    }
-
-    /// The structural decryptor inverts the behavioural cipher on
-    /// arbitrary blocks.
-    #[test]
-    fn structural_decryptor_matches_soft(ct in any::<[u8; 16]>(), key in any::<[u8; 16]>()) {
-        let dec = shared_decryptor();
-        let mut sim = AesDecSim::new(dec).expect("simulates");
-        prop_assert_eq!(sim.decrypt(&ct, &key), Aes128::new(&key).decrypt_block(&ct));
     }
 
     /// Avalanche: flipping one plaintext bit changes many ciphertext bits.

@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use htd_aes::structural::{AesNetlist, AesSim};
 use htd_bench::{lab, KEY, PT};
 use htd_core::{Design, ProgrammedDevice};
-use htd_timing::{DelayAnnotation, EventSimulator};
+use htd_oracle::EventSimulator;
+use htd_timing::DelayAnnotation;
 
 fn bench_generate(c: &mut Criterion) {
     c.bench_function("aes_netlist_generate", |b| {

@@ -730,6 +730,102 @@ fn repeated_suspects_and_grid_entries_are_rejected_before_any_measurement() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The learned-mode smoke: train on the zoo grid with the whole
+/// counter-trigger family held out, then score the paper's sequential
+/// counter trojan (an unseen family) through the model. The report's
+/// CSV must reproduce `tests/fixtures/learned_smoke.csv` byte for byte.
+#[test]
+fn a_held_out_learned_score_reproduces_the_pinned_csv() {
+    let dir = labdir("learned-smoke");
+    let campaign = ["--dies", "6", "--pairs", "2", "--reps", "2", "--seed", "42"];
+    let characterize = [
+        "characterize",
+        "--out",
+        "golden.htd",
+        "--channels",
+        "em,delay",
+    ];
+    let train = [
+        "train",
+        "--out",
+        "model.htd",
+        "--sizes",
+        "8,16",
+        "--kinds",
+        "comb,ctr,fsm",
+        "--holdout",
+        "ctr",
+        "--iterations",
+        "50",
+    ];
+    for verb in [&characterize[..], &train[..]] {
+        expect_success(&htd(&dir, &[verb, &campaign[..]].concat()));
+    }
+    expect_success(&htd(
+        &dir,
+        &[
+            "score",
+            "--golden",
+            "golden.htd",
+            "--model",
+            "model.htd",
+            "--trojans",
+            "ht-seq",
+            "--report",
+            "learned.htd",
+        ],
+    ));
+    let csv = expect_success(&htd(&dir, &["report", "learned.htd", "--csv"]));
+    let pinned = std::fs::read_to_string(fixture("learned_smoke.csv")).unwrap();
+    assert_eq!(csv, pinned, "learned CSV drifted from fixture");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The high-repetition smoke: a reference-free 4-die × 2-pair campaign
+/// at 256 repetitions pushes ~260 k draws through the glitch sweep; its
+/// `ht2` report must reproduce `tests/fixtures/reffree_reps256_report.htd`
+/// byte for byte.
+#[test]
+fn a_high_repetition_reference_free_report_reproduces_the_pinned_bytes() {
+    let dir = labdir("reps256");
+    expect_success(&htd(
+        &dir,
+        &[
+            "characterize",
+            "--out",
+            "reps256.htd",
+            "--mode",
+            "reference-free",
+            "--dies",
+            "4",
+            "--pairs",
+            "2",
+            "--reps",
+            "256",
+            "--seed",
+            "42",
+            "--channels",
+            "em,delay",
+        ],
+    ));
+    expect_success(&htd(
+        &dir,
+        &[
+            "score",
+            "--golden",
+            "reps256.htd",
+            "--trojans",
+            "ht2",
+            "--report",
+            "report.htd",
+        ],
+    ));
+    let stored = std::fs::read(dir.join("report.htd")).unwrap();
+    let pinned = std::fs::read(fixture("reffree_reps256_report.htd")).unwrap();
+    assert!(stored == pinned, "reps-256 report drifted from fixture");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `struct timeval` of the Linux 64-bit ABI.
 #[repr(C)]
 #[derive(Default)]

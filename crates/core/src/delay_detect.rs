@@ -368,31 +368,22 @@ impl DelayEvidence {
     }
 }
 
-/// The delay-based detector: a golden model plus a decision threshold.
+/// The delay-based detector: a golden model plus the decision threshold
+/// [`Self::DEFAULT_THRESHOLD_PS`].
 #[derive(Debug, Clone)]
 pub struct DelayDetector {
     golden: GoldenDelayModel,
-    threshold_ps: f64,
 }
 
 impl DelayDetector {
-    /// Default decision threshold: two glitch steps (70 ps). Clean-vs-clean
+    /// The decision threshold: two glitch steps (70 ps). Clean-vs-clean
     /// residue is bounded by the measurement noise over √repetitions,
     /// comfortably below it; HT-induced shifts (Fig. 3) are far above it.
     pub const DEFAULT_THRESHOLD_PS: f64 = 70.0;
 
     /// Builds a detector from a characterised golden model.
     pub fn new(golden: GoldenDelayModel) -> Self {
-        DelayDetector {
-            golden,
-            threshold_ps: Self::DEFAULT_THRESHOLD_PS,
-        }
-    }
-
-    /// Overrides the decision threshold.
-    pub fn with_threshold_ps(mut self, threshold_ps: f64) -> Self {
-        self.threshold_ps = threshold_ps;
-        self
+        DelayDetector { golden }
     }
 
     /// The golden model.
@@ -464,7 +455,7 @@ impl DelayDetector {
                     .enumerate()
                     .map(|(b, (d, g))| {
                         let diff = (d - g).abs() * step;
-                        if diff > self.threshold_ps {
+                        if diff > Self::DEFAULT_THRESHOLD_PS {
                             bit_flagged[b] = true;
                         }
                         max_diff = max_diff.max(diff);
@@ -478,7 +469,7 @@ impl DelayDetector {
             diff_ps,
             max_diff_ps: max_diff,
             flagged_bits,
-            threshold_ps: self.threshold_ps,
+            threshold_ps: Self::DEFAULT_THRESHOLD_PS,
             infected: flagged_bits > 0,
         })
     }

@@ -82,7 +82,6 @@ pub mod em_detect;
 pub mod engine;
 pub mod error;
 pub mod fusion;
-pub mod netlist_io;
 pub mod reffree;
 pub mod report;
 pub mod resilience;
@@ -92,7 +91,6 @@ pub use design::{Design, ProgrammedDevice};
 pub use engine::Engine;
 pub use error::Error;
 pub use lab::Lab;
-pub use netlist_io::{load_netlist, save_netlist};
 
 /// Convenient re-exports of the whole suite's primary types.
 pub mod prelude {

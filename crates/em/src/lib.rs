@@ -5,9 +5,9 @@
 //! 5 GS/s, with the device clocked at 24 MHz. The pipeline is physical at
 //! every stage:
 //!
-//! 1. [`collect_activity`] turns the timed toggle stream of one clock cycle
-//!    ([`htd_timing::TimedRun`]) into [`CurrentEvent`]s — per-toggle charge
-//!    injections at die positions, scaled by the die's process-variation
+//! 1. [`ActivityTable`] turns each toggle of a timed clock cycle
+//!    ([`htd_timing::TimedRun`]) into a charge injection at a die
+//!    position ([`CurrentEvent`]), scaled by the die's process-variation
 //!    current factors (this is where inter-die EM personality comes from).
 //! 2. [`Probe`] weights each event by its position coupling and rings with
 //!    a damped-sinusoid impulse response.
@@ -37,10 +37,10 @@ mod probe;
 pub mod scan;
 mod trace;
 
-pub use activity::{collect_activity, ActivityTable, CurrentEvent};
+pub use activity::{ActivityTable, CurrentEvent};
 pub use chain::{
-    acquire_with_reference, bin_events_indexed, convolve_kernel, read_out, AcquisitionParams,
-    BinStats, EmSetup, ImpulseTrain, Scope,
+    bin_events_indexed, convolve_kernel, read_out, AcquisitionParams, BinStats, EmSetup,
+    ImpulseTrain, Scope,
 };
 pub use power::PowerSetup;
 pub use probe::Probe;

@@ -140,7 +140,8 @@ proptest! {
 /// acquisition params and quantisation steps.
 mod kernel_pinning {
     use super::*;
-    use htd_em::{acquire_with_reference, BinStats, ImpulseTrain};
+    use htd_em::{BinStats, ImpulseTrain};
+    use htd_oracle::acquire_with_reference;
 
     /// Bins `events` (charge × `weight`) through a streaming train.
     fn train_of(

@@ -56,7 +56,6 @@
 
 pub mod builder;
 mod cell;
-mod dot;
 mod error;
 mod id;
 mod net;

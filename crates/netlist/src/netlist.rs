@@ -323,16 +323,6 @@ impl Netlist {
             .map(|(i, n)| (NetId(i as u32), n))
     }
 
-    /// Top-level input port cells, in declaration order.
-    pub fn input_cells(&self) -> &[CellId] {
-        &self.inputs
-    }
-
-    /// Top-level output port cells, in declaration order.
-    pub fn output_cells(&self) -> &[CellId] {
-        &self.outputs
-    }
-
     /// Nets driven by the top-level input ports, in declaration order.
     pub fn input_nets(&self) -> Vec<NetId> {
         self.inputs

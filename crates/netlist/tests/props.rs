@@ -122,6 +122,7 @@ fn simulation_is_deterministic() {
 
 mod opt_props {
     use htd_netlist::{LutMask, NetId, Netlist};
+    use htd_oracle::OptimizeReference;
     use proptest::prelude::*;
 
     #[derive(Debug, Clone)]

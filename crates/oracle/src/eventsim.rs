@@ -1,4 +1,5 @@
-//! Timed event-driven simulation (transport delays).
+//! Timed event-driven simulation (transport delays): the reference
+//! semantics `htd_timing::CompiledSimulator` is pinned to bit for bit.
 //!
 //! One [`EventSimulator::clock_cycle`] call replays a single clock period:
 //! flip-flop outputs switch at `clk2q`, changes ripple through the LUT
@@ -27,46 +28,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use htd_netlist::{CellKind, NetId, Netlist};
-
-use crate::DelayAnnotation;
-
-/// One net transition during a timed cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Toggle {
-    /// Sink-visible transition time within the cycle, ps (0 = clock edge).
-    pub time_ps: f64,
-    /// The switching net.
-    pub net: NetId,
-    /// The value after the transition.
-    pub new_value: bool,
-}
-
-/// Result of one timed clock cycle.
-#[derive(Debug, Clone)]
-pub struct TimedRun {
-    /// Per net: sink-visible time of the last transition this cycle, or
-    /// `f64::NEG_INFINITY` for nets that did not toggle.
-    pub last_transition_ps: Vec<f64>,
-    /// Every transition, in non-decreasing time order.
-    pub toggles: Vec<Toggle>,
-    /// Time of the final transition anywhere in the design, ps
-    /// (0.0 if nothing toggled).
-    pub settle_ps: f64,
-}
-
-impl TimedRun {
-    /// Settling time of `net` at its sinks (e.g. a flip-flop `D` pin) —
-    /// `None` if the net never toggled this cycle. Sink-visible times
-    /// already include the net's routed delay.
-    pub fn arrival_at_sinks_ps(&self, net: NetId, _delays: &DelayAnnotation) -> Option<f64> {
-        let t = self.last_transition_ps[net.index()];
-        if t == f64::NEG_INFINITY {
-            None
-        } else {
-            Some(t)
-        }
-    }
-}
+use htd_timing::{DelayAnnotation, TimedRun, Toggle};
 
 #[derive(Debug, Clone, Copy)]
 struct Event {

@@ -1,11 +1,12 @@
 //! Welch's unequal-variance t-test.
 //!
-//! Provided as the standard side-channel leakage-assessment baseline (TVLA
-//! style): the suite uses it to confirm, independently of the paper's
-//! sum-of-local-maxima metric, that genuine and infected trace populations
-//! differ significantly at points of interest.
+//! The standard side-channel leakage-assessment baseline (TVLA style):
+//! [`crate::ttest_compare`] uses it to confirm, independently of the
+//! paper's sum-of-local-maxima metric, that genuine and infected trace
+//! populations differ significantly at points of interest.
 
-use crate::StatsError;
+use htd_stats::descriptive::{mean, variance};
+use htd_stats::StatsError;
 
 /// Result of a Welch t-test between two sample sets.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,11 +39,8 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<WelchTest, StatsError> {
             need: 2,
         });
     }
-    let (ma, mb) = (crate::descriptive::mean(a), crate::descriptive::mean(b));
-    let (va, vb) = (
-        crate::descriptive::variance(a),
-        crate::descriptive::variance(b),
-    );
+    let (ma, mb) = (mean(a), mean(b));
+    let (va, vb) = (variance(a), variance(b));
     let (na, nb) = (a.len() as f64, b.len() as f64);
     let se2 = va / na + vb / nb;
     if se2 <= 0.0 {

@@ -42,7 +42,7 @@
 
 use std::io::{BufRead, Read};
 
-use htd_store::{fnv1a64, quote, unquote};
+use htd_store::{quote, unquote, verify_frame};
 
 /// Leading token of every frame's first line.
 pub const MAGIC: &str = "htdserve";
@@ -165,79 +165,18 @@ pub enum Response {
     },
 }
 
-/// Frames a body under a verb: header line, body, checksum trailer.
+/// Frames a body under a verb ([`htd_store::frame`] under [`MAGIC`] and
+/// [`PROTOCOL_VERSION`]).
 fn frame(verb: &str, body: &str) -> String {
-    let mut text = format!("{MAGIC} {PROTOCOL_VERSION} {verb}\n{body}");
-    let sum = fnv1a64(text.as_bytes());
-    text.push_str(&format!("checksum fnv1a64 {sum:016x}\n"));
-    text
+    htd_store::frame(MAGIC, PROTOCOL_VERSION, verb, body)
 }
 
-/// Verifies framing (trailing newline, checksum trailer, header
-/// magic/version) and returns the verb plus the body lines.
+/// Verifies framing ([`htd_store::verify_frame`]) and returns the verb
+/// plus the body lines.
 fn unframe(text: &str) -> Result<(&str, Vec<&str>), ProtocolError> {
-    if !text.ends_with('\n') {
-        return Err(ProtocolError::new(
-            0,
-            "truncated frame: missing trailing newline",
-        ));
-    }
-    let lines: Vec<&str> = text[..text.len() - 1].split('\n').collect();
-    let last_lineno = lines.len();
-    let Some((&trailer, head)) = lines.split_last() else {
-        return Err(ProtocolError::new(0, "empty frame"));
-    };
-    let declared = trailer
-        .strip_prefix("checksum fnv1a64 ")
-        .ok_or_else(|| ProtocolError::new(last_lineno, "missing `checksum fnv1a64` trailer"))?;
-    // Lowercase-only, like the store: a case flip in the (uncovered)
-    // trailer line must not go unnoticed.
-    let declared = (declared.len() == 16
-        && declared
-            .bytes()
-            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
-    .then(|| u64::from_str_radix(declared, 16).ok())
-    .flatten()
-    .ok_or_else(|| ProtocolError::new(last_lineno, "checksum must be 16 lowercase hex digits"))?;
-    let covered = &text[..text.len() - trailer.len() - 1];
-    let actual = fnv1a64(covered.as_bytes());
-    if actual != declared {
-        return Err(ProtocolError::new(
-            last_lineno,
-            format!(
-                "checksum mismatch: frame hashes to {actual:016x}, trailer says {declared:016x}"
-            ),
-        ));
-    }
-    let Some((&header, body)) = head.split_first() else {
-        return Err(ProtocolError::new(0, "frame has no header line"));
-    };
-    let mut words = header.split(' ');
-    if words.next() != Some(MAGIC) {
-        return Err(ProtocolError::new(
-            1,
-            format!("header must start `{MAGIC}`"),
-        ));
-    }
-    match words.next().and_then(|v| v.parse::<u32>().ok()) {
-        Some(PROTOCOL_VERSION) => {}
-        Some(other) => {
-            return Err(ProtocolError::new(
-                1,
-                format!(
-                    "unsupported protocol version {other} (this build speaks {PROTOCOL_VERSION})"
-                ),
-            ))
-        }
-        None => return Err(ProtocolError::new(1, "header carries no protocol version")),
-    }
-    let verb = words
-        .next()
-        .ok_or_else(|| ProtocolError::new(1, "header carries no verb"))?;
-    if words.next().is_some() {
-        return Err(ProtocolError::new(1, "trailing tokens after the verb"));
-    }
-    Ok((verb, body.to_vec()))
+    let (verb, body) = verify_frame(text, MAGIC, PROTOCOL_VERSION)
+        .map_err(|e| ProtocolError::new(e.line, e.message))?;
+    Ok((verb, body.split_terminator('\n').collect()))
 }
 
 /// A `key value-rest` body line split at the first space; errors when the

@@ -13,14 +13,11 @@
 //!   *sum-of-local-maxima* decision metric (Section V-B).
 //! * [`detection`] — two-Gaussian detection theory: Eq. (5) equal-error
 //!   rates, optimal thresholds, ROC curves, empirical rate estimation.
-//! * [`welch`] — Welch's t-test (a standard side-channel leakage
-//!   assessment, provided as a baseline metric).
 //! * [`ks`] — one-sample Kolmogorov–Smirnov goodness of fit, used to check
 //!   the Fig. 7 Gaussian-population assumption on measured metrics.
 //! * [`logistic`] — a seeded, presentation-order-invariant
 //!   logistic-regression trainer: the learning-assisted scorer that can
 //!   replace the fixed erf threshold (LASCA, arXiv:2001.06476).
-//! * [`Histogram`] — fixed-bin histograms for report rendering.
 //!
 //! # Example
 //!
@@ -42,15 +39,12 @@ pub mod descriptive;
 pub mod detection;
 mod erf;
 mod gaussian;
-mod histogram;
 pub mod ks;
 pub mod logistic;
 pub mod peaks;
-pub mod welch;
 
 pub use erf::{erf, erf_inv, erfc};
 pub use gaussian::Gaussian;
-pub use histogram::Histogram;
 
 /// Errors reported by statistical routines.
 #[derive(Debug, Clone, PartialEq)]

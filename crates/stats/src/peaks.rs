@@ -58,56 +58,6 @@ pub fn local_maxima(xs: &[f64]) -> Vec<Peak> {
     peaks
 }
 
-/// Finds local maxima with at least `min_prominence` height above the higher
-/// of the two flanking valleys (a simplified prominence: the peak value
-/// minus the maximum of the minima on each side up to the next higher
-/// sample or the series end).
-pub fn local_maxima_with_prominence(xs: &[f64], min_prominence: f64) -> Vec<Peak> {
-    local_maxima(xs)
-        .into_iter()
-        .filter(|p| prominence(xs, p.index) >= min_prominence)
-        .collect()
-}
-
-/// Prominence of the sample at `index`: its height above the higher of the
-/// two key saddles towards the nearest higher terrain (or series ends).
-///
-/// # Panics
-///
-/// Panics if `index` is out of bounds.
-pub fn prominence(xs: &[f64], index: usize) -> f64 {
-    let v = xs[index];
-    let left_saddle = {
-        let mut m = v;
-        let mut best = v;
-        for &x in xs[..index].iter().rev() {
-            if x > v {
-                break;
-            }
-            if x < best {
-                best = x;
-            }
-            m = best;
-        }
-        m
-    };
-    let right_saddle = {
-        let mut m = v;
-        let mut best = v;
-        for &x in xs[index + 1..].iter() {
-            if x > v {
-                break;
-            }
-            if x < best {
-                best = x;
-            }
-            m = best;
-        }
-        m
-    };
-    v - left_saddle.max(right_saddle)
-}
-
 /// The paper's detection statistic: the sum of all local-maximum values of
 /// `xs` (normally `xs` is an absolute-difference trace).
 ///
@@ -165,29 +115,6 @@ mod tests {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         assert!(local_maxima(&xs).is_empty());
         assert_eq!(sum_of_local_maxima(&xs), 0.0);
-    }
-
-    #[test]
-    fn prominence_measures_height_over_saddle() {
-        // Peak 5 at idx 3: left key saddle is 1 (min on the way to the
-        // higher 6), right side never rises above 5 so its saddle is the
-        // global min 0. Prominence = 5 - max(1, 0) = 4.
-        let xs = [6.0, 1.0, 2.0, 5.0, 3.0, 4.0, 0.0];
-        assert_eq!(prominence(&xs, 3), 4.0);
-    }
-
-    #[test]
-    fn prominence_filter_drops_shadowed_ripples() {
-        let xs = [0.0, 10.0, 9.9, 10.05, 0.0, 3.0, 0.0];
-        let strict = local_maxima(&xs);
-        assert_eq!(strict.len(), 3);
-        let prominent = local_maxima_with_prominence(&xs, 1.0);
-        // The 10.0 peak is shadowed by the slightly higher 10.05 across the
-        // 9.9 saddle (prominence 0.1 < 1.0): dropped. The dominant 10.05
-        // and the isolated 3.0 stay.
-        assert_eq!(prominent.len(), 2);
-        assert_eq!(prominent[0].value, 10.05);
-        assert_eq!(prominent[1].value, 3.0);
     }
 
     #[test]

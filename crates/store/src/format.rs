@@ -6,6 +6,8 @@
 //! origin (file path or `"<memory>"`) and the 1-based offending line —
 //! the store never panics on malformed input.
 
+use std::fmt::Write as _;
+
 use htd_core::Error;
 
 use crate::checksum::fnv1a64;
@@ -44,109 +46,149 @@ impl BodyWriter {
     }
 }
 
-/// Frames a body into the full artifact text: header line, body,
-/// checksum trailer.
-pub fn frame(kind: &str, body: &str) -> String {
-    let mut text = format!("{MAGIC} {FORMAT_VERSION} {kind}\n{body}");
+/// A framing violation [`verify_frame`] found: the 1-based offending
+/// line (0 when the text as a whole is unusable) and what was wrong.
+/// Each caller maps it into its own error type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameError {
+    /// 1-based line of the violation, or 0.
+    pub line: usize,
+    /// Human-readable description of the violation.
+    pub message: String,
+}
+
+impl FrameError {
+    fn new(line: usize, message: impl Into<String>) -> Self {
+        FrameError {
+            line,
+            message: message.into(),
+        }
+    }
+
+    /// The violation as a store [`Error::Format`] of `origin`.
+    fn at(self, origin: &str) -> Error {
+        Error::format(origin, self.line, self.message)
+    }
+}
+
+/// Frames a body under a `<magic> <version> <kind>` header: header line,
+/// body, checksum trailer covering every byte before it. Store artifacts
+/// and serve protocol frames share this framing.
+pub fn frame(magic: &str, version: u32, kind: &str, body: &str) -> String {
+    let mut text = String::with_capacity(magic.len() + kind.len() + body.len() + 48);
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(text, "{magic} {version} {kind}");
+    text.push_str(body);
     let sum = fnv1a64(text.as_bytes());
-    text.push_str(&format!("checksum fnv1a64 {sum:016x}\n"));
+    let _ = writeln!(text, "checksum fnv1a64 {sum:016x}");
     text
 }
 
-/// Verifies the framing of `text` — trailing newline, checksum trailer,
-/// header magic/version/kind — and returns the body lines (with their
-/// 1-based line numbers) as a strict [`Parser`].
+/// Verifies the framing [`frame`] writes — trailing newline, checksum
+/// trailer, header magic and version — and returns the header's kind
+/// token and the body text (every body line newline-terminated). Borrows
+/// from `text` and allocates nothing on success.
+///
+/// # Errors
+///
+/// [`FrameError`] on any framing violation: missing trailing newline or
+/// trailer, malformed or mismatched checksum, missing header, wrong magic,
+/// unsupported version, missing kind.
+pub fn verify_frame<'a>(
+    text: &'a str,
+    magic: &str,
+    version: u32,
+) -> Result<(&'a str, &'a str), FrameError> {
+    let content = text
+        .strip_suffix('\n')
+        .ok_or_else(|| FrameError::new(0, "truncated: missing trailing newline"))?;
+    let trailer_start = content.rfind('\n').map_or(0, |i| i + 1);
+    let trailer = &content[trailer_start..];
+    // The trailer is the last line, so its number is the newline count;
+    // counted only on the error paths.
+    let trailer_line = || text.bytes().filter(|&b| b == b'\n').count();
+    let declared = trailer
+        .strip_prefix("checksum fnv1a64 ")
+        .ok_or_else(|| FrameError::new(trailer_line(), "missing `checksum fnv1a64` trailer"))?;
+    let declared = lowercase_hex64(declared).ok_or_else(|| {
+        FrameError::new(trailer_line(), "checksum must be 16 lowercase hex digits")
+    })?;
+    let covered = &text[..trailer_start];
+    let actual = fnv1a64(covered.as_bytes());
+    if actual != declared {
+        return Err(FrameError::new(
+            trailer_line(),
+            format!(
+                "checksum mismatch: content hashes to {actual:016x}, trailer says {declared:016x}"
+            ),
+        ));
+    }
+    let (header, body) = covered
+        .split_once('\n')
+        .ok_or_else(|| FrameError::new(0, "no header line"))?;
+    Ok((parse_header(header, magic, version)?, body))
+}
+
+/// Validates a `<magic> <version> <kind>` header line and returns the
+/// kind token.
+fn parse_header<'a>(header: &'a str, magic: &str, version: u32) -> Result<&'a str, FrameError> {
+    let mut words = header.split(' ');
+    if words.next() != Some(magic) {
+        return Err(FrameError::new(1, format!("missing `{magic}` magic")));
+    }
+    match words.next().and_then(|v| v.parse::<u32>().ok()) {
+        Some(v) if v == version => {}
+        Some(other) => {
+            return Err(FrameError::new(
+                1,
+                format!("unsupported version {other} (this build reads {version})"),
+            ))
+        }
+        None => return Err(FrameError::new(1, "missing version")),
+    }
+    let kind = words
+        .next()
+        .ok_or_else(|| FrameError::new(1, "missing kind"))?;
+    if words.next().is_some() {
+        return Err(FrameError::new(1, "trailing tokens after the kind"));
+    }
+    Ok(kind)
+}
+
+/// Parses exactly 16 lowercase hex digits. Lowercase-only:
+/// `from_str_radix` would accept `A`–`F`, letting a case flip in the
+/// (uncovered) trailer line go unnoticed.
+fn lowercase_hex64(hex: &str) -> Option<u64> {
+    (hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .then(|| u64::from_str_radix(hex, 16).ok())
+        .flatten()
+}
+
+/// Verifies a store artifact's framing ([`verify_frame`] under
+/// [`MAGIC`] and [`FORMAT_VERSION`]) and its kind, and returns the body
+/// lines (with their 1-based line numbers) as a strict [`Parser`].
 ///
 /// # Errors
 ///
 /// [`Error::Format`] on any framing violation: missing trailer,
 /// checksum mismatch, unsupported version, or wrong artifact kind.
 pub fn unframe<'a>(text: &'a str, origin: &'a str, kind: &str) -> Result<Parser<'a>, Error> {
-    if !text.ends_with('\n') {
-        return Err(Error::format(
-            origin,
-            0,
-            "truncated artifact: missing trailing newline",
-        ));
-    }
-    let lines: Vec<&str> = text[..text.len() - 1].split('\n').collect();
-    let last_lineno = lines.len();
-    let Some((&trailer, body_lines)) = lines.split_last() else {
-        return Err(Error::format(origin, 0, "empty artifact"));
-    };
-    let declared = trailer
-        .strip_prefix("checksum fnv1a64 ")
-        .ok_or_else(|| Error::format(origin, last_lineno, "missing `checksum fnv1a64` trailer"))?;
-    // Lowercase-only: `from_str_radix` would accept `A`–`F`, letting a
-    // case flip in the (uncovered) trailer line go unnoticed.
-    let declared = (declared.len() == 16
-        && declared
-            .bytes()
-            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
-    .then(|| u64::from_str_radix(declared, 16).ok())
-    .flatten()
-    .ok_or_else(|| {
-        Error::format(
-            origin,
-            last_lineno,
-            "checksum must be 16 lowercase hex digits",
-        )
-    })?;
-    let covered = &text[..text.len() - trailer.len() - 1];
-    let actual = fnv1a64(covered.as_bytes());
-    if actual != declared {
-        return Err(Error::format(
-            origin,
-            last_lineno,
-            format!(
-                "checksum mismatch: artifact hashes to {actual:016x}, trailer says {declared:016x}"
-            ),
-        ));
-    }
-
-    let Some((&header, body_lines)) = body_lines.split_first() else {
-        return Err(Error::format(origin, 0, "artifact has no header line"));
-    };
-    check_header(header, origin, kind)?;
+    let (found, body) = verify_frame(text, MAGIC, FORMAT_VERSION).map_err(|e| e.at(origin))?;
+    check_kind(found, origin, kind)?;
     Ok(Parser {
         origin,
-        lines: body_lines.to_vec(),
+        lines: body.split_terminator('\n').collect(),
         pos: 0,
     })
 }
 
-/// Validates a `htdstore <version> <kind>` header line.
-fn check_header(header: &str, origin: &str, kind: &str) -> Result<(), Error> {
-    let mut words = header.split(' ');
-    if words.next() != Some(MAGIC) {
-        return Err(Error::format(origin, 1, format!("missing `{MAGIC}` magic")));
-    }
-    let version = words
-        .next()
-        .and_then(|v| v.parse::<u32>().ok())
-        .ok_or_else(|| Error::format(origin, 1, "missing format version"))?;
-    if version != FORMAT_VERSION {
+/// Rejects a header whose kind is not the expected artifact kind.
+fn check_kind(found: &str, origin: &str, kind: &str) -> Result<(), Error> {
+    if found != kind {
         return Err(Error::format(
             origin,
             1,
-            format!("unsupported format version {version} (this build reads {FORMAT_VERSION})"),
-        ));
-    }
-    let actual_kind = words
-        .next()
-        .ok_or_else(|| Error::format(origin, 1, "missing artifact kind"))?;
-    if words.next().is_some() {
-        return Err(Error::format(
-            origin,
-            1,
-            "trailing tokens after artifact kind",
-        ));
-    }
-    if actual_kind != kind {
-        return Err(Error::format(
-            origin,
-            1,
-            format!("artifact is `{actual_kind}`, expected `{kind}`"),
+            format!("artifact is `{found}`, expected `{kind}`"),
         ));
     }
     Ok(())
@@ -155,10 +197,7 @@ fn check_header(header: &str, origin: &str, kind: &str) -> Result<(), Error> {
 /// Parses a trailer line's declared checksum, if the line is a
 /// well-formed `checksum fnv1a64 <16 lowercase hex>` trailer.
 fn trailer_checksum(line: &str) -> Option<u64> {
-    let hex = line.strip_prefix("checksum fnv1a64 ")?;
-    (hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
-        .then(|| u64::from_str_radix(hex, 16).ok())
-        .flatten()
+    lowercase_hex64(line.strip_prefix("checksum fnv1a64 ")?)
 }
 
 /// A best-effort unframing for the salvage path: the header, the body
@@ -199,7 +238,8 @@ pub fn unframe_salvage<'a>(
     };
     let mut lines: Vec<&str> = complete.split('\n').collect();
     let header = lines.remove(0);
-    check_header(header, origin, kind)?;
+    let found = parse_header(header, MAGIC, FORMAT_VERSION).map_err(|e| e.at(origin))?;
+    check_kind(found, origin, kind)?;
     let declared = match lines.last().copied().and_then(trailer_checksum) {
         Some(sum) => {
             lines.pop();
@@ -476,7 +516,7 @@ mod tests {
 
     #[test]
     fn framing_detects_tampering() {
-        let text = frame("plan", "dies 6\n");
+        let text = frame(MAGIC, FORMAT_VERSION, "plan", "dies 6\n");
         assert!(unframe(&text, IN_MEMORY, "plan").is_ok());
         // Wrong kind.
         assert!(unframe(&text, IN_MEMORY, "report").is_err());
@@ -487,7 +527,8 @@ mod tests {
             Err(Error::Format { .. })
         ));
         // Unsupported version.
-        let v2 = frame("plan", "dies 6\n").replace("htdstore 1", "htdstore 2");
+        let v2 =
+            frame(MAGIC, FORMAT_VERSION, "plan", "dies 6\n").replace("htdstore 1", "htdstore 2");
         assert!(unframe(&v2, IN_MEMORY, "plan").is_err());
         // Missing trailer.
         assert!(unframe("htdstore 1 plan\n", IN_MEMORY, "plan").is_err());

@@ -40,7 +40,9 @@ mod format;
 mod kinds;
 
 pub use checksum::fnv1a64;
-pub use format::{quote, unquote, FORMAT_VERSION, IN_MEMORY, MAGIC};
+pub use format::{
+    frame, quote, unquote, verify_frame, FrameError, FORMAT_VERSION, IN_MEMORY, MAGIC,
+};
 pub use kinds::{
     Artifact, ChannelFit, CharacterizationArtifact, GoldenArtifact, ReferenceFreeArtifact,
     StoredCharacterization,
@@ -55,7 +57,7 @@ use htd_core::channel::Channel;
 use htd_core::fusion::Reference;
 use htd_core::{CampaignPlan, Error};
 
-use format::{frame, unframe, BodyWriter};
+use format::{unframe, BodyWriter};
 
 /// The artifact kind declared on a store file's header line, if the
 /// header is even shaped like one. This is a *sniff*, not a validation —
@@ -187,7 +189,7 @@ pub fn plan_digest_hex(plan: &CampaignPlan) -> String {
 pub fn to_text<A: Artifact>(artifact: &A) -> String {
     let mut w = BodyWriter::new();
     artifact.write_body(&mut w);
-    frame(A::KIND, &w.finish())
+    frame(MAGIC, FORMAT_VERSION, A::KIND, &w.finish())
 }
 
 /// Parses an artifact from framed text produced by [`to_text`], labelling
@@ -525,7 +527,12 @@ mod tests {
             calibrate_rate: 0.0,
             store_rate: 1.0,
         });
-        let bad = frame("faultplan", "seed 0\nrates 0 1.5 0 0\n");
+        let bad = frame(
+            MAGIC,
+            FORMAT_VERSION,
+            "faultplan",
+            "seed 0\nrates 0 1.5 0 0\n",
+        );
         let err = from_text::<FaultPlan>(&bad).unwrap_err();
         assert!(err.to_string().contains("outside [0, 1]"), "{err}");
     }
@@ -630,7 +637,13 @@ mod tests {
         let body = &text[body_start..body_end];
         let block = &body[body.find("channel ").unwrap()..];
         let doubled = format!("{}{block}", body.replacen("channels 1", "channels 2", 1));
-        let err = from_text::<GoldenArtifact>(&frame(GoldenArtifact::KIND, &doubled)).unwrap_err();
+        let err = from_text::<GoldenArtifact>(&frame(
+            MAGIC,
+            FORMAT_VERSION,
+            GoldenArtifact::KIND,
+            &doubled,
+        ))
+        .unwrap_err();
         assert!(
             err.to_string().contains("expected distinct channel names"),
             "{err}"

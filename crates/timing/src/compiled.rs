@@ -1,21 +1,21 @@
-//! Compiled timed simulation: the hot-path twin of [`EventSimulator`].
+//! Compiled timed simulation, and the [`TimedRun`] record of one cycle.
 //!
-//! [`EventSimulator`](crate::EventSimulator) walks the netlist object graph
-//! on every event — driver lookups, cell-kind matches, re-reading every
-//! input of every sink LUT. That is the right reference semantics, but it
-//! is also the inner loop of every EM/power acquisition (13 cycles × ~86 k
-//! events per trace), so this module flattens one `(netlist, annotation)`
-//! pair into [`CompiledTiming`] — CSR sink lists with the per-sink delays
+//! The reference `EventSimulator` (in the dev-only `htd-oracle` crate)
+//! walks the netlist object graph on every event — driver lookups,
+//! cell-kind matches, re-reading every input of every sink LUT. That is
+//! the right reference semantics, but it is also the inner loop of every
+//! EM/power acquisition (13 cycles × ~86 k events per trace), so this
+//! module flattens one `(netlist, annotation)` pair into
+//! [`CompiledTiming`] — CSR sink lists with the per-sink delays
 //! pre-added — and replays cycles over it with
 //! [`CompiledSimulator::clock_cycle`].
 //!
 //! # Determinism contract
 //!
-//! The compiled replay is **bit-for-bit identical** to
-//! [`EventSimulator::clock_cycle`](crate::EventSimulator::clock_cycle):
-//! same toggle stream (times, nets, values, order), same
-//! `last_transition_ps`, same `settle_ps`, down to the f64 bit pattern.
-//! Three things make that hold:
+//! The compiled replay is **bit-for-bit identical** to the reference
+//! `EventSimulator::clock_cycle`: same toggle stream (times, nets,
+//! values, order), same `last_transition_ps`, same `settle_ps`, down to
+//! the f64 bit pattern. Three things make that hold:
 //!
 //! * **Arithmetic association is preserved.** Event times are computed as
 //!   `(t + cell_delay) + net_delay` — the same two-add order as the
@@ -55,16 +55,54 @@
 //! event past an equal key. Both give exactly the reference
 //! `(time, seq)` order.
 //!
-//! `tests` pin compiled-vs-reference equality on every toy topology of the
-//! reference test suite; `htd-core` pins it again on the full AES design.
+//! `tests/compiled.rs` pins compiled-vs-reference equality on every toy
+//! topology of the reference test suite; `tests/replay_differential.rs`
+//! pins it again on the full AES design.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use htd_netlist::{CellKind, NetId, Netlist};
 
-use crate::eventsim::{TimedRun, Toggle};
 use crate::DelayAnnotation;
+
+/// One net transition during a timed cycle.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Toggle {
+    /// Sink-visible transition time within the cycle, ps (0 = clock edge).
+    pub time_ps: f64,
+    /// The switching net.
+    pub net: NetId,
+    /// The value after the transition.
+    pub new_value: bool,
+}
+
+/// Result of one timed clock cycle.
+#[derive(Debug, Clone)]
+pub struct TimedRun {
+    /// Per net: sink-visible time of the last transition this cycle, or
+    /// `f64::NEG_INFINITY` for nets that did not toggle.
+    pub last_transition_ps: Vec<f64>,
+    /// Every transition, in non-decreasing time order.
+    pub toggles: Vec<Toggle>,
+    /// Time of the final transition anywhere in the design, ps
+    /// (0.0 if nothing toggled).
+    pub settle_ps: f64,
+}
+
+impl TimedRun {
+    /// Settling time of `net` at its sinks (e.g. a flip-flop `D` pin) —
+    /// `None` if the net never toggled this cycle. Sink-visible times
+    /// already include the net's routed delay.
+    pub fn arrival_at_sinks_ps(&self, net: NetId, _delays: &DelayAnnotation) -> Option<f64> {
+        let t = self.last_transition_ps[net.index()];
+        if t == f64::NEG_INFINITY {
+            None
+        } else {
+            Some(t)
+        }
+    }
+}
 
 /// A compact scheduled event: the toggling net and its new value are
 /// packed into one word, and `seq` reproduces the reference tie order.
@@ -354,7 +392,7 @@ struct CellState {
 }
 
 /// Event-driven replay over a [`CompiledTiming`], bit-identical to
-/// [`EventSimulator`](crate::EventSimulator) (see the module docs for the
+/// reference `EventSimulator` (see the module docs for the
 /// argument). Scratch buffers (buckets, per-cell input rows, scheduled
 /// values) persist across cycles, so steady-state cycles allocate only
 /// the returned [`TimedRun`].
@@ -418,7 +456,7 @@ impl<'a> CompiledSimulator<'a> {
     }
 
     /// Queues a primary-input change for the next clock cycle (same
-    /// semantics as [`EventSimulator::set_input`](crate::EventSimulator::set_input)).
+    /// semantics as the reference `EventSimulator::set_input`).
     pub fn set_input(&mut self, net: NetId, value: bool) {
         self.pending_inputs.push((net, value));
     }
@@ -630,154 +668,6 @@ impl<'a> CompiledSimulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventSimulator;
-
-    /// Runs `cycles` clock cycles on both simulators from the same settled
-    /// snapshot (with optional queued input changes before cycle 0) and
-    /// asserts bit-identical `TimedRun`s.
-    fn assert_bit_identical(
-        nl: &Netlist,
-        ann: &DelayAnnotation,
-        snapshot: Vec<bool>,
-        inputs: &[(NetId, bool)],
-        cycles: usize,
-    ) {
-        let mut reference = EventSimulator::from_snapshot(nl, snapshot.clone());
-        let ct = CompiledTiming::compile(nl, ann);
-        let mut compiled = CompiledSimulator::from_snapshot(&ct, snapshot);
-        for &(net, value) in inputs {
-            reference.set_input(net, value);
-            compiled.set_input(net, value);
-        }
-        for cycle in 0..cycles {
-            let r = reference.clock_cycle(ann);
-            let c = compiled.clock_cycle();
-            assert_eq!(
-                r.toggles.len(),
-                c.toggles.len(),
-                "cycle {cycle}: toggle count"
-            );
-            for (i, (a, b)) in r.toggles.iter().zip(&c.toggles).enumerate() {
-                assert_eq!(
-                    a.time_ps.to_bits(),
-                    b.time_ps.to_bits(),
-                    "cycle {cycle} #{i}"
-                );
-                assert_eq!(a.net, b.net, "cycle {cycle} toggle {i}: net");
-                assert_eq!(a.new_value, b.new_value, "cycle {cycle} toggle {i}");
-            }
-            assert_eq!(
-                r.settle_ps.to_bits(),
-                c.settle_ps.to_bits(),
-                "cycle {cycle}"
-            );
-            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&r.last_transition_ps),
-                bits(&c.last_transition_ps),
-                "cycle {cycle}: last transitions"
-            );
-        }
-        // Final net state agrees too.
-        for i in 0..nl.net_count() {
-            let net = NetId::from_index(i);
-            assert_eq!(reference.get(net), compiled.get(net), "net {net:?}");
-        }
-    }
-
-    fn settled(nl: &Netlist, set: &[(NetId, bool)]) -> Vec<bool> {
-        let mut fsim = nl.simulator().unwrap();
-        for &(n, v) in set {
-            fsim.set(n, v);
-        }
-        fsim.settle();
-        fsim.snapshot()
-    }
-
-    #[test]
-    fn matches_reference_on_chain() {
-        let mut nl = Netlist::new("chain");
-        let d = nl.add_input("d");
-        let q = nl.add_dff(d, "r").unwrap();
-        let a = nl.not_gate(q);
-        let b = nl.not_gate(a);
-        nl.add_output("b", b).unwrap();
-        let ann = DelayAnnotation::uniform(&nl, 100.0, 50.0, 300.0, 80.0);
-        let snap = settled(&nl, &[(d, true)]);
-        assert_bit_identical(&nl, &ann, snap, &[], 3);
-    }
-
-    #[test]
-    fn matches_reference_on_hazard_glitch() {
-        let mut nl = Netlist::new("hazard");
-        let d = nl.add_input("d");
-        let q = nl.add_dff(d, "r").unwrap();
-        let slow = nl.buf_gate(q);
-        let y = nl.xor2(q, slow);
-        nl.add_output("y", y).unwrap();
-        let ann = DelayAnnotation::uniform(&nl, 100.0, 50.0, 300.0, 80.0);
-        let snap = settled(&nl, &[(d, true)]);
-        assert_bit_identical(&nl, &ann, snap, &[], 3);
-    }
-
-    #[test]
-    fn matches_reference_on_reconvergent_race() {
-        let mut nl = Netlist::new("race");
-        let d = nl.add_input("d");
-        let q = nl.add_dff(d, "r").unwrap();
-        let slow_branch = nl.buf_gate(q);
-        let fast_branch = nl.not_gate(q);
-        let y = nl.and2(slow_branch, fast_branch);
-        nl.add_output("y", y).unwrap();
-        let mut ann = DelayAnnotation::uniform(&nl, 100.0, 50.0, 300.0, 80.0);
-        ann.add_net_delay_ps(slow_branch, 5_000.0);
-        let snap = settled(&nl, &[(d, true)]);
-        assert_bit_identical(&nl, &ann, snap, &[], 3);
-    }
-
-    #[test]
-    fn matches_reference_with_input_events_and_state() {
-        // Toggle flip-flop plus a primary-input change on the first cycle.
-        let mut nl = Netlist::new("t");
-        let (dff, q) = nl.add_dff_uninit("r");
-        let nq = nl.not_gate(q);
-        nl.connect_dff_d(dff, nq).unwrap();
-        let en = nl.add_input("en");
-        let y = nl.and2(q, en);
-        nl.add_output("y", y).unwrap();
-        let ann = DelayAnnotation::uniform(&nl, 100.0, 50.0, 300.0, 80.0);
-        let snap = settled(&nl, &[]);
-        assert_bit_identical(&nl, &ann, snap, &[(en, true)], 5);
-    }
-
-    #[test]
-    fn redundant_input_event_is_a_no_op_in_both() {
-        // Setting an input to its current value must not toggle anything in
-        // either implementation (the reference filters it at pop time, the
-        // compiled path at push time).
-        let mut nl = Netlist::new("noop");
-        let a = nl.add_input("a");
-        let y = nl.not_gate(a);
-        nl.add_output("y", y).unwrap();
-        let ann = DelayAnnotation::uniform(&nl, 100.0, 50.0, 300.0, 80.0);
-        let snap = settled(&nl, &[]);
-        assert_bit_identical(&nl, &ann, snap, &[(a, false)], 2);
-    }
-
-    #[test]
-    fn zero_latency_annotation_degenerates_to_heap_order() {
-        // All-zero delays force inv_w = 0 (every event in bucket 0, drained
-        // via the overflow heap) and still match the reference bit for bit.
-        let mut nl = Netlist::new("zero");
-        let d = nl.add_input("d");
-        let q = nl.add_dff(d, "r").unwrap();
-        let a = nl.not_gate(q);
-        let b = nl.xor2(a, q);
-        nl.add_output("b", b).unwrap();
-        let ann = DelayAnnotation::uniform(&nl, 0.0, 0.0, 0.0, 0.0);
-        let snap = settled(&nl, &[(d, true)]);
-        assert_bit_identical(&nl, &ann, snap, &[], 2);
-    }
 
     #[test]
     fn every_bucket_sort_path_gives_key_then_seq_order() {

@@ -10,9 +10,10 @@
 //!    ([`DelayAnnotation::add_net_delay_ps`]).
 //! 2. [`Sta`] computes worst-case arrival times and critical paths
 //!    (data-independent upper bounds, used to aim the glitch sweep).
-//! 3. [`EventSimulator`] replays one clock cycle with transport delays,
-//!    yielding each net's **data-dependent settling time** and the full
-//!    toggle stream (which the EM crate turns into emanation traces).
+//! 3. [`CompiledSimulator`] replays one clock cycle with transport delays
+//!    over a flattened [`CompiledTiming`], yielding each net's
+//!    **data-dependent settling time** and the full toggle stream (which
+//!    the EM crate turns into emanation traces).
 //! 4. [`GlitchSweep`] converts settling times into the paper's measurement:
 //!    the clock period shrinks in 35 ps steps until each observed bit
 //!    faults; the step index at fault onset *is* the delay estimate
@@ -23,12 +24,10 @@
 
 mod annotate;
 mod compiled;
-mod eventsim;
 mod glitch;
 mod sta;
 
 pub use annotate::DelayAnnotation;
-pub use compiled::{CompiledSimulator, CompiledTiming};
-pub use eventsim::{EventSimulator, TimedRun, Toggle};
+pub use compiled::{CompiledSimulator, CompiledTiming, TimedRun, Toggle};
 pub use glitch::{FaultOnset, GlitchParams, GlitchSweep};
 pub use sta::{CriticalPath, Sta};

@@ -4,7 +4,8 @@
 
 use htd_aes::structural::{AesNetlist, AesSim};
 use htd_fabric::{Device, DeviceConfig, DieVariation, Placement, Technology, VariationModel};
-use htd_timing::{DelayAnnotation, EventSimulator, GlitchParams, GlitchSweep, Sta};
+use htd_oracle::EventSimulator;
+use htd_timing::{DelayAnnotation, GlitchParams, GlitchSweep, Sta};
 
 fn setup() -> (AesNetlist, Placement, Device) {
     let aes = AesNetlist::generate().expect("AES generates");

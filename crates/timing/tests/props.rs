@@ -4,7 +4,8 @@
 //! must reproduce the event simulator bit for bit.
 
 use htd_netlist::{LutMask, NetId, Netlist};
-use htd_timing::{CompiledSimulator, CompiledTiming, DelayAnnotation, EventSimulator, Sta};
+use htd_oracle::EventSimulator;
+use htd_timing::{CompiledSimulator, CompiledTiming, DelayAnnotation, Sta};
 use proptest::prelude::*;
 
 /// Recipe for one random synchronous netlist.

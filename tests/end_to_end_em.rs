@@ -159,7 +159,7 @@ fn tvla_ttest_flags_the_trojan_on_raw_traces() {
     let t_pop: Vec<_> = (0..30)
         .map(|i| normalize(tdev.acquire_em_trace(&PT, &KEY, 20_000 + i).unwrap()))
         .collect();
-    let cmp = htd_core::em_detect::ttest_compare(&g_pop, &t_pop).unwrap();
+    let cmp = htd_oracle::ttest_compare(&g_pop, &t_pop).unwrap();
     assert!(cmp.infected, "max |t| = {}", cmp.max_t);
     assert!(cmp.leaking_samples > 0);
 
@@ -167,7 +167,7 @@ fn tvla_ttest_flags_the_trojan_on_raw_traces() {
     let g_pop2: Vec<_> = (0..30)
         .map(|i| normalize(gdev.acquire_em_trace(&PT, &KEY, 30_000 + i).unwrap()))
         .collect();
-    let clean = htd_core::em_detect::ttest_compare(&g_pop, &g_pop2).unwrap();
+    let clean = htd_oracle::ttest_compare(&g_pop, &g_pop2).unwrap();
     assert!(
         !clean.infected,
         "clean populations leaked: max |t| = {}",

@@ -15,7 +15,8 @@
 use htd_core::em_detect::SideChannel;
 use htd_core::{Design, Engine, Lab, ProgrammedDevice};
 use htd_em::Trace;
-use htd_timing::{CompiledSimulator, CompiledTiming, EventSimulator};
+use htd_oracle::{timed_encryption_activity_reference, EventSimulator};
+use htd_timing::{CompiledSimulator, CompiledTiming};
 use htd_trojan::TrojanSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,9 +98,8 @@ fn cold_acquisitions_match_the_reference_over_many_dies_and_designs() {
             for (p, (pt, key)) in PAIRS.iter().enumerate() {
                 let what = format!("{name} die {d} pair {p}");
                 toggles += compare_toggle_streams(&lab, &dev, pt, key);
-                let events = dev
-                    .timed_encryption_activity_reference(pt, key)
-                    .expect("simulates");
+                let events =
+                    timed_encryption_activity_reference(&lab, &dev, pt, key).expect("simulates");
                 let seed = (d * PAIRS.len() + p) as u64;
                 let mut rng = StdRng::seed_from_u64(seed ^ EM_SALT);
                 let want_em = lab.em.acquire(&events, &lab.acquisition, &mut rng);

@@ -184,6 +184,41 @@ fn served_scores_are_bit_identical_to_offline_at_any_worker_count() {
 /// server sniffs the artifact kind, runs the reference-free session,
 /// and the embedded report is byte-identical to `htd score --report` —
 /// at 1, 2 and 8 workers.
+/// The CI serve smoke's `htd bench --serve --dump`: the one served
+/// response it captures must reproduce the pinned offline report
+/// `tests/fixtures/serve_response.htd` byte for byte.
+#[test]
+fn a_bench_dump_reproduces_the_pinned_served_report() {
+    let dir = scratch("dump");
+    let golden = characterize(&dir);
+    let server = Server::spawn(&[]);
+    let dump = dir.join("served.htd").display().to_string();
+    htd(&[
+        "bench",
+        "--serve",
+        "--addr",
+        &server.addr,
+        "--golden",
+        &golden,
+        "--suspects",
+        "ht1",
+        "--requests",
+        "1",
+        "--clients",
+        "1",
+        "--dump",
+        &dump,
+    ]);
+    let pinned =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/serve_response.htd");
+    assert!(
+        std::fs::read(&dump).expect("dump written") == std::fs::read(pinned).expect("fixture"),
+        "served report drifted from tests/fixtures/serve_response.htd"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn served_reference_free_scores_are_bit_identical_to_offline() {
     let dir = scratch("reffree");
