@@ -1,10 +1,13 @@
 #!/usr/bin/env sh
 # Tier-1 gate for the workspace, runnable locally and in CI:
 #   1. release build of every target,
-#   2. the full test suite, then the heavy ignored replay differential
-#      and the campaign memory bound,
+#   2. the full test suite, then on the release binary the contract
+#      table, the heavy ignored replay differential and the campaign
+#      memory bound,
 #   3. every runnable example,
-#   4. an `htd` CLI smoke run (characterize -> score -> report -> diff),
+#   4. an `htd` CLI smoke: one invocation per verb, checking argument
+#      plumbing and exit codes (byte identity is the contract table's),
+#      plus the hostile-artifact exit and both `bench diff` baselines,
 #   5. the standalone benchmark package's build and tests,
 #   6. the oracle isolation check (no reference oracle in what `htd`
 #      links),
@@ -21,11 +24,17 @@ cargo build --release --all-targets
 echo "==> cargo test"
 cargo test -q
 
+echo "==> contract table (release)"
+# tests/contracts.rs on the release binary: every pinned campaign shape
+# against its fixtures, at 1, 2 and 8 workers, with observation on and
+# off, under inert fault plans, served, and in memory.
+cargo test --release -p htd-cli --test contracts
+
 echo "==> heavy replay differential (ignored test, release)"
 # 32 dies x {golden, HT-comb, HT-seq} x 2 pairs: the compiled replay's
 # toggle streams and the acquisitions binned inside it, against the
 # reference simulator and chains. Scoped to its own test target: the
-# workspace's other ignored tests regenerate committed fixtures.
+# contract table's ignored `regenerate` rewrites the committed fixtures.
 cargo test --release --test replay_differential -- --ignored
 
 echo "==> campaign memory bound (ignored test, release)"
@@ -46,115 +55,30 @@ HTD_SMOKE_DIR="${TMPDIR:-/tmp}/htd-ci-smoke-$$"
 trap 'rm -rf "$HTD_SMOKE_DIR"' EXIT
 mkdir -p "$HTD_SMOKE_DIR"
 HTD=target/release/htd
-"$HTD" characterize --out "$HTD_SMOKE_DIR/golden.htd" \
-    --dies 6 --pairs 2 --reps 2 --seed 42 --channels em,delay
-"$HTD" score --golden "$HTD_SMOKE_DIR/golden.htd" --trojans ht2 \
-    --report "$HTD_SMOKE_DIR/report.htd"
-"$HTD" report "$HTD_SMOKE_DIR/report.htd" --csv >/dev/null
-"$HTD" diff "$HTD_SMOKE_DIR/report.htd" "$HTD_SMOKE_DIR/report.htd"
-
-echo "==> htd fault-injection smoke"
-# The same golden artifact scored under the committed fault plan must
-# reproduce the committed degraded report, byte for byte (`htd diff`
-# exits non-zero otherwise).
-"$HTD" score --golden "$HTD_SMOKE_DIR/golden.htd" --trojans ht2 \
-    --faults tests/fixtures/faultplan.htd --max-retries 2 --allow-degraded \
-    --report "$HTD_SMOKE_DIR/degraded.htd"
-"$HTD" diff "$HTD_SMOKE_DIR/degraded.htd" tests/fixtures/degraded_report.htd
-
-echo "==> htd metrics smoke (BENCH_pipeline.json, TRACE_pipeline.json)"
+"$HTD" version --json >/dev/null
 # The paper-headline campaign with --metrics and --trace. The manifest's
-# counter section is deterministic (worker-invariant), so it is diffed
-# against the committed fixture; timings are observational and never
-# compared. `report --metrics` parses both files strictly, so any schema
-# drift in the writer fails here before the diff even runs. The trace
-# export stays in the workspace as a CI artifact (open it in
-# chrome://tracing); its presence gates that tracing still exports.
-"$HTD" characterize --out "$HTD_SMOKE_DIR/headline.htd" \
+# structure gates through `bench diff` against the committed baseline
+# (counters, plan digest and command must match exactly, exit 4
+# otherwise; timings pass ungated — they are machine noise in CI). The
+# trace export stays in the workspace as a CI artifact (open it in
+# chrome://tracing).
+"$HTD" characterize --out "$HTD_SMOKE_DIR/golden.htd" \
     --dies 8 --pairs 2 --reps 2 --seed 2015 --channels em,delay
-"$HTD" score --golden "$HTD_SMOKE_DIR/headline.htd" --trojans sweep \
+"$HTD" score --golden "$HTD_SMOKE_DIR/golden.htd" --trojans sweep \
     --metrics BENCH_pipeline.json --trace TRACE_pipeline.json >/dev/null
 test -s TRACE_pipeline.json
-"$HTD" report --metrics BENCH_pipeline.json --counters \
-    >"$HTD_SMOKE_DIR/bench.counters"
-"$HTD" report --metrics tests/fixtures/run_manifest.json --counters \
-    >"$HTD_SMOKE_DIR/pinned.counters"
-diff "$HTD_SMOKE_DIR/bench.counters" "$HTD_SMOKE_DIR/pinned.counters"
-# The structural gate over the full manifest: counters, plan digest and
-# command must match the committed baseline exactly (exit 4 otherwise);
-# timings pass ungated — they are machine noise in CI.
+"$HTD" report --metrics BENCH_pipeline.json --counters >/dev/null
 "$HTD" bench diff tests/fixtures/bench_baseline_pipeline.json BENCH_pipeline.json
-
-echo "==> htd zoo smoke"
-# A tiny trigger-size x channel sweep; the heat-map CSV is deterministic
-# (worker-invariant), so it is diffed against the committed fixture.
+"$HTD" score --golden "$HTD_SMOKE_DIR/golden.htd" --trojans ht2 \
+    --report "$HTD_SMOKE_DIR/report.htd" --scores-dir "$HTD_SMOKE_DIR/scores" >/dev/null
+"$HTD" fuse "$HTD_SMOKE_DIR/scores/ht-2.em.scores.htd" \
+    "$HTD_SMOKE_DIR/scores/ht-2.delay.scores.htd" >/dev/null
+"$HTD" report "$HTD_SMOKE_DIR/report.htd" --csv >/dev/null
+"$HTD" diff "$HTD_SMOKE_DIR/report.htd" "$HTD_SMOKE_DIR/report.htd"
 "$HTD" zoo --sizes 4,8 --kinds comb,fsm --dies 3 --pairs 2 --reps 2 \
-    --seed 42 --channels em,delay --csv "$HTD_SMOKE_DIR/zoo.csv" >/dev/null
-diff "$HTD_SMOKE_DIR/zoo.csv" tests/fixtures/zoo_smoke.csv
-
-echo "==> htd scoring-modes smoke (held-out FN rate)"
-# Learned mode: train a classifier on the zoo grid with the whole
-# counter-trigger family held out, then score the paper's sequential
-# counter trojan (ht-seq, unseen family) through the model. The learned
-# row's FN rate is deterministic, so the CSV is diffed against the
-# committed fixture.
+    --seed 42 --channels em,delay >/dev/null
 "$HTD" train --out "$HTD_SMOKE_DIR/model.htd" --sizes 8,16 --kinds comb,ctr,fsm \
     --holdout ctr --dies 6 --pairs 2 --reps 2 --seed 42 --iterations 50
-"$HTD" score --golden "$HTD_SMOKE_DIR/golden.htd" --model "$HTD_SMOKE_DIR/model.htd" \
-    --trojans ht-seq --report "$HTD_SMOKE_DIR/learned.htd"
-"$HTD" report "$HTD_SMOKE_DIR/learned.htd" --csv >"$HTD_SMOKE_DIR/learned.csv"
-diff "$HTD_SMOKE_DIR/learned.csv" tests/fixtures/learned_smoke.csv
-# Reference-free mode: characterize without a golden reference and score
-# it, fault-free and under the committed fault plan. Both reports must
-# reproduce their committed fixtures byte for byte.
-"$HTD" characterize --out "$HTD_SMOKE_DIR/reffree.htd" --mode reference-free \
-    --dies 4 --pairs 2 --reps 2 --seed 42 --channels em,delay
-"$HTD" diff "$HTD_SMOKE_DIR/reffree.htd" "$HTD_SMOKE_DIR/reffree.htd"
-"$HTD" score --golden "$HTD_SMOKE_DIR/reffree.htd" --trojans ht2 \
-    --report "$HTD_SMOKE_DIR/reffree-report.htd"
-"$HTD" report "$HTD_SMOKE_DIR/reffree-report.htd" --csv >/dev/null
-"$HTD" diff "$HTD_SMOKE_DIR/reffree-report.htd" tests/fixtures/reffree_report.htd
-"$HTD" score --golden "$HTD_SMOKE_DIR/reffree.htd" --trojans ht2 \
-    --faults tests/fixtures/faultplan.htd --max-retries 2 --allow-degraded \
-    --report "$HTD_SMOKE_DIR/reffree-degraded.htd"
-"$HTD" diff "$HTD_SMOKE_DIR/reffree-degraded.htd" \
-    tests/fixtures/reffree_degraded_report.htd
-
-echo "==> htd high-repetition smoke"
-# The smokes above repeat each sweep twice, so the glitch sweep's noise
-# draws see only a few thousand bits end to end. 256 repetitions push
-# ~260 k draws through the sweep; the report must still reproduce its
-# committed fixture byte for byte.
-"$HTD" characterize --out "$HTD_SMOKE_DIR/reps256.htd" --mode reference-free \
-    --dies 4 --pairs 2 --reps 256 --seed 42 --channels em,delay
-"$HTD" score --golden "$HTD_SMOKE_DIR/reps256.htd" --trojans ht2 \
-    --report "$HTD_SMOKE_DIR/reps256-report.htd" >/dev/null
-"$HTD" diff "$HTD_SMOKE_DIR/reps256-report.htd" \
-    tests/fixtures/reffree_reps256_report.htd
-
-echo "==> htd power-chain smoke"
-# The three-channel campaign (EM, power, delay) characterized in both
-# modes and scored: each report must reproduce its committed fixture
-# byte for byte, so the power chain is pinned through the CLI too. The
-# EM and power channels read one activity replay per die, so the
-# characterization replays exactly --dies times.
-for mode in golden reference-free; do
-    "$HTD" characterize --out "$HTD_SMOKE_DIR/power-$mode.htd" --mode "$mode" \
-        --dies 4 --pairs 2 --reps 2 --seed 42 --channels em,power,delay \
-        --metrics "$HTD_SMOKE_DIR/power-$mode.json"
-    "$HTD" report --metrics "$HTD_SMOKE_DIR/power-$mode.json" --counters \
-        >"$HTD_SMOKE_DIR/power-$mode.counters"
-    grep -qx "span.timing.replay 4" "$HTD_SMOKE_DIR/power-$mode.counters" || {
-        cat "$HTD_SMOKE_DIR/power-$mode.counters"
-        echo "the $mode three-channel characterize did not replay once per die"
-        exit 1
-    }
-    "$HTD" score --golden "$HTD_SMOKE_DIR/power-$mode.htd" --trojans ht2 \
-        --report "$HTD_SMOKE_DIR/power-$mode-report.htd" >/dev/null
-done
-"$HTD" diff "$HTD_SMOKE_DIR/power-golden-report.htd" tests/fixtures/power_report.htd
-"$HTD" diff "$HTD_SMOKE_DIR/power-reference-free-report.htd" \
-    tests/fixtures/reffree_power_report.htd
 
 echo "==> htd hostile-artifact smoke"
 # tests/fixtures/golden.htd is checksum-valid, but its 4-sample EM trace
@@ -170,14 +94,12 @@ HTD_STATUS=0
 }
 
 echo "==> htd serve smoke (BENCH_serve.json)"
-# A real scoring server on an ephemeral port. Two gates: the response
-# `htd bench --dump` captures must be byte-identical to the pinned
-# offline report (served == offline, the subsystem's core claim), and a
-# short load run must leave BENCH_serve.json as the CI throughput
-# artifact. The trap kill is a fallback for mid-smoke failures; the
-# success path shuts the server down over the protocol and waits.
-"$HTD" characterize --out "$HTD_SMOKE_DIR/serve-golden.htd" \
-    --dies 3 --pairs 2 --reps 2 --seed 42 --channels em,delay
+# A real scoring server on an ephemeral port, polled once by `htd top`
+# and then load-tested: the run leaves BENCH_serve.json as the CI
+# throughput artifact, and `bench diff` gates its request mix and
+# outcome counts (300 ok, 0 errors) against the committed baseline. The
+# trap kill is a fallback for mid-smoke failures; the success path shuts
+# the server down over the protocol and waits.
 "$HTD" serve --addr 127.0.0.1:0 >"$HTD_SMOKE_DIR/serve.log" 2>&1 &
 HTD_SERVE_PID=$!
 # `|| true`: on the success path the server has already exited, and a
@@ -190,18 +112,14 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$HTD_SERVE_ADDR" ] || { cat "$HTD_SMOKE_DIR/serve.log"; exit 1; }
+"$HTD" top --addr "$HTD_SERVE_ADDR" --plain --iterations 1 >/dev/null
 "$HTD" bench --serve --addr "$HTD_SERVE_ADDR" \
-    --golden "$HTD_SMOKE_DIR/serve-golden.htd" --suspects ht1 \
-    --requests 1 --clients 1 --dump "$HTD_SMOKE_DIR/served.htd" >/dev/null
-diff "$HTD_SMOKE_DIR/served.htd" tests/fixtures/serve_response.htd
-"$HTD" bench --serve --addr "$HTD_SERVE_ADDR" \
-    --golden "$HTD_SMOKE_DIR/serve-golden.htd" --suspects ht1,ht2,ht-seq \
-    --requests 300 --clients 4 --json BENCH_serve.json --shutdown
+    --golden "$HTD_SMOKE_DIR/golden.htd" --suspects ht1,ht2,ht-seq \
+    --requests 300 --clients 4 --json BENCH_serve.json \
+    --dump "$HTD_SMOKE_DIR/served.htd" --shutdown
 wait "$HTD_SERVE_PID"
 test -s BENCH_serve.json
-# Same structural gate for the serve load: the request mix and outcome
-# counts (300 ok, 0 errors) must match the committed baseline; the
-# throughput and latency fields only gate when a --gate band is given.
+test -s "$HTD_SMOKE_DIR/served.htd"
 "$HTD" bench diff tests/fixtures/bench_baseline_serve.json BENCH_serve.json
 
 echo "==> criterion quick benches (BENCH_acquire.json)"

@@ -248,8 +248,8 @@ fn fault_flags_retry_degrade_and_gate_on_drop_rate() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("htd:"));
 
-    // With retries and --allow-degraded the campaign completes, prints a
-    // health section, and stores exactly the committed degraded report.
+    // With retries and --allow-degraded the campaign completes and prints
+    // a health section (the contract table's `smoke` row pins its bytes).
     let out = htd(
         &dir,
         &[
@@ -263,24 +263,10 @@ fn fault_flags_retry_degrade_and_gate_on_drop_rate() {
             "--max-retries",
             "2",
             "--allow-degraded",
-            "--report",
-            "degraded.htd",
         ],
     );
     let stdout = expect_success(&out);
     assert!(stdout.contains("channel health:"), "{stdout}");
-    let stored = std::fs::read_to_string(dir.join("degraded.htd")).unwrap();
-    let pinned = std::fs::read_to_string(fixture("degraded_report.htd")).unwrap();
-    assert_eq!(stored, pinned, "CLI degraded report drifted from fixture");
-    let out = htd(
-        &dir,
-        &[
-            "diff",
-            "degraded.htd",
-            fixture("degraded_report.htd").to_str().unwrap(),
-        ],
-    );
-    assert_eq!(out.status.code(), Some(0));
 
     // The drop-rate gate: with no retry budget some die stays dropped,
     // and a zero tolerance turns completion into exit 3.
@@ -778,51 +764,6 @@ fn a_held_out_learned_score_reproduces_the_pinned_csv() {
     let csv = expect_success(&htd(&dir, &["report", "learned.htd", "--csv"]));
     let pinned = std::fs::read_to_string(fixture("learned_smoke.csv")).unwrap();
     assert_eq!(csv, pinned, "learned CSV drifted from fixture");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The high-repetition smoke: a reference-free 4-die × 2-pair campaign
-/// at 256 repetitions pushes ~260 k draws through the glitch sweep; its
-/// `ht2` report must reproduce `tests/fixtures/reffree_reps256_report.htd`
-/// byte for byte.
-#[test]
-fn a_high_repetition_reference_free_report_reproduces_the_pinned_bytes() {
-    let dir = labdir("reps256");
-    expect_success(&htd(
-        &dir,
-        &[
-            "characterize",
-            "--out",
-            "reps256.htd",
-            "--mode",
-            "reference-free",
-            "--dies",
-            "4",
-            "--pairs",
-            "2",
-            "--reps",
-            "256",
-            "--seed",
-            "42",
-            "--channels",
-            "em,delay",
-        ],
-    ));
-    expect_success(&htd(
-        &dir,
-        &[
-            "score",
-            "--golden",
-            "reps256.htd",
-            "--trojans",
-            "ht2",
-            "--report",
-            "report.htd",
-        ],
-    ));
-    let stored = std::fs::read(dir.join("report.htd")).unwrap();
-    let pinned = std::fs::read(fixture("reffree_reps256_report.htd")).unwrap();
-    assert!(stored == pinned, "reps-256 report drifted from fixture");
     std::fs::remove_dir_all(&dir).ok();
 }
 

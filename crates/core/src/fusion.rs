@@ -1036,9 +1036,9 @@ fn gather_population(
     faults: &FaultPlan,
     policy: &RetryPolicy,
 ) -> Result<PopulationAcquisition, Error> {
-    // Repetition counters stay zero under the none-plan so a fault-free
+    // Repetition counters stay zero under an inert plan so a fault-free
     // run reports exactly the pristine health record.
-    let track_reps = !faults.is_none();
+    let track_reps = !faults.is_inert();
     let mut health = ChannelHealth::pristine(channel.name(), 0);
     let mut kept = Vec::with_capacity(outcomes.len());
     let mut acquisitions = Vec::with_capacity(outcomes.len());
@@ -1491,7 +1491,7 @@ impl<'a> ScoringSession<'a> {
                 .iter()
                 .any(|s| s.kept.len() != n_dies || !s.health.is_pristine(n_dies));
         let mut health = Vec::new();
-        if !self.campaign.faults.is_none() || degraded {
+        if !self.campaign.faults.is_inert() || degraded {
             for (c, stored) in self.stored.iter().enumerate() {
                 let mut h = stored.health.clone();
                 if let Some(scoring) = scoring_health.get(c).and_then(Option::as_ref) {

@@ -21,8 +21,9 @@
 //! * [`FaultSite::Calibrate`] — a calibration pass diverges and must be
 //!   re-run.
 //! * [`FaultSite::StoreRead`] — an artifact read hits a corrupt block.
-//!   Readers and tests consult this site to decide *which* stored lines
-//!   to corrupt/drop when exercising the store's salvage path.
+//!   No reader or campaign fires this site; store-corruption tests
+//!   consult it to decide *which* stored lines to corrupt/drop when
+//!   exercising the store's salvage path.
 //!
 //! The no-fault plan is free: [`FaultPlan::none`] short-circuits before
 //! any hashing, and [`retry_seed`] is the identity on attempt 0, so a
@@ -90,12 +91,12 @@ impl FaultPlan {
         }
     }
 
-    /// `true` when no site can ever fire.
-    pub fn is_none(&self) -> bool {
-        self.acquire_rate <= 0.0
-            && self.rep_rate <= 0.0
-            && self.calibrate_rate <= 0.0
-            && self.store_rate <= 0.0
+    /// `true` when no site a measurement campaign fires — acquisition,
+    /// repetition, calibration — can fire. The store-read rate does not
+    /// count: no campaign fires that site, so a plan setting only it
+    /// leaves a campaign pristine.
+    pub fn is_inert(&self) -> bool {
+        self.acquire_rate <= 0.0 && self.rep_rate <= 0.0 && self.calibrate_rate <= 0.0
     }
 
     /// The firing rate configured for `site`.
@@ -216,7 +217,12 @@ mod tests {
     #[test]
     fn rate_extremes_short_circuit() {
         let none = FaultPlan::none();
-        assert!(none.is_none());
+        assert!(none.is_inert());
+        assert!(FaultPlan {
+            store_rate: 1.0,
+            ..FaultPlan::none()
+        }
+        .is_inert());
         let all = FaultPlan {
             seed: 1,
             acquire_rate: 1.0,
@@ -224,7 +230,7 @@ mod tests {
             calibrate_rate: 0.0,
             store_rate: 0.0,
         };
-        assert!(!all.is_none());
+        assert!(!all.is_inert());
         for i in 0..100u64 {
             assert!(!none.fires(FaultSite::Acquire, &[i]));
             assert!(all.fires(FaultSite::Acquire, &[i]));

@@ -1,17 +1,18 @@
-//! End-to-end fault-injection tests: the same [`FaultPlan`] against the
-//! same [`CampaignPlan`] must yield a bit-identical degraded report at
-//! any worker count, a checked-in fixture pins the exact bytes the
-//! `htd` CLI smoke flow produces, and the strict/degraded policy split
-//! behaves as documented (exhaustion errors vs quarantine-and-continue).
+//! End-to-end fault-injection behaviour of the library campaign API:
+//! the strict/degraded policy split (exhaustion errors vs
+//! quarantine-and-continue), lost channels, the precedence of a strict
+//! campaign's first error, and the degraded and reference-free reports
+//! the library produces. The same byte identity through the `htd` CLI —
+//! at any worker count, under observation, and against the same pinned
+//! reports — is checked by the contract table in `tests/contracts.rs`,
+//! whose `regenerate` test re-pins every fixture.
 
 use std::path::PathBuf;
 
 use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{
-    characterize, score, Campaign, GoldenCharacterization, MultiChannelReport, Reference,
-};
+use htd_core::fusion::{characterize, score, Campaign, GoldenCharacterization, MultiChannelReport};
 use htd_core::reffree::ReferenceFreeCharacterization;
 use htd_core::resilience::RetryPolicy;
 use htd_core::{Engine, Error, Lab};
@@ -22,8 +23,9 @@ fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
 }
 
-/// The campaign of the CI smoke flow: `htd characterize --dies 6
-/// --pairs 2 --reps 2 --seed 42 --channels em,delay`.
+/// The `smoke` row's campaign in `tests/contracts.rs`: `htd
+/// characterize --dies 6 --pairs 2 --reps 2 --seed 42 --channels
+/// em,delay`.
 fn plan() -> CampaignPlan {
     CampaignPlan::with_random_pairs(6, 2, 2, [0x42; 16], [0x0f; 16], 42)
 }
@@ -72,15 +74,6 @@ fn faulted_campaign(
     assert_eq!(charac.states.len(), refs.len(), "no channel lost");
     let scored = score(&campaign, &lab, &charac, &[TrojanSpec::ht2()], &refs, None)?;
     Ok((charac, scored.report))
-}
-
-#[test]
-fn the_faultplan_fixture_is_the_pinned_plan() {
-    let path = fixture_dir().join("faultplan.htd");
-    let stored = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()));
-    let parsed: FaultPlan = htd_store::from_text(&stored).expect("fixture parses");
-    assert_eq!(parsed, faultplan());
 }
 
 #[test]
@@ -133,7 +126,7 @@ fn a_faulted_campaign_matches_the_pinned_degraded_report() {
     let path = fixture_dir().join("degraded_report.htd");
     let stored = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "missing fixture {} ({e}); run the regenerate test below",
+            "missing fixture {} ({e}); see tests/contracts.rs for the regenerate command",
             path.display()
         )
     });
@@ -143,21 +136,6 @@ fn a_faulted_campaign_matches_the_pinned_degraded_report() {
         "degraded report drifted from {}",
         path.display()
     );
-}
-
-/// Rewrites `tests/fixtures/degraded_report.htd` from the current
-/// pipeline. Run only after a deliberate change to the measurement or
-/// fault semantics:
-///
-/// ```sh
-/// cargo test -p htd-store --test fault_injection -- --ignored regenerate
-/// ```
-#[test]
-#[ignore = "regenerates the checked-in degraded report fixture"]
-fn regenerate_degraded_report() {
-    let path = fixture_dir().join("degraded_report.htd");
-    std::fs::write(&path, htd_store::to_text(&smoke_flow_report())).unwrap();
-    println!("wrote {}", path.display());
 }
 
 #[test]
@@ -327,7 +305,7 @@ fn reference_free_campaigns_match_the_pinned_reports() {
         let path = fixture_dir().join(name);
         let stored = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             panic!(
-                "missing fixture {} ({e}); run the regenerate tests below",
+                "missing fixture {} ({e}); see tests/contracts.rs for the regenerate command",
                 path.display()
             )
         });
@@ -338,86 +316,6 @@ fn reference_free_campaigns_match_the_pinned_reports() {
             path.display()
         );
     }
-}
-
-/// Rewrites `tests/fixtures/reffree_report.htd` from the current
-/// pipeline. Run only after a deliberate change to the reference-free
-/// scoring semantics:
-///
-/// ```sh
-/// cargo test -p htd-store --test fault_injection -- --ignored regenerate
-/// ```
-#[test]
-#[ignore = "regenerates the checked-in reference-free report fixture"]
-fn regenerate_reffree_report() {
-    let path = fixture_dir().join("reffree_report.htd");
-    let report = reffree_flow_report(&FaultPlan::none(), &RetryPolicy::strict());
-    std::fs::write(&path, htd_store::to_text(&report)).unwrap();
-    println!("wrote {}", path.display());
-}
-
-/// Rewrites `tests/fixtures/reffree_degraded_report.htd` (see
-/// [`regenerate_reffree_report`]).
-#[test]
-#[ignore = "regenerates the checked-in degraded reference-free report fixture"]
-fn regenerate_reffree_degraded_report() {
-    let path = fixture_dir().join("reffree_degraded_report.htd");
-    let report = reffree_flow_report(&faultplan(), &RetryPolicy::degraded(2));
-    std::fs::write(&path, htd_store::to_text(&report)).unwrap();
-    println!("wrote {}", path.display());
-}
-
-/// Characterizes `em,power,delay` in mode `R` and scores `ht2`, both
-/// under the committed fault plan with two retries and degradation
-/// allowed, on `workers` workers: the characterization (every channel's
-/// health record included) and the report text.
-fn three_channel_campaign<R: Reference>(workers: usize) -> (R, String) {
-    let campaign = campaign(workers, &faultplan(), RetryPolicy::degraded(2));
-    let lab = Lab::paper();
-    let specs = [
-        ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
-        ChannelSpec::Power(TraceMetric::SumOfLocalMaxima),
-        ChannelSpec::Delay,
-    ];
-    let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
-    let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let charac: R = characterize(&campaign, &lab, &plan(), &refs).expect("characterize");
-    assert_eq!(charac.channels().len(), refs.len(), "no channel lost");
-    let scored = score(&campaign, &lab, &charac, &[TrojanSpec::ht2()], &refs, None)
-        .expect("degraded scoring completes");
-    let report = htd_store::to_text(&scored.report);
-    (charac, report)
-}
-
-/// Campaigns run die-major — each worker programs a die, runs every
-/// channel on it and drops it — so dies finish in whatever order the
-/// pool takes them. Seeds, fault decisions and retry seeds derive from
-/// indices alone, so the faulted three-channel campaign must come out
-/// identical at any worker count, in both scoring modes.
-#[test]
-fn faulted_three_channel_campaigns_are_identical_at_any_worker_count() {
-    fn check<R: Reference + PartialEq + std::fmt::Debug>(mode: &str) {
-        let (charac, report) = three_channel_campaign::<R>(1);
-        for workers in [2, 8] {
-            let (other_charac, other_report) = three_channel_campaign::<R>(workers);
-            assert_eq!(
-                other_charac, charac,
-                "{mode}: characterization at {workers} workers"
-            );
-            assert_eq!(other_report, report, "{mode}: report at {workers} workers");
-        }
-        // Not vacuously identical: the plan fired, and the health
-        // records show it.
-        let activity: usize = charac
-            .channels()
-            .iter()
-            .map(|c| c.health.retried + c.health.dropped + c.health.reps_dropped)
-            .sum();
-        assert!(activity > 0, "{mode}: the fault plan fired somewhere");
-        assert!(report.contains("health"), "{mode}: {report}");
-    }
-    check::<GoldenCharacterization>("golden");
-    check::<ReferenceFreeCharacterization>("reference-free");
 }
 
 /// A fault plan under which, with no retries, EM (channel 0) first

@@ -1,10 +1,13 @@
 //! End-to-end tests of `htd serve`: a real server on a real socket,
-//! driven through the library client. The load-bearing claims: served
-//! responses embed the byte-identical report the offline `htd score`
-//! path writes — at 1, 2 and 8 workers, with the result cache disabled
-//! so every request really scores — and every failure mode (malformed
-//! frame, queue overflow, faulted acquisition) degrades exactly one
-//! response while the server lives on.
+//! driven through the library client. Served responses embed the
+//! byte-identical report the offline `htd score` path writes — at 1, 2
+//! and 8 workers, with the result cache disabled so every request really
+//! scores — and `htd bench --dump` captures the pinned one. Every
+//! failure mode (malformed frame, bad model, queue overflow, faulted
+//! acquisition) degrades exactly one response while the server lives
+//! on, and the caches never answer one request with another's report.
+//! The in-process server's equality with offline scoring on every table
+//! campaign is checked by the contract table in `tests/contracts.rs`.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -33,8 +36,8 @@ fn htd(args: &[&str]) -> std::process::Output {
     out
 }
 
-/// The small pinned campaign every serve test scores against (matching
-/// the CI smoke in `ci.sh`).
+/// The small campaign every serve test scores against (the `serve` row's
+/// shape in `tests/contracts.rs`).
 fn characterize(dir: &Path) -> String {
     let golden = dir.join("golden.htd").display().to_string();
     htd(&[
@@ -180,10 +183,6 @@ fn served_scores_are_bit_identical_to_offline_at_any_worker_count() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A reference-free golden serves exactly like it scores offline: the
-/// server sniffs the artifact kind, runs the reference-free session,
-/// and the embedded report is byte-identical to `htd score --report` —
-/// at 1, 2 and 8 workers.
 /// The CI serve smoke's `htd bench --serve --dump`: the one served
 /// response it captures must reproduce the pinned offline report
 /// `tests/fixtures/serve_response.htd` byte for byte.
@@ -219,6 +218,10 @@ fn a_bench_dump_reproduces_the_pinned_served_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A reference-free golden serves exactly like it scores offline: the
+/// server sniffs the artifact kind, runs the reference-free session,
+/// and the embedded report is byte-identical to `htd score --report` —
+/// at 1, 2 and 8 workers.
 #[test]
 fn served_reference_free_scores_are_bit_identical_to_offline() {
     let dir = scratch("reffree");
@@ -279,13 +282,12 @@ fn served_reference_free_scores_are_bit_identical_to_offline() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Learned-mode serving: a request carrying a `model` scores through
-/// the classifier byte-identically to offline `htd score --model`, a
+/// Learned-mode serving: a request carrying a `model` and a model-less
+/// request on the same golden never share a result-cache entry, a
 /// malformed or missing model file degrades exactly those responses
-/// into `error` (never the connection), and model-less requests on the
-/// same golden are unaffected.
+/// into `error` (never the connection), and the connection scores on.
 #[test]
-fn served_model_scores_match_offline_and_bad_models_degrade_gracefully() {
+fn served_models_keep_their_own_cache_entries_and_bad_ones_degrade() {
     let dir = scratch("model");
     let golden = characterize(&dir);
     let model = dir.join("model.htd").display().to_string();
@@ -302,31 +304,6 @@ fn served_model_scores_match_offline_and_bad_models_degrade_gracefully() {
         "--iterations",
         "50",
     ]);
-
-    let offline_learned = dir.join("offline-learned.htd");
-    htd(&[
-        "score",
-        "--golden",
-        &golden,
-        "--model",
-        &model,
-        "--trojans",
-        "ht1",
-        "--report",
-        &offline_learned.display().to_string(),
-    ]);
-    let offline_learned = std::fs::read_to_string(&offline_learned).expect("offline report");
-    let offline_plain = dir.join("offline-plain.htd");
-    htd(&[
-        "score",
-        "--golden",
-        &golden,
-        "--trojans",
-        "ht1",
-        "--report",
-        &offline_plain.display().to_string(),
-    ]);
-    let offline_plain = std::fs::read_to_string(&offline_plain).expect("offline report");
 
     // A well-framed store file that is *not* a classifier.
     let not_a_model = dir.join("not-a-model.htd").display().to_string();
@@ -347,19 +324,22 @@ fn served_model_scores_match_offline_and_bad_models_degrade_gracefully() {
 
     // Interleaved model/no-model rounds: the result cache must never
     // serve a learned report for a plain request or vice versa.
+    let mut rounds = Vec::new();
     for _round in 0..2 {
-        let response = score_with(&mut client, Some(model.clone()));
-        let Response::Score { report, .. } = response else {
-            panic!("expected a learned score, got {response:?}");
-        };
-        assert_eq!(report, offline_learned, "served learned report differs");
-
-        let response = score_with(&mut client, None);
-        let Response::Score { report, .. } = response else {
-            panic!("expected a plain score, got {response:?}");
-        };
-        assert_eq!(report, offline_plain, "served plain report differs");
+        for model in [Some(model.clone()), None] {
+            let response = score_with(&mut client, model);
+            let Response::Score { report, .. } = response else {
+                panic!("expected a score, got {response:?}");
+            };
+            rounds.push(report);
+        }
     }
+    assert!(rounds[0].contains("learned") && !rounds[1].contains("learned"));
+    assert_eq!(
+        rounds[..2],
+        rounds[2..],
+        "a cached report answered the other kind"
+    );
 
     // A nonexistent model path degrades the response, not the server.
     let response = score_with(

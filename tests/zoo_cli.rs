@@ -1,136 +1,7 @@
-//! End-to-end tests of `htd zoo`: the detection-rate heat map (stdout
-//! table and CSV) is bit-identical at 1, 2 and 8 workers, the CSV of the
-//! CI smoke sweep matches the committed fixture byte for byte, and the
-//! manifest carries the worker-invariant `zoo.*` and `pass.*` counters.
+//! `htd zoo` refuses bad grids. The heat map's worker invariance and its
+//! pinned CSV are checked by the `zoo` row of `tests/contracts.rs`.
 
-use std::path::PathBuf;
 use std::process::Command;
-
-use htd_obs::RunManifest;
-
-/// The tiny sweep the CI smoke pins: 2 sizes × 2 kinds on a 3-die
-/// campaign (see `ci.sh` and `tests/fixtures/zoo_smoke.csv`).
-const SMOKE_ARGS: [&str; 14] = [
-    "zoo",
-    "--sizes",
-    "4,8",
-    "--kinds",
-    "comb,fsm",
-    "--dies",
-    "3",
-    "--pairs",
-    "2",
-    "--reps",
-    "2",
-    "--seed",
-    "42",
-    "--channels",
-];
-
-fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("htd-zoo-{}-{}", std::process::id(), tag));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-fn htd_zoo(workers: usize, csv: &std::path::Path, metrics: &std::path::Path) -> String {
-    let mut args: Vec<String> = SMOKE_ARGS.iter().map(ToString::to_string).collect();
-    args.push("em,delay".into());
-    args.extend([
-        "--workers".into(),
-        workers.to_string(),
-        "--csv".into(),
-        csv.display().to_string(),
-        "--metrics".into(),
-        metrics.display().to_string(),
-    ]);
-    let out = Command::new(env!("CARGO_BIN_EXE_htd"))
-        .args(&args)
-        .output()
-        .expect("htd spawns");
-    assert!(
-        out.status.success(),
-        "htd zoo failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    // Drop the `wrote <scratch path>` trailer lines — the scratch paths
-    // embed the worker count, the heat map itself must not.
-    stdout
-        .lines()
-        .filter(|l| !l.starts_with("wrote "))
-        .map(|l| format!("{l}\n"))
-        .collect()
-}
-
-#[test]
-fn zoo_heat_map_is_worker_invariant_and_matches_the_fixture() {
-    let mut runs = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let dir = scratch(&format!("w{workers}"));
-        let csv_path = dir.join("zoo.csv");
-        let metrics_path = dir.join("zoo.json");
-        let stdout = htd_zoo(workers, &csv_path, &metrics_path);
-        let csv = std::fs::read_to_string(&csv_path).expect("csv written");
-        let manifest =
-            RunManifest::parse(&std::fs::read_to_string(&metrics_path).expect("manifest written"))
-                .expect("manifest parses strictly");
-        assert_eq!(manifest.command, "zoo");
-        // The stdout table differs from the CSV only in formatting, and
-        // both carry every zoo point.
-        for name in ["zoo-comb-4", "zoo-fsm-4", "zoo-comb-8", "zoo-fsm-8"] {
-            assert!(stdout.contains(name), "stdout lacks {name}:\n{stdout}");
-            assert!(csv.contains(name), "csv lacks {name}:\n{csv}");
-        }
-        runs.push((workers, stdout, csv, manifest));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    let (_, stdout1, csv1, manifest1) = &runs[0];
-    for (workers, stdout, csv, manifest) in &runs[1..] {
-        assert_eq!(
-            stdout1, stdout,
-            "heat-map table differs at {workers} workers"
-        );
-        assert_eq!(csv1, csv, "heat-map CSV differs at {workers} workers");
-        assert_eq!(
-            manifest1.counters_text(),
-            manifest.counters_text(),
-            "counter section differs at {workers} workers"
-        );
-    }
-
-    // The CI smoke diffs this CSV against the committed fixture.
-    let pinned = std::fs::read_to_string(fixture_dir().join("zoo_smoke.csv"))
-        .expect("missing tests/fixtures/zoo_smoke.csv");
-    assert_eq!(
-        csv1, &pinned,
-        "zoo smoke CSV drifted from tests/fixtures/zoo_smoke.csv"
-    );
-
-    // Per-zoo-point and per-pass counters are present and exact: 4 grid
-    // points (2 sizes × 2 kinds), lint gate run once per infected design.
-    let get = |name: &str| {
-        manifest1
-            .counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .unwrap_or_else(|| panic!("missing counter {name:?}"))
-            .1
-    };
-    assert_eq!(get("zoo.points"), 4);
-    assert_eq!(get("zoo.kind.comb"), 2);
-    assert_eq!(get("zoo.kind.fsm"), 2);
-    for pass in ["check_unconnected", "check_comb_loops", "check_fanout"] {
-        assert_eq!(get(&format!("pass.{pass}.runs")), 4, "pass {pass} runs");
-        assert_eq!(get(&format!("pass.{pass}.lints")), 0, "pass {pass} lints");
-    }
-}
 
 #[test]
 fn zoo_rejects_bad_grids() {
